@@ -39,19 +39,15 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"fakeproject/internal/auditd"
 	"fakeproject/internal/core"
 	"fakeproject/internal/experiments"
-	"fakeproject/internal/metrics"
 	"fakeproject/internal/monitord"
-	"fakeproject/internal/opsui"
+	"fakeproject/internal/platform"
 	"fakeproject/internal/population"
 	"fakeproject/internal/simclock"
 	"fakeproject/internal/twitter"
@@ -66,25 +62,23 @@ func main() {
 }
 
 func run() error {
+	var spec platform.Spec
+	flag.StringVar(&spec.Addr, "addr", "127.0.0.1:8081", "listen address")
+	flag.StringVar(&spec.Load, "load", "", "serve a store snapshot (from genpop -out) instead of building accounts")
 	var (
-		addr     = flag.String("addr", "127.0.0.1:8081", "listen address")
 		workers  = flag.Int("workers", 4, "worker pool size")
 		queueCap = flag.Int("queue", 256, "pending-queue capacity (backpressure bound)")
 		cacheTTL = flag.Duration("cache-ttl", 24*time.Hour, "result cache TTL (0 = never expires, negative = disabled)")
 		accounts = flag.String("accounts", "davc,grossnasty,janrezab", "paper accounts to build (simulation backend)")
 		scale    = flag.Int("scale", 50000, "max materialised followers per account (simulation backend)")
 		seed     = flag.Uint64("seed", 20140301, "simulation / engine seed")
-		load     = flag.String("load", "", "serve a store snapshot (from genpop -out) instead of building accounts")
 		remote   = flag.String("twitterd", "", "front a remote twitterd API at this base URL instead of an in-process store")
 		monitor  = flag.Bool("monitor", false, "run the continuous-monitoring subsystem (/v1/watch, /v1/series, /v1/alerts)")
 		watch    = flag.String("watch", "", "comma-separated initial watches, name[:cadence] (requires -monitor)")
 		pace     = flag.Duration("monitor-pace", 2*time.Second, "wall-clock interval between monitor scheduler rounds on virtual-clock backends")
 		churn    = flag.Bool("churn", false, "evolve watched targets between re-audit rounds (organic growth + churn; in-process backends only)")
-
-		metricsOn = flag.Bool("metrics", true, "serve /metrics (Prometheus text) and /metrics.json")
-		dashboard = flag.Bool("dashboard", true, "serve the embedded ops dashboard at /dashboard/ (needs -metrics)")
-		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof/")
 	)
+	spec.ObsFlags(flag.CommandLine)
 	flag.Parse()
 	if !*monitor && (*watch != "" || *churn) {
 		// Flag-consistency errors must fire before the (potentially
@@ -92,108 +86,58 @@ func run() error {
 		return fmt.Errorf("-watch/-churn require -monitor")
 	}
 
-	svc, plat, err := buildService(*accounts, *load, *remote, *scale, *seed, *workers, *queueCap, *cacheTTL)
+	p, err := platform.New(spec)
 	if err != nil {
 		return err
 	}
+	svc, plat, err := buildService(p, *accounts, *remote, *scale, *seed, *workers, *queueCap, *cacheTTL)
+	if err != nil {
+		return err
+	}
+	// Drain order on SIGTERM: stop intake, let requests finish, then let the
+	// pool drain the queue.
+	p.OnStop(svc.Shutdown)
+	p.Server.WriteTimeout = 10 * time.Minute // long-poll ?wait= support
 
-	var reg *metrics.Registry
-	if *metricsOn {
-		reg = metrics.NewRegistry()
+	// Even a bare audit service carries the observability surfaces next to
+	// /v1/: the root mux is platform's.
+	p.Mux.Handle("/", auditd.NewHandlerObserved(svc, p.Reg))
+	if p.Reg != nil && plat.store != nil {
+		twitterapi.ObserveStore(p.Reg, plat.store)
 	}
 
-	auditHandler := http.Handler(auditd.NewHandler(svc))
-	if reg != nil {
-		auditHandler = auditd.NewHandlerObserved(svc, reg)
-		if plat.store != nil {
-			twitterapi.ObserveStore(reg, plat.store)
-		}
-	}
-
-	// The root mux is unconditional now: even a bare audit service carries
-	// the observability surfaces next to /v1/.
-	root := http.NewServeMux()
-	root.Handle("/", auditHandler)
-
-	var mon *monitord.Monitor
 	monitorCtx, stopMonitor := context.WithCancel(context.Background())
 	defer stopMonitor()
 	if *monitor {
-		mon, err = startMonitor(monitorCtx, svc, plat, *watch, *pace, *churn)
+		mon, err := startMonitor(monitorCtx, svc, plat, *watch, *pace, *churn)
 		if err != nil {
 			return err
 		}
 		defer mon.Close()
-		mh := http.Handler(monitord.NewHandler(mon))
-		if reg != nil {
-			mh = monitord.NewHandlerObserved(mon, reg)
-		}
-		root.Handle("/v1/watch", mh)
-		root.Handle("/v1/watch/", mh)
-		root.Handle("/v1/series/", mh)
-		root.Handle("/v1/alerts", mh)
-	}
-	if reg != nil {
-		root.Handle("GET /metrics", reg)
-		root.Handle("GET /metrics.json", reg)
-		if *dashboard {
-			root.Handle("/dashboard/", opsui.Handler("/dashboard/"))
-		}
-	}
-	if *pprofOn {
-		metrics.MountPprof(root)
-	}
-	handler := http.Handler(root)
-
-	httpServer := &http.Server{
-		Addr:         *addr,
-		Handler:      handler,
-		ReadTimeout:  10 * time.Second,
-		WriteTimeout: 10 * time.Minute, // long-poll ?wait= support
+		mh := monitord.NewHandlerObserved(mon, p.Reg)
+		p.Mux.Handle("/v1/watch", mh)
+		p.Mux.Handle("/v1/watch/", mh)
+		p.Mux.Handle("/v1/series/", mh)
+		p.Mux.Handle("/v1/alerts", mh)
 	}
 
-	// Graceful shutdown: stop intake, drain the pool, then exit.
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "auditd serving on http://%s/v1/ (tools: %s)\n",
-			*addr, strings.Join(svc.Tools(), ", "))
-		if reg != nil {
-			fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics", *addr)
-			if *dashboard {
-				fmt.Fprintf(os.Stderr, ", dashboard on http://%s/dashboard/", *addr)
-			}
-			fmt.Fprintln(os.Stderr)
-		}
-		errc <- httpServer.ListenAndServe()
-	}()
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-stop:
-		fmt.Fprintf(os.Stderr, "auditd: %v, draining...\n", sig)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpServer.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "auditd: http shutdown: %v\n", err)
-	}
-	return svc.Shutdown(ctx)
+	fmt.Fprintf(os.Stderr, "auditd serving on http://%s/v1/ (tools: %s)\n",
+		spec.Addr, strings.Join(svc.Tools(), ", "))
+	return p.Run("auditd")
 }
 
-// platform carries the in-process backend state behind a service: the
+// backend carries the in-process backend state behind a service: the
 // monitor's dynamics driver mutates the store directly, which only exists
 // for the simulation and snapshot backends (store and gen are nil when the
 // platform lives behind a remote twitterd).
-type platform struct {
+type backend struct {
 	store *twitter.Store
 	gen   *population.Generator
 	clock simclock.Clock
 }
 
 // buildService assembles the audit service over one of the three backends.
-func buildService(accounts, load, remote string, scale int, seed uint64, workers, queueCap int, cacheTTL time.Duration) (*auditd.Service, *platform, error) {
+func buildService(p *platform.Process, accounts, remote string, scale int, seed uint64, workers, queueCap int, cacheTTL time.Duration) (*auditd.Service, *backend, error) {
 	base := auditd.Config{
 		Workers:   workers,
 		QueueCap:  queueCap,
@@ -214,23 +158,18 @@ func buildService(accounts, load, remote string, scale int, seed uint64, workers
 		base.Tools = auditd.StandardFactories(newClient, auditd.ToolSetConfig{Clock: clock, Seed: seed})
 		fmt.Fprintf(os.Stderr, "backend: remote twitterd at %s\n", remote)
 		svc, err := auditd.New(base)
-		return svc, &platform{clock: clock}, err
+		return svc, &backend{clock: clock}, err
 
-	case load != "":
+	case p.Spec.Load != "":
 		// Snapshot: in-process store, latency-free direct clients (rate
 		// limits still apply per worker token set). genpop builds its
 		// populations on the virtual epoch clock, so the loaded store is
 		// bound to the same epoch — otherwise every 2014-era account would
 		// read as dormant against the real wall clock.
 		clock := simclock.NewVirtualAtEpoch()
-		f, err := os.Open(load)
+		store, err := p.OpenStore(clock)
 		if err != nil {
-			return nil, nil, fmt.Errorf("opening snapshot: %w", err)
-		}
-		defer f.Close()
-		store, err := twitter.ReadSnapshot(f, clock)
-		if err != nil {
-			return nil, nil, fmt.Errorf("loading snapshot: %w", err)
+			return nil, nil, err
 		}
 		apiSvc := twitterapi.NewService(store)
 		newClient := func(tool string, worker int) twitterapi.Client {
@@ -241,9 +180,9 @@ func buildService(accounts, load, remote string, scale int, seed uint64, workers
 		}
 		base.Clock = clock
 		base.Tools = auditd.StandardFactories(newClient, auditd.ToolSetConfig{Clock: clock, Seed: seed})
-		fmt.Fprintf(os.Stderr, "backend: snapshot %s (%d accounts)\n", load, store.UserCount())
+		fmt.Fprintf(os.Stderr, "backend: snapshot %s\n", p.Spec.Load)
 		svc, err := auditd.New(base)
-		return svc, &platform{
+		return svc, &backend{
 			store: store,
 			gen:   population.NewGenerator(store, seed+77),
 			clock: clock,
@@ -272,14 +211,14 @@ func buildService(accounts, load, remote string, scale int, seed uint64, workers
 			return nil, nil, fmt.Errorf("building simulation: %w", err)
 		}
 		svc, err := sim.NewAuditService(base)
-		return svc, &platform{store: sim.Store, gen: sim.Gen, clock: sim.Clock}, err
+		return svc, &backend{store: sim.Store, gen: sim.Gen, clock: sim.Clock}, err
 	}
 }
 
 // startMonitor assembles the monitord subsystem: initial watches from the
 // -watch list, an optional churn hook evolving each watched target one
 // simulated day per re-audit round, and the paced scheduler goroutine.
-func startMonitor(ctx context.Context, svc *auditd.Service, plat *platform, watchList string, pace time.Duration, churn bool) (*monitord.Monitor, error) {
+func startMonitor(ctx context.Context, svc *auditd.Service, plat *backend, watchList string, pace time.Duration, churn bool) (*monitord.Monitor, error) {
 	cfg := monitord.Config{Service: svc, Clock: plat.clock}
 	if churn {
 		if plat.store == nil {

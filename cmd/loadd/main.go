@@ -26,8 +26,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -38,7 +36,7 @@ import (
 	"fakeproject/internal/benchjson"
 	"fakeproject/internal/loadgen"
 	"fakeproject/internal/metrics"
-	"fakeproject/internal/opsui"
+	"fakeproject/internal/platform"
 )
 
 func main() {
@@ -49,6 +47,11 @@ func main() {
 }
 
 func run() error {
+	// Observability sidecar: the daemons' -metrics/-dashboard/-pprof, served
+	// on -obs-addr while the mixes run.
+	var obsSpec platform.Spec
+	flag.StringVar(&obsSpec.Addr, "obs-addr", "127.0.0.1:8089", "observability server listen address")
+	obsSpec.ObsFlags(flag.CommandLine)
 	var (
 		mix        = flag.String("mix", "all", "workload mix to run: all, or a comma list of "+strings.Join(loadgen.MixNames(), ", "))
 		duration   = flag.Duration("duration", 5*time.Second, "run length per mix")
@@ -60,12 +63,6 @@ func run() error {
 		out        = flag.String("out", "", "write BENCH_e2e.json here (default ./BENCH_e2e.json, or $BENCH_JSON/BENCH_e2e.json)")
 		progress   = flag.Duration("progress", 2*time.Second, "live status-line interval (0 disables)")
 		quiet      = flag.Bool("quiet", false, "suppress the live status line")
-
-		// Observability sidecar (same flag vocabulary as the daemons).
-		metricsOn = flag.Bool("metrics", true, "serve /metrics and /metrics.json on -obs-addr during the run")
-		dashboard = flag.Bool("dashboard", true, "serve the embedded ops dashboard at /dashboard/ on -obs-addr (needs -metrics)")
-		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof on -obs-addr")
-		obsAddr   = flag.String("obs-addr", "127.0.0.1:8089", "observability server listen address")
 
 		// In-process platform shape.
 		seed      = flag.Uint64("seed", 20140301, "population and sampling seed")
@@ -94,16 +91,17 @@ func run() error {
 		return err
 	}
 
-	var reg *metrics.Registry
-	if *metricsOn {
-		reg = metrics.NewRegistry()
+	obs, err := platform.New(obsSpec)
+	if err != nil {
+		return err
 	}
-	if *metricsOn || *pprofOn {
-		stopObs, err := serveObservability(reg, *obsAddr, *dashboard, *pprofOn)
-		if err != nil {
-			return err
+	reg := obs.Reg
+	if obsSpec.Metrics || obsSpec.Pprof {
+		// A busy port is an error: the caller chose the address.
+		if _, err := obs.Start(); err != nil {
+			return fmt.Errorf("observability server: %w", err)
 		}
-		defer stopObs()
+		defer obs.Server.Close()
 	}
 
 	if (*walDir != "" || *walCompare) && *api != "" {
@@ -163,9 +161,6 @@ func run() error {
 		h, err := buildHarness(*api, *audit, *accounts, cfg)
 		if err != nil {
 			return err
-		}
-		if reg != nil {
-			h.Observe(reg)
 		}
 		for _, name := range mixes {
 			fmt.Fprintf(os.Stderr, "running %s%s for %v at %.0f/s...\n", name, ps.suffix, *duration, *rate)
@@ -241,38 +236,6 @@ func run() error {
 		return fmt.Errorf("%d unexpected (non-429) errors across %d mixes", failures, len(results))
 	}
 	return nil
-}
-
-// serveObservability starts the sidecar HTTP server: /metrics and
-// /metrics.json when reg is non-nil, the dashboard, and pprof. It returns a
-// closer; a busy port is an error (the caller chose the address).
-func serveObservability(reg *metrics.Registry, addr string, dashboard, pprofOn bool) (func(), error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("observability server: %w", err)
-	}
-	mux := http.NewServeMux()
-	if reg != nil {
-		mux.Handle("GET /metrics", reg)
-		mux.Handle("GET /metrics.json", reg)
-		if dashboard {
-			mux.Handle("/dashboard/", opsui.Handler("/dashboard/"))
-		}
-	}
-	if pprofOn {
-		metrics.MountPprof(mux)
-	}
-	srv := &http.Server{Handler: mux}
-	go func() { _ = srv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-	if reg != nil {
-		fmt.Fprintf(os.Stderr, "metrics on %s/metrics", base)
-		if dashboard {
-			fmt.Fprintf(os.Stderr, ", dashboard on %s/dashboard/", base)
-		}
-		fmt.Fprintln(os.Stderr)
-	}
-	return func() { _ = srv.Close() }, nil
 }
 
 // progressLoop prints one status line per interval while a mix runs:

@@ -18,15 +18,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
 	"time"
 
-	"fakeproject/internal/metrics"
-	"fakeproject/internal/opsui"
+	"fakeproject/internal/platform"
 	"fakeproject/internal/router"
 	"fakeproject/internal/simclock"
 )
@@ -39,10 +38,11 @@ func main() {
 }
 
 func run() error {
+	var spec platform.Spec
+	flag.StringVar(&spec.Addr, "addr", "127.0.0.1:8080", "listen address")
+	flag.IntVar(&spec.RingSlots, "ring-slots", router.DefaultSlots, "ring slot count (must match the backends' -ring-slots)")
 	var (
-		addr     = flag.String("addr", "127.0.0.1:8080", "listen address")
 		backends = flag.String("backends", "", "comma-separated twitterd base URLs in ring order (required)")
-		slots    = flag.Int("ring-slots", router.DefaultSlots, "ring slot count (must match the backends' -ring-slots)")
 
 		hedgeDelay = flag.Duration("hedge-delay", 0, "fixed hedge delay; 0 = adaptive (upstream p99), negative = hedging off")
 		hedgeMin   = flag.Duration("hedge-min", 2*time.Millisecond, "lower clamp of the adaptive hedge delay")
@@ -50,11 +50,8 @@ func run() error {
 
 		failThreshold = flag.Int("fail-threshold", 3, "consecutive hard failures that eject a backend")
 		probeInterval = flag.Duration("probe-interval", time.Second, "readmission probe period for ejected backends")
-
-		metricsOn = flag.Bool("metrics", true, "serve /metrics (Prometheus text) and /metrics.json")
-		dashboard = flag.Bool("dashboard", true, "serve the embedded ops dashboard at /dashboard/ (needs -metrics)")
-		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof/")
 	)
+	spec.ObsFlags(flag.CommandLine)
 	flag.Parse()
 
 	var bases []string
@@ -67,15 +64,15 @@ func run() error {
 		return fmt.Errorf("-backends is required (comma-separated twitterd base URLs)")
 	}
 
-	var reg *metrics.Registry
-	if *metricsOn {
-		reg = metrics.NewRegistry()
+	p, err := platform.New(spec)
+	if err != nil {
+		return err
 	}
 	rt, err := router.New(router.Config{
 		Backends:      bases,
-		Slots:         *slots,
+		Slots:         spec.RingSlots,
 		Clock:         simclock.Real{},
-		Registry:      reg,
+		Registry:      p.Reg,
 		HedgeDelay:    *hedgeDelay,
 		HedgeMin:      *hedgeMin,
 		HedgeMax:      *hedgeMax,
@@ -85,34 +82,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer rt.Close()
+	p.OnStop(func(context.Context) error { rt.Close(); return nil })
+	p.Mux.Handle("/", rt)
+	p.Healthz()
 
-	mux := http.NewServeMux()
-	mux.Handle("/", rt)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte("ok\n"))
-	})
-	if reg != nil {
-		mux.Handle("GET /metrics", reg)
-		mux.Handle("GET /metrics.json", reg)
-		if *dashboard {
-			mux.Handle("/dashboard/", opsui.Handler("/dashboard/"))
-		}
-	}
-	if *pprofOn {
-		metrics.MountPprof(mux)
-	}
-
-	fmt.Fprintf(os.Stderr, "routing for %d backends on http://%s/1.1/\n", len(bases), *addr)
-	if reg != nil {
-		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics\n", *addr)
-	}
-	httpServer := &http.Server{
-		Addr:         *addr,
-		Handler:      mux,
-		ReadTimeout:  10 * time.Second,
-		WriteTimeout: 30 * time.Second,
-	}
-	return httpServer.ListenAndServe()
+	fmt.Fprintf(os.Stderr, "routing for %d backends on http://%s/1.1/\n", len(bases), spec.Addr)
+	return p.Run("routerd")
 }

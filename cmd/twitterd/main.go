@@ -29,23 +29,19 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"fakeproject/internal/core"
-	"fakeproject/internal/metrics"
-	"fakeproject/internal/opsui"
+	"fakeproject/internal/platform"
 	"fakeproject/internal/population"
 	"fakeproject/internal/router"
 	"fakeproject/internal/simclock"
 	"fakeproject/internal/twitter"
-	"fakeproject/internal/twitterapi"
-	"fakeproject/internal/wal"
 )
 
 func main() {
@@ -56,102 +52,59 @@ func main() {
 }
 
 func run() error {
-	var (
-		addr     = flag.String("addr", "127.0.0.1:8080", "listen address")
-		accounts = flag.String("accounts", "davc,grossnasty,janrezab", "comma-separated paper accounts to build")
-		scale    = flag.Int("scale", 50000, "max materialised followers per account")
-		seed     = flag.Uint64("seed", 20140301, "population seed")
-		load     = flag.String("load", "", "serve a store snapshot (from genpop -out) instead of building accounts")
+	var spec platform.Spec
+	flag.StringVar(&spec.Addr, "addr", "127.0.0.1:8080", "listen address")
+	accounts := flag.String("accounts", "davc,grossnasty,janrezab", "comma-separated paper accounts to build")
+	scale := flag.Int("scale", 50000, "max materialised followers per account")
+	flag.Uint64Var(&spec.Seed, "seed", 20140301, "population seed")
+	flag.StringVar(&spec.Load, "load", "", "serve a store snapshot (from genpop -out) instead of building accounts")
 
-		metricsOn = flag.Bool("metrics", true, "serve /metrics (Prometheus text) and /metrics.json")
-		dashboard = flag.Bool("dashboard", true, "serve the embedded ops dashboard at /dashboard/ (needs -metrics)")
-		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof/")
+	spec.ObsFlags(flag.CommandLine)
 
-		walDir       = flag.String("wal-dir", "", "durable mode: write-ahead log directory (recovered on boot; see docs/OPERATIONS.md)")
-		walFsync     = flag.String("fsync", "interval", "WAL fsync policy: always, interval, off (with -wal-dir)")
-		compactEvery = flag.Uint64("compact-every", 100000, "compact the WAL every N records past the newest snapshot (0 = never; with -wal-dir)")
+	flag.StringVar(&spec.WALDir, "wal-dir", "", "durable mode: write-ahead log directory (recovered on boot; see docs/OPERATIONS.md)")
+	flag.StringVar(&spec.Fsync, "fsync", "interval", "WAL fsync policy: always, interval, off (with -wal-dir)")
+	flag.Uint64Var(&spec.CompactEvery, "compact-every", 100000, "compact the WAL every N records past the newest snapshot (0 = never; with -wal-dir)")
 
-		ringIndex = flag.Int("ring-index", -1, "multi-node: this node's ring position (requires -ring-nodes and -load)")
-		ringNodes = flag.Int("ring-nodes", 0, "multi-node: total nodes in the ring")
-		ringSlots = flag.Int("ring-slots", router.DefaultSlots, "multi-node: ring slot count (must match routerd's)")
-		noLimits  = flag.Bool("no-limits", false, "disable the Table I rate limits (load and smoke runs)")
-	)
+	flag.IntVar(&spec.RingIndex, "ring-index", -1, "multi-node: this node's ring position (requires -ring-nodes and -load)")
+	flag.IntVar(&spec.RingNodes, "ring-nodes", 0, "multi-node: total nodes in the ring")
+	flag.IntVar(&spec.RingSlots, "ring-slots", router.DefaultSlots, "multi-node: ring slot count (must match routerd's)")
+	flag.BoolVar(&spec.NoLimits, "no-limits", false, "disable the Table I rate limits (load and smoke runs)")
 	flag.Parse()
-	obs := obsConfig{Metrics: *metricsOn, Dashboard: *dashboard, Pprof: *pprofOn, NoLimits: *noLimits}
 
 	clock := simclock.Real{}
-
-	if *ringIndex >= 0 {
-		if *ringNodes < 1 || *ringIndex >= *ringNodes {
-			return fmt.Errorf("-ring-index %d needs -ring-nodes > it (got %d)", *ringIndex, *ringNodes)
-		}
-		if *load == "" {
-			return fmt.Errorf("-ring-index requires -load (ring members boot from a canonical snapshot)")
-		}
-		if *walDir != "" {
-			return fmt.Errorf("-ring-index is incompatible with -wal-dir (ring members are read-serving replicas)")
-		}
-		ring := router.NewRing(*ringSlots, *ringNodes)
-		node := *ringIndex
-		store, err := twitter.LoadSnapshotRangeFile(*load, clock, func(id twitter.UserID) bool {
-			return ring.Keep(node, int64(id))
-		})
-		if err != nil {
-			return err
-		}
-		olo, ohi := ring.OwnedRange(node)
-		rlo, rhi := ring.ReplicatedRange(node)
-		fmt.Fprintf(os.Stderr, "ring node %d/%d: %d accounts, owns slots [%d,%d), replicates [%d,%d) of %d\n",
-			node, *ringNodes, store.UserCount(), olo, ohi, rlo, rhi, *ringSlots)
-		obs.Ring, obs.RingNode = &ring, node
-		return serve(*addr, store, clock, obs)
-	}
-
-	if *walDir != "" {
-		policy, err := wal.ParsePolicy(*walFsync)
-		if err != nil {
-			return err
-		}
-		store, wlog, stats, err := wal.Open(wal.Config{
-			Dir:          *walDir,
-			Policy:       policy,
-			CompactEvery: *compactEvery,
-			SeedSnapshot: *load,
-			Clock:        clock,
-			Seed:         *seed,
-		})
-		if err != nil {
-			return err
-		}
-		defer wlog.Close()
-		torn := ""
-		if stats.TornTail {
-			torn = "; torn tail truncated"
-		}
-		fmt.Fprintf(os.Stderr, "wal: %s recovered %d accounts (snapshot %q + %d records across %d segments%s) in %v\n",
-			*walDir, stats.Users, stats.SnapshotPath, stats.RecordsReplayed, stats.SegmentsScanned, torn, stats.Elapsed.Round(time.Millisecond))
-		if stats.Users == 0 && *load == "" {
-			if err := buildAccounts(store, clock, *accounts, *scale, *seed); err != nil {
-				return err
-			}
-		}
-		return serve(*addr, store, clock, obs, wlog.Observe)
-	}
-
-	if *load != "" {
-		store, err := twitter.LoadSnapshotFile(*load, clock)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "loaded snapshot with %d accounts\n", store.UserCount())
-		return serve(*addr, store, clock, obs)
-	}
-
-	store := twitter.NewStore(clock, *seed)
-	if err := buildAccounts(store, clock, *accounts, *scale, *seed); err != nil {
+	p, err := assemble(spec, clock, func(store *twitter.Store) error {
+		return buildAccounts(store, clock, *accounts, *scale, spec.Seed)
+	})
+	if err != nil {
 		return err
 	}
-	return serve(*addr, store, clock, obs)
+	fmt.Fprintf(os.Stderr, "serving on http://%s/1.1/ (try followers/ids.json, users/lookup.json, users/show.json, statuses/user_timeline.json)\n",
+		spec.Addr)
+	return p.Run("twitterd")
+}
+
+// assemble builds the daemon's process from spec: the store source, the
+// population (populate runs when no -load was given and the source came
+// back empty — a fresh store or a fresh WAL directory) and the API plane on
+// the root mux. Factored out of run so the smoke test boots the exact
+// production assembly.
+func assemble(spec platform.Spec, clock simclock.Clock, populate func(*twitter.Store) error) (*platform.Process, error) {
+	p, err := platform.New(spec)
+	if err != nil {
+		return nil, err
+	}
+	store, err := p.OpenStore(clock)
+	if err != nil {
+		return nil, err
+	}
+	if spec.Load == "" && store.UserCount() == 0 {
+		if err := populate(store); err != nil {
+			_ = p.Stop(context.Background()) // seals the WAL segment the build wrote into
+			return nil, err
+		}
+	}
+	p.ServeAPI(store, clock)
+	return p, nil
 }
 
 // buildAccounts materialises the requested paper-testbed accounts into the
@@ -193,121 +146,4 @@ func buildAccounts(store *twitter.Store, clock simclock.Clock, accounts string, 
 	}
 	fmt.Fprintf(os.Stderr, "built %d accounts\n", built)
 	return nil
-}
-
-// obsConfig selects the observability surfaces mounted next to the API,
-// plus the serving knobs that shape the handler assembly (rate limits off,
-// ring membership for the admin snapshot-range export).
-type obsConfig struct {
-	Metrics   bool
-	Dashboard bool
-	Pprof     bool
-	NoLimits  bool
-	Ring      *router.Ring // non-nil when booted as a ring member
-	RingNode  int
-}
-
-// newRootHandler assembles the daemon's full HTTP surface: the API plane at
-// /1.1/, the always-on operational endpoints (/healthz for the router's
-// probes, /admin/snapshot for range export), and — per flags — /metrics,
-// /metrics.json, /dashboard/ and /debug/pprof/. Factored out of serve so
-// the smoke test can boot the exact production handler on an httptest
-// server. Extra observers (the WAL's, when durable mode is on) are hooked
-// into the same registry the daemon serves.
-func newRootHandler(store *twitter.Store, clock simclock.Clock, obs obsConfig, observers ...func(*metrics.Registry)) http.Handler {
-	svc := twitterapi.NewService(store)
-	limits := twitterapi.DefaultLimits()
-	if obs.NoLimits {
-		limits = nil
-	}
-	mux := http.NewServeMux()
-	if obs.Metrics {
-		reg := metrics.NewRegistry()
-		mux.Handle("/", twitterapi.NewServerObserved(svc, clock, limits, reg))
-		twitterapi.ObserveStore(reg, store)
-		for _, observe := range observers {
-			observe(reg)
-		}
-		mux.Handle("GET /metrics", reg)
-		mux.Handle("GET /metrics.json", reg)
-		if obs.Dashboard {
-			mux.Handle("/dashboard/", opsui.Handler("/dashboard/"))
-		}
-	} else {
-		mux.Handle("/", twitterapi.NewServerLimits(svc, clock, limits))
-	}
-	if obs.Pprof {
-		metrics.MountPprof(mux)
-	}
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("GET /admin/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		handleSnapshotExport(w, r, store, obs)
-	})
-	return mux
-}
-
-// handleSnapshotExport streams a canonical v5 range snapshot: by default
-// the ranges this node holds (everything, for a non-ring daemon), or — with
-// ?node=i&nodes=N[&slots=S] — the held set of an arbitrary ring position,
-// which is how a joining node pulls its ranges from a current holder.
-// Exports are canonical: any two holders of a range stream identical bytes
-// for it, so ownership transfer is verifiable with a plain byte compare.
-func handleSnapshotExport(w http.ResponseWriter, r *http.Request, store *twitter.Store, obs obsConfig) {
-	keep := func(twitter.UserID) bool { return true }
-	switch q := r.URL.Query(); {
-	case q.Get("node") != "":
-		node, err1 := strconv.Atoi(q.Get("node"))
-		nodes, err2 := strconv.Atoi(q.Get("nodes"))
-		if err1 != nil || err2 != nil || node < 0 || node >= nodes {
-			http.Error(w, "need node=i&nodes=N with 0 <= i < N", http.StatusBadRequest)
-			return
-		}
-		slots := router.DefaultSlots
-		if obs.Ring != nil {
-			slots = obs.Ring.Slots()
-		}
-		if raw := q.Get("slots"); raw != "" {
-			v, err := strconv.Atoi(raw)
-			if err != nil || v < 1 {
-				http.Error(w, "bad slots", http.StatusBadRequest)
-				return
-			}
-			slots = v
-		}
-		ring := router.NewRing(slots, nodes)
-		keep = func(id twitter.UserID) bool { return ring.Keep(node, int64(id)) }
-	case obs.Ring != nil:
-		ring, node := obs.Ring, obs.RingNode
-		keep = func(id twitter.UserID) bool { return ring.Keep(node, int64(id)) }
-	default:
-		keep = nil // full snapshot
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := store.WriteSnapshotRange(w, keep); err != nil {
-		// Headers are gone; all we can do is cut the stream short so the
-		// client's snapshot reader reports truncation.
-		fmt.Fprintf(os.Stderr, "twitterd: snapshot export: %v\n", err)
-	}
-}
-
-func serve(addr string, store *twitter.Store, clock simclock.Clock, obs obsConfig, observers ...func(*metrics.Registry)) error {
-	fmt.Fprintf(os.Stderr, "serving on http://%s/1.1/ (try followers/ids.json, users/lookup.json, users/show.json, statuses/user_timeline.json)\n",
-		addr)
-	if obs.Metrics {
-		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics", addr)
-		if obs.Dashboard {
-			fmt.Fprintf(os.Stderr, ", dashboard on http://%s/dashboard/", addr)
-		}
-		fmt.Fprintln(os.Stderr)
-	}
-	httpServer := &http.Server{
-		Addr:         addr,
-		Handler:      newRootHandler(store, clock, obs, observers...),
-		ReadTimeout:  10 * time.Second,
-		WriteTimeout: 30 * time.Second,
-	}
-	return httpServer.ListenAndServe()
 }

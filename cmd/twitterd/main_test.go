@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,10 +10,10 @@ import (
 	"time"
 
 	"fakeproject/internal/metrics"
+	"fakeproject/internal/platform"
 	"fakeproject/internal/population"
 	"fakeproject/internal/simclock"
 	"fakeproject/internal/twitter"
-	"fakeproject/internal/wal"
 )
 
 // TestMetricsSmoke boots the exact production handler assembly, drives a few
@@ -22,38 +23,33 @@ import (
 // embedded, and pprof answers when enabled. CI runs this as its scrape
 // smoke step.
 func TestMetricsSmoke(t *testing.T) {
-	clock := simclock.Real{}
 	// Durable mode, exactly as `twitterd -wal-dir` boots it, so the WAL's
 	// metric families are part of the scraped surface under test.
-	store, wlog, _, err := wal.Open(wal.Config{
-		Dir:    t.TempDir(),
-		Policy: wal.PolicyInterval,
-		Clock:  clock,
-		Seed:   1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wlog.Close()
-	gen := population.NewGenerator(store, 1)
-	if _, err := gen.BuildTarget(population.TargetSpec{
-		ScreenName: "smoke",
-		Followers:  300,
-		Layout:     population.Layout{{Width: 0, Mix: population.FromPercentages(40, 20, 40)}},
-		Statuses:   20,
-		FollowSpan: 365 * 24 * time.Hour,
-	}); err != nil {
-		t.Fatalf("building population: %v", err)
-	}
-	if err := wlog.Compact(); err != nil {
-		t.Fatalf("compacting: %v", err)
-	}
-
-	srv := httptest.NewServer(newRootHandler(store, clock, obsConfig{
+	p, err := assemble(platform.Spec{
+		WALDir:    t.TempDir(),
+		Seed:      1,
 		Metrics:   true,
 		Dashboard: true,
 		Pprof:     true,
-	}, wlog.Observe))
+	}, simclock.Real{}, func(store *twitter.Store) error {
+		_, err := population.NewGenerator(store, 1).BuildTarget(population.TargetSpec{
+			ScreenName: "smoke",
+			Followers:  300,
+			Layout:     population.Layout{{Width: 0, Mix: population.FromPercentages(40, 20, 40)}},
+			Statuses:   20,
+			FollowSpan: 365 * 24 * time.Hour,
+		})
+		return err
+	})
+	if err != nil {
+		t.Fatalf("assembling: %v", err)
+	}
+	defer p.Stop(context.Background())
+	if err := p.WAL.Compact(); err != nil {
+		t.Fatalf("compacting: %v", err)
+	}
+
+	srv := httptest.NewServer(p.Mux)
 	defer srv.Close()
 
 	get := func(path string) (*http.Response, string) {
@@ -148,9 +144,11 @@ func TestMetricsSmoke(t *testing.T) {
 // TestObservabilityOff checks the gating: with everything off the root
 // handler is the bare API server and none of the extra surfaces exist.
 func TestObservabilityOff(t *testing.T) {
-	clock := simclock.Real{}
-	store := twitter.NewStore(clock, 1)
-	srv := httptest.NewServer(newRootHandler(store, clock, obsConfig{}))
+	p, err := assemble(platform.Spec{}, simclock.Real{}, func(*twitter.Store) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(p.Mux)
 	defer srv.Close()
 
 	for _, path := range []string{"/metrics", "/metrics.json", "/dashboard/", "/debug/pprof/"} {

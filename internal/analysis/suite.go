@@ -64,6 +64,15 @@ func DefaultSuite() []*Analyzer {
 					ModulePath + "/internal/fc",
 					ModulePath + "/internal/tools/*",
 				}},
+				// The process assembly sits directly under the binaries:
+				// it imports every plane it wires together (router included,
+				// for the Ring), so nothing but cmd/* and the load harness —
+				// which boots the same processes in process — may import it,
+				// or the DAG would close into a cycle.
+				{Package: ModulePath + "/internal/platform", RestrictedTo: []string{
+					ModulePath + "/cmd/*",
+					ModulePath + "/internal/loadgen",
+				}},
 			},
 		}),
 		NewAtomicField(),

@@ -30,25 +30,27 @@ type Handler struct {
 	maxWait time.Duration
 }
 
-// NewHandler builds the HTTP API for svc.
-func NewHandler(svc *Service) *Handler {
-	h := &Handler{svc: svc, mux: http.NewServeMux(), maxWait: 5 * time.Minute}
-	for _, rt := range h.routes() {
-		h.mux.HandleFunc(rt.pattern, rt.handler)
-	}
-	return h
-}
+// NewHandler builds the HTTP API for svc, unobserved.
+func NewHandler(svc *Service) *Handler { return NewHandlerObserved(svc, nil) }
 
-// NewHandlerObserved is NewHandler with every route wrapped in the shared
-// HTTP instrumentation (plane "audit") and the service's operational
-// counters exported into reg.
+// NewHandlerObserved is the one handler builder. With a registry every
+// route is wrapped in the shared HTTP instrumentation (plane "audit") and
+// the service's operational counters are exported into reg; with a nil
+// registry the routes are mounted bare.
 func NewHandlerObserved(svc *Service, reg *metrics.Registry) *Handler {
 	h := &Handler{svc: svc, mux: http.NewServeMux(), maxWait: 5 * time.Minute}
-	plane := metrics.NewHTTPPlane(reg, "audit", svc.clock)
-	for _, rt := range h.routes() {
-		h.mux.Handle(rt.pattern, plane.WrapFunc(rt.endpoint, rt.handler))
+	var plane *metrics.HTTPPlane
+	if reg != nil {
+		plane = metrics.NewHTTPPlane(reg, "audit", svc.clock)
+		svc.Observe(reg)
 	}
-	svc.Observe(reg)
+	for _, rt := range h.routes() {
+		route := http.Handler(rt.handler)
+		if reg != nil {
+			route = plane.WrapFunc(rt.endpoint, rt.handler)
+		}
+		h.mux.Handle(rt.pattern, route)
+	}
 	return h
 }
 

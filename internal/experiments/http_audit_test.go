@@ -32,7 +32,7 @@ func TestAuditsOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := twitterapi.NewService(store)
-	srv := httptest.NewServer(twitterapi.NewServer(svc, clock))
+	srv := httptest.NewServer(twitterapi.NewServerLimits(svc, clock, twitterapi.DefaultLimits()))
 	t.Cleanup(srv.Close)
 
 	httpClient := twitterapi.NewHTTPClient(srv.URL, "sb-token", clock)
@@ -95,7 +95,7 @@ func TestHTTPAuditRateLimitRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := twitterapi.NewService(store)
-	srv := httptest.NewServer(twitterapi.NewServer(svc, clock))
+	srv := httptest.NewServer(twitterapi.NewServerLimits(svc, clock, twitterapi.DefaultLimits()))
 	t.Cleanup(srv.Close)
 
 	client := twitterapi.NewHTTPClient(srv.URL, "crawler", clock)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -15,12 +14,11 @@ import (
 
 	"fakeproject/internal/auditd"
 	"fakeproject/internal/metrics"
+	"fakeproject/internal/platform"
 	"fakeproject/internal/population"
-	"fakeproject/internal/ratelimit"
 	"fakeproject/internal/simclock"
 	"fakeproject/internal/twitter"
 	"fakeproject/internal/twitterapi"
-	"fakeproject/internal/wal"
 )
 
 // Config shapes a local harness platform.
@@ -51,7 +49,7 @@ type Config struct {
 	TableILimits bool
 	// Metrics, when non-nil, builds the platform observed: both HTTP planes
 	// get the shared per-endpoint instrumentation and the store/audit
-	// internals are exported into this registry (see also Harness.Observe).
+	// internals are exported into this registry.
 	Metrics *metrics.Registry
 	// WALDir, when set, backs the in-process store with a write-ahead log in
 	// that directory, so every churn mutation pays the real durability cost.
@@ -127,13 +125,12 @@ type Harness struct {
 
 	seed  uint64
 	store *twitter.Store // nil for remote harnesses
-	wal   *wal.Log       // non-nil when Config.WALDir backs the store
 	gen   *population.Generator
 	churn *population.Driver // purge machinery for the hottest target
 
-	svc     *auditd.Service
-	servers []*http.Server
-	tools   []string
+	svc   *auditd.Service
+	procs []*platform.Process // the API and audit listeners, in start order
+	tools []string
 }
 
 // NewLocal builds the full in-process platform: population, API server and
@@ -142,42 +139,35 @@ type Harness struct {
 func NewLocal(cfg Config) (*Harness, error) {
 	cfg = cfg.withDefaults()
 	clock := simclock.Real{}
-	var store *twitter.Store
-	var wlog *wal.Log
-	if cfg.WALDir != "" {
-		policy, err := wal.ParsePolicy(cfg.WALFsync)
-		if err != nil {
-			return nil, err
+	h := &Harness{seed: cfg.Seed, tools: cfg.AuditTools, HTTP: newLoadClient()}
+	local := func(spec platform.Spec) (*platform.Process, error) {
+		spec.Addr, spec.Registry = "127.0.0.1:0", cfg.Metrics
+		p, err := platform.New(spec)
+		if err == nil {
+			h.procs = append(h.procs, p)
 		}
-		var stats wal.RecoveryStats
-		store, wlog, stats, err = wal.Open(wal.Config{
-			Dir:          cfg.WALDir,
-			Policy:       policy,
-			CompactEvery: cfg.WALCompactEvery,
-			Clock:        clock,
-			Seed:         cfg.Seed,
-			Metrics:      cfg.Metrics,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if stats.Users > 0 {
-			_ = wlog.Close()
-			return nil, fmt.Errorf("loadgen: WAL dir %s already holds %d accounts; the harness builds its own population and needs a fresh directory", cfg.WALDir, stats.Users)
-		}
-	} else {
-		store = twitter.NewStore(clock, cfg.Seed)
+		return p, err
 	}
-	gen := population.NewGenerator(store, cfg.Seed)
-
-	h := &Harness{
-		seed:  cfg.Seed,
-		store: store,
-		wal:   wlog,
-		gen:   gen,
-		tools: cfg.AuditTools,
-		HTTP:  newLoadClient(),
+	api, err := local(platform.Spec{
+		Seed:         cfg.Seed,
+		WALDir:       cfg.WALDir,
+		Fsync:        cfg.WALFsync,
+		CompactEvery: cfg.WALCompactEvery,
+		NoLimits:     !cfg.TableILimits,
+	})
+	if err != nil {
+		return nil, err
 	}
+	store, err := api.OpenStore(clock)
+	if err != nil {
+		return nil, err
+	}
+	if n := store.UserCount(); n > 0 {
+		h.Close()
+		return nil, fmt.Errorf("loadgen: WAL dir %s already holds %d accounts; the harness builds its own population and needs a fresh directory", cfg.WALDir, n)
+	}
+	h.store = store
+	h.gen = population.NewGenerator(store, cfg.Seed)
 
 	// A heavy-tailed target family: target k carries Followers/(k+1)
 	// followers, with a healthy share of fakes so purge sweeps have
@@ -189,7 +179,7 @@ func NewLocal(cfg Config) (*Harness, error) {
 			n = 500
 		}
 		name := fmt.Sprintf("load_t%d", i)
-		id, err := gen.BuildTarget(population.TargetSpec{
+		id, err := h.gen.BuildTarget(population.TargetSpec{
 			ScreenName: name,
 			Followers:  n,
 			Layout:     layout,
@@ -202,24 +192,14 @@ func NewLocal(cfg Config) (*Harness, error) {
 		}
 		h.Targets = append(h.Targets, Target{ID: id, Name: name, Followers: n})
 	}
-	h.churn = population.NewDriver(gen, h.Targets[0].ID, population.ChurnScript{})
+	h.churn = population.NewDriver(h.gen, h.Targets[0].ID, population.ChurnScript{})
 
 	// The API plane.
-	apiSvc := twitterapi.NewService(store)
-	var limits map[string]ratelimit.Limit
-	if cfg.TableILimits {
-		limits = twitterapi.DefaultLimits()
-	}
-	apiServer := twitterapi.NewServerLimits(apiSvc, clock, limits)
-	if cfg.Metrics != nil {
-		apiServer = twitterapi.NewServerObserved(apiSvc, clock, limits, cfg.Metrics)
-	}
-	apiBase, err := h.listen(apiServer)
-	if err != nil {
+	apiSvc := api.ServeAPI(store, clock)
+	if h.APIBase, err = start(api); err != nil {
 		h.Close()
 		return nil, err
 	}
-	h.APIBase = apiBase
 
 	// The audit plane: engines crawl the store through in-process clients
 	// with a wide token pool (the measured surface is auditd's HTTP plane:
@@ -253,17 +233,17 @@ func NewLocal(cfg Config) (*Harness, error) {
 		return nil, fmt.Errorf("building audit service: %w", err)
 	}
 	h.svc = svc
-	auditHandler := http.Handler(auditd.NewHandler(svc))
-	if cfg.Metrics != nil {
-		auditHandler = auditd.NewHandlerObserved(svc, cfg.Metrics)
-		twitterapi.ObserveStore(cfg.Metrics, store)
-	}
-	auditBase, err := h.listen(auditHandler)
+	audit, err := local(platform.Spec{})
 	if err != nil {
 		h.Close()
 		return nil, err
 	}
-	h.AuditBase = auditBase
+	audit.OnStop(svc.Shutdown)
+	audit.Mux.Handle("/", auditd.NewHandlerObserved(svc, cfg.Metrics))
+	if h.AuditBase, err = start(audit); err != nil {
+		h.Close()
+		return nil, err
+	}
 	return h, nil
 }
 
@@ -299,32 +279,25 @@ func NewRemote(api, audit string, accounts []string) (*Harness, error) {
 	return h, nil
 }
 
-// listen starts an HTTP server for handler on an ephemeral loopback port.
-func (h *Harness) listen(handler http.Handler) (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// start binds p's listener and returns its base URL.
+func start(p *platform.Process) (string, error) {
+	addr, err := p.Start()
 	if err != nil {
 		return "", fmt.Errorf("listening: %w", err)
 	}
-	srv := &http.Server{Handler: handler}
-	h.servers = append(h.servers, srv)
-	go func() { _ = srv.Serve(ln) }()
-	return "http://" + ln.Addr().String(), nil
+	return "http://" + addr, nil
 }
 
-// Close tears the harness down: HTTP servers first, then the audit pool,
-// then the WAL (sealing its final segment) once nothing can mutate the store.
+// Close tears the harness down through each process's stop path, newest
+// first: the audit listener and pool, then the API listener and — once
+// nothing can mutate the store — the WAL, sealing its final segment.
 func (h *Harness) Close() {
-	for _, srv := range h.servers {
-		_ = srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := len(h.procs) - 1; i >= 0; i-- {
+		_ = h.procs[i].Stop(ctx)
 	}
-	if h.svc != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = h.svc.Shutdown(ctx)
-	}
-	if h.wal != nil {
-		_ = h.wal.Close()
-	}
+	h.procs = nil
 	h.HTTP.CloseIdleConnections()
 }
 
@@ -379,18 +352,6 @@ func (h *Harness) do(req *http.Request) ([]byte, error) {
 func (h *Harness) idsURL(path string, id twitter.UserID, cursor int64) string {
 	return h.APIBase + path + "?user_id=" + strconv.FormatInt(int64(id), 10) +
 		"&cursor=" + strconv.FormatInt(cursor, 10)
-}
-
-// Observe exports the local platform's internal signals into reg: store
-// shard heat and the audit service's queue/cache counters. Remote
-// harnesses have neither and Observe is a no-op for them.
-func (h *Harness) Observe(reg *metrics.Registry) {
-	if h.store != nil {
-		twitterapi.ObserveStore(reg, h.store)
-	}
-	if h.svc != nil {
-		h.svc.Observe(reg)
-	}
 }
 
 // churnStep applies one step of background churn to the hottest target:

@@ -1,23 +1,21 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
-	"net/http"
 	"net/url"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"fakeproject/internal/metrics"
+	"fakeproject/internal/platform"
 	"fakeproject/internal/router"
 	"fakeproject/internal/simclock"
 	"fakeproject/internal/twitter"
-	"fakeproject/internal/twitterapi"
 )
 
 // The multinode mix boots a partitioned deployment inside the harness — a
@@ -37,97 +35,105 @@ const multinodeNodes = 2
 type multiCluster struct {
 	nodes  []*clusterNode
 	router *router.Router
-	rtSrv  *http.Server
+	proc   *platform.Process // the router's listener; its stop path closes router
 	base   string
 	reg    *metrics.Registry // the router's registry, for chaos assertions
 }
 
-// clusterNode is one ring member: its partial store's handler, the
-// listener address it must come back on after a kill, and the live server.
+// clusterNode is one ring member: the spec it is assembled from (its
+// address pinned once bound — a rejoin must come back on it), its partial
+// store, and the live process.
 type clusterNode struct {
-	addr    string
-	handler http.Handler
-
-	mu  sync.Mutex
-	srv *http.Server
+	mu    sync.Mutex
+	spec  platform.Spec
+	store *twitter.Store
+	proc  *platform.Process // nil while killed
 }
 
-// newMultiCluster snapshots the harness store, range-loads one partial
-// store per ring member, and boots the node servers plus the router.
+// newMultiCluster snapshots the harness store, boots one range-loading ring
+// member per node from it, then the router in front of them.
 func (h *Harness) newMultiCluster(nodes int) (*multiCluster, error) {
 	if h.store == nil {
 		return nil, fmt.Errorf("multinode needs an in-process platform to snapshot")
 	}
-	clock := simclock.Real{}
-	var snap bytes.Buffer
-	if err := h.store.WriteSnapshot(&snap); err != nil {
+	snap, err := os.CreateTemp("", "loadgen-ring-*.snap")
+	if err != nil {
 		return nil, fmt.Errorf("snapshotting harness population: %w", err)
 	}
-	ring := router.NewRing(router.DefaultSlots, nodes)
+	defer os.Remove(snap.Name())
+	err = h.store.WriteSnapshot(snap)
+	if cerr := snap.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("snapshotting harness population: %w", err)
+	}
 
 	c := &multiCluster{reg: metrics.NewRegistry()}
 	fail := func(err error) (*multiCluster, error) {
 		c.close()
 		return nil, err
 	}
-	for i := 0; i < nodes; i++ {
-		node := i
-		store, err := twitter.ReadSnapshotRange(bytes.NewReader(snap.Bytes()), clock,
-			func(id twitter.UserID) bool { return ring.Keep(node, int64(id)) })
-		if err != nil {
-			return fail(fmt.Errorf("range-loading node %d: %w", node, err))
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/", twitterapi.NewServerLimits(twitterapi.NewService(store), clock, nil))
-		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-			_, _ = w.Write([]byte("ok\n"))
-		})
-		cn := &clusterNode{handler: mux}
-		if err := cn.start("127.0.0.1:0"); err != nil {
-			return fail(fmt.Errorf("starting node %d: %w", node, err))
+	bases := make([]string, nodes)
+	for i := range bases {
+		cn := &clusterNode{spec: platform.Spec{
+			Addr:      "127.0.0.1:0",
+			Load:      snap.Name(),
+			RingIndex: i,
+			RingNodes: nodes,
+			RingSlots: router.DefaultSlots,
+			NoLimits:  true,
+		}}
+		if err := cn.start(); err != nil {
+			return fail(fmt.Errorf("starting node %d: %w", i, err))
 		}
 		c.nodes = append(c.nodes, cn)
+		bases[i] = "http://" + cn.spec.Addr
 	}
 
-	bases := make([]string, len(c.nodes))
-	for i, n := range c.nodes {
-		bases[i] = "http://" + n.addr
+	p, err := platform.New(platform.Spec{Addr: "127.0.0.1:0", Registry: c.reg})
+	if err != nil {
+		return fail(err)
 	}
 	rt, err := router.New(router.Config{
 		Backends:      bases,
-		Registry:      c.reg,
-		Clock:         clock,
+		Registry:      p.Reg,
+		Clock:         simclock.Real{},
 		ProbeInterval: 50 * time.Millisecond, // readmit quickly: the run is short
 	})
 	if err != nil {
 		return fail(fmt.Errorf("building router: %w", err))
 	}
-	c.router = rt
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	p.OnStop(func(context.Context) error { rt.Close(); return nil })
+	p.Mux.Handle("/", rt)
+	c.router, c.proc = rt, p
+	if c.base, err = start(p); err != nil {
 		return fail(fmt.Errorf("router listener: %w", err))
 	}
-	c.rtSrv = &http.Server{Handler: rt}
-	go func() { _ = c.rtSrv.Serve(ln) }()
-	c.base = "http://" + ln.Addr().String()
 	return c, nil
 }
 
-// start (re)binds the node's server. The first call takes an ephemeral
-// port and pins it; rejoins must come back on the same address or the
-// router would never find the node again.
-func (n *clusterNode) start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
+// start (re)assembles the node's process and binds it. The first call
+// range-loads the store and takes an ephemeral port, which it pins; rejoins
+// reuse both, or the router would never find the node again.
+func (n *clusterNode) start() error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	clock := simclock.Real{}
+	p, err := platform.New(n.spec)
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
-	n.addr = ln.Addr().String()
-	n.srv = &http.Server{Handler: n.handler}
-	srv := n.srv
-	n.mu.Unlock()
-	go func() { _ = srv.Serve(ln) }()
+	if n.store == nil {
+		if n.store, err = p.OpenStore(clock); err != nil {
+			return err
+		}
+	}
+	p.ServeAPI(n.store, clock)
+	if n.spec.Addr, err = p.Start(); err != nil {
+		return err
+	}
+	n.proc = p
 	return nil
 }
 
@@ -135,32 +141,30 @@ func (n *clusterNode) start(addr string) error {
 // the closest an in-process harness gets to SIGKILL.
 func (n *clusterNode) kill() {
 	n.mu.Lock()
-	srv := n.srv
-	n.srv = nil
+	p := n.proc
+	n.proc = nil
 	n.mu.Unlock()
-	if srv != nil {
-		_ = srv.Close()
+	if p != nil {
+		_ = p.Server.Close()
 	}
 }
 
 // rejoin brings the node back on its original address.
 func (n *clusterNode) rejoin() error {
 	n.mu.Lock()
-	addr := n.addr
-	running := n.srv != nil
+	running := n.proc != nil
 	n.mu.Unlock()
 	if running {
 		return nil
 	}
-	return n.start(addr)
+	return n.start()
 }
 
 func (c *multiCluster) close() {
-	if c.rtSrv != nil {
-		_ = c.rtSrv.Close()
-	}
-	if c.router != nil {
-		c.router.Close()
+	if c.proc != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = c.proc.Stop(ctx)
 	}
 	for _, n := range c.nodes {
 		n.kill()

@@ -24,25 +24,27 @@ type Handler struct {
 	mux *http.ServeMux
 }
 
-// NewHandler builds the HTTP API for mon.
-func NewHandler(mon *Monitor) *Handler {
-	h := &Handler{mon: mon, mux: http.NewServeMux()}
-	for _, rt := range h.routes() {
-		h.mux.HandleFunc(rt.pattern, rt.handler)
-	}
-	return h
-}
+// NewHandler builds the HTTP API for mon, unobserved.
+func NewHandler(mon *Monitor) *Handler { return NewHandlerObserved(mon, nil) }
 
-// NewHandlerObserved is NewHandler with every route wrapped in the shared
-// HTTP instrumentation (plane "monitor") and the monitor's scheduler and
-// alert counters exported into reg.
+// NewHandlerObserved is the one handler builder. With a registry every
+// route is wrapped in the shared HTTP instrumentation (plane "monitor") and
+// the monitor's scheduler and alert counters are exported into reg; with a
+// nil registry the routes are mounted bare.
 func NewHandlerObserved(mon *Monitor, reg *metrics.Registry) *Handler {
 	h := &Handler{mon: mon, mux: http.NewServeMux()}
-	plane := metrics.NewHTTPPlane(reg, "monitor", mon.clock)
-	for _, rt := range h.routes() {
-		h.mux.Handle(rt.pattern, plane.WrapFunc(rt.endpoint, rt.handler))
+	var plane *metrics.HTTPPlane
+	if reg != nil {
+		plane = metrics.NewHTTPPlane(reg, "monitor", mon.clock)
+		mon.Observe(reg)
 	}
-	mon.Observe(reg)
+	for _, rt := range h.routes() {
+		route := http.Handler(rt.handler)
+		if reg != nil {
+			route = plane.WrapFunc(rt.endpoint, rt.handler)
+		}
+		h.mux.Handle(rt.pattern, route)
+	}
 	return h
 }
 

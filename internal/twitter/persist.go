@@ -20,45 +20,26 @@ func unixUTC(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 // once and reused across processes — e.g. `genpop -out pop.gob` feeding
 // `twitterd -load pop.gob`. The format is versioned gob.
 
-// snapshotVersion guards against loading snapshots from incompatible
-// builds. Version history:
+// snapshotVersion is the one format this build writes and reads: a
+// streamed, segment-framed, canonical encoding. The stream opens with a
+// header value (the snapshot struct: seeds, clock position, explicit names
+// sorted by ID, and the framing counts), followed by records in fixed-size
+// chunks and then one value per target in ascending ID order; edges and
+// removal logs ride as delta-varint byte streams (EdgeStream/RemovedStream,
+// see edgeseg.go for the codec). Writer and reader hold one chunk/target in
+// memory at a time, so a 10M-account snapshot costs bounded memory beyond
+// the store itself. Nothing is emitted in shard or map order and the chunk
+// cuts are fixed, so two stores holding the same logical state produce
+// byte-identical snapshots regardless of their shard counts — the property
+// the differential harness asserts — and any snapshot loads into a store
+// with any shard count.
 //
-//	1: initial format (records, names, targets with follows/tweets/friends)
-//	2: adds per-target removal logs (Removed) and the clock position
-//	   (ClockUnix), the churn state introduced with the dynamics driver
-//	3: adds per-edge sequence numbers (persistFollow.Seq) and the
-//	   per-target seq counter (persistTarget.SeqCounter), the anchors
-//	   churn-proof pagination resumes from
-//	4: canonical encoding, introduced with the lock-striped store. Explicit
-//	   names move from a gob map (iteration-order dependent bytes) to a
-//	   slice sorted by ID, and targets are emitted sorted by ID instead of
-//	   in map order. Two stores holding the same logical state produce
-//	   byte-identical snapshots regardless of their shard counts — the
-//	   property the differential harness asserts.
-//	5: streamed, segment-framed encoding, introduced with compact edge
-//	   segments. The stream opens with a header value (the snapshot struct
-//	   carrying counts instead of payload slices), followed by records in
-//	   fixed-size chunks and then one value per target; edges and removal
-//	   logs ride as delta-varint byte streams (EdgeStream/RemovedStream)
-//	   instead of 40-byte-per-edge struct slices. Writer and reader hold
-//	   one chunk/target in memory at a time, so a 10M-account snapshot
-//	   costs bounded memory beyond the store itself, and the canonicality
-//	   guarantee of v4 (chunk cuts are fixed, targets sorted by ID) holds.
-//
-// Writers always emit the current version; readers accept every version
-// back to 1 — gob leaves fields absent from old streams at their zero
-// values, so a pre-churn snapshot simply loads with empty removal logs,
-// a pre-seq snapshot gets dense seqs (1..n) reassigned to its live edges
-// on load, and a pre-canonical snapshot carries its names in the legacy
-// map field. The on-disk layout never encodes the shard count: any
-// snapshot loads into a store with any shard count, and the reader
-// redistributes records, names and targets into the configured shards.
+// A header carrying any other version — older or newer — is rejected as
+// ErrBadSnapshot: populations are regenerated bit for bit by genpop -seed,
+// so no reader for a format no writer emits is kept.
 const snapshotVersion = 5
 
-// minSnapshotVersion is the oldest version ReadSnapshot still understands.
-const minSnapshotVersion = 1
-
-// recordChunkLen is the fixed record-chunk size of v5 streams. Fixed so the
+// recordChunkLen is the fixed record-chunk size of the stream. Fixed so the
 // chunk cuts — and therefore the bytes — never depend on anything but the
 // logical state; sized to hold writer memory at a few MB per chunk.
 const recordChunkLen = 1 << 16
@@ -83,14 +64,6 @@ type persistRecord struct {
 	DupPct      uint8
 }
 
-type persistFollow struct {
-	Follower int64
-	At       int64
-	// Seq is the edge's pagination anchor (version >= 3; 0 in older
-	// streams, in which case the reader reassigns dense seqs).
-	Seq uint64
-}
-
 type persistTweet struct {
 	ID        int64
 	CreatedAt int64
@@ -104,65 +77,46 @@ type persistTweet struct {
 }
 
 type persistTarget struct {
-	ID int64
-	// Follows carries the live edges as structs in streams up to version 4;
-	// v5 streams leave it nil and use EdgeStream.
-	Follows []persistFollow
+	ID      int64
 	Tweets  []persistTweet
 	Friends []int64
-	// FriendsSet marks a materialised friend list (version >= 5). gob drops
-	// empty slices, so without it a list set to empty would load back as
-	// "never materialised" and the friends count would snap back to the
-	// synthetic counter.
+	// FriendsSet marks a materialised friend list. gob drops empty slices,
+	// so without it a list set to empty would load back as "never
+	// materialised" and the friends count would snap back to the synthetic
+	// counter.
 	FriendsSet bool
-	// Removed is the churn removal log (version >= 2; nil in v1 streams).
-	// v5 streams leave it nil and use RemovedStream.
-	Removed []persistFollow
-	// SeqCounter is the last edge seq handed out (version >= 3; 0 in
-	// older streams). Loading must resume the counter above every seq
-	// ever assigned so post-load follows keep seqs unique and increasing.
+	// SeqCounter is the last edge seq handed out. Loading must resume the
+	// counter above every seq ever assigned so post-load follows keep seqs
+	// unique and increasing.
 	SeqCounter uint64
 	// EdgeN/EdgeStream carry the live edges as one chained delta-varint
-	// stream (version >= 5; see edgeseg.go for the codec).
+	// stream (see edgeseg.go for the codec).
 	EdgeN      int64
 	EdgeStream []byte
-	// RemovedN/RemovedStream carry the removal log in the same form
-	// (version >= 5).
+	// RemovedN/RemovedStream carry the churn removal log in the same form.
 	RemovedN      int64
 	RemovedStream []byte
 }
 
-// persistName is one explicit screen-name registration (version >= 4).
+// persistName is one explicit screen-name registration.
 type persistName struct {
 	ID   int64
 	Name string
 }
 
+// snapshot is the stream header.
 type snapshot struct {
 	Version  int
 	NameSeed uint64
 	TweetSeq int64
-	// Records carries every account in streams up to version 4; v5 streams
-	// leave it nil and follow the header with RecordN records in chunks of
-	// recordChunkLen.
-	Records []persistRecord
-	// Names carries explicit screen names in streams up to version 3.
-	// gob encodes maps in iteration order, so this field made snapshot
-	// bytes nondeterministic; v4 streams leave it nil.
-	Names map[int64]string
-	// NameList carries explicit screen names sorted by ID (version >= 4).
+	// NameList carries explicit screen names sorted by ID.
 	NameList []persistName
-	// Targets is sorted by ID in version >= 4 streams; older streams may
-	// carry any order and the reader accepts both. v5 streams leave it nil
-	// and follow the record chunks with TargetN per-target values.
-	Targets []persistTarget
-	// ClockUnix is the store clock's position at snapshot time (version
-	// >= 2; 0 in v1 streams). An evolved population's edge timestamps run
-	// up to this instant, so a reader must resume at or after it for
-	// further growth/churn to stay monotonic.
+	// ClockUnix is the store clock's position at snapshot time. An evolved
+	// population's edge timestamps run up to this instant, so a reader must
+	// resume at or after it for further growth/churn to stay monotonic.
 	ClockUnix int64
-	// RecordN/TargetN are the v5 stream framing counts: how many records
-	// (in chunks) and target values follow the header.
+	// RecordN/TargetN are the stream framing counts: how many records (in
+	// chunks of recordChunkLen) and then target values follow the header.
 	RecordN int64
 	TargetN int64
 }
@@ -318,27 +272,27 @@ func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID)
 	return bw.Flush()
 }
 
-// SnapshotVersions reports the snapshot format versions this build reads
-// (oldest..newest); writers always emit the newest.
-func SnapshotVersions() (oldest, newest int) {
-	return minSnapshotVersion, snapshotVersion
-}
-
 // LoadSnapshotFile opens and loads a snapshot file, translating the two
 // failure modes an operator actually hits — wrong path, wrong/corrupt file —
-// into errors that name the path and the version range this build supports
+// into errors that name the path and the version this build supports
 // instead of surfacing a raw gob decode error.
 func LoadSnapshotFile(path string, clock simclock.Clock, opts ...Option) (*Store, error) {
+	return loadSnapshotFile(path, clock, nil, opts...)
+}
+
+// loadSnapshotFile is the open-and-translate step shared by
+// LoadSnapshotFile and LoadSnapshotRangeFile.
+func loadSnapshotFile(path string, clock simclock.Clock, keep func(UserID) bool, opts ...Option) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("twitter: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	store, err := ReadSnapshot(f, clock, opts...)
+	store, err := readSnapshot(f, clock, keep, opts...)
 	if err != nil {
 		return nil, fmt.Errorf(
-			"twitter: snapshot %s is not loadable: %w (this build writes snapshot v%d and reads v%d through v%d; regenerate with genpop if the file predates v%d or is truncated)",
-			path, err, snapshotVersion, minSnapshotVersion, snapshotVersion, minSnapshotVersion)
+			"twitter: snapshot %s is not loadable: %w (this build writes and reads snapshot v%d only; regenerate with genpop if the file is another version or truncated)",
+			path, err, snapshotVersion)
 	}
 	return store, nil
 }
@@ -367,9 +321,9 @@ func readSnapshot(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opt
 	if err := dec.Decode(&snap); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	if snap.Version < minSnapshotVersion || snap.Version > snapshotVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d..%d",
-			ErrBadSnapshot, snap.Version, minSnapshotVersion, snapshotVersion)
+	if snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("%w: version %d, this build reads only version %d (regenerate with genpop)",
+			ErrBadSnapshot, snap.Version, snapshotVersion)
 	}
 	if snap.ClockUnix > 0 {
 		if v, ok := clock.(*simclock.Virtual); ok {
@@ -381,31 +335,23 @@ func readSnapshot(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opt
 	store := NewStore(clock, snap.NameSeed, opts...)
 	store.tweetSeq.Store(snap.TweetSeq)
 
-	var n int
-	if snap.Version >= 5 {
-		if snap.RecordN < 0 {
-			return nil, fmt.Errorf("%w: negative record count", ErrBadSnapshot)
+	if snap.RecordN < 0 {
+		return nil, fmt.Errorf("%w: negative record count", ErrBadSnapshot)
+	}
+	n := int(snap.RecordN)
+	store.Grow(n)
+	for got := 0; got < n; {
+		var chunk []persistRecord
+		if err := dec.Decode(&chunk); err != nil {
+			return nil, fmt.Errorf("%w: record chunk: %v", ErrBadSnapshot, err)
 		}
-		n = int(snap.RecordN)
-		store.Grow(n)
-		for got := 0; got < n; {
-			var chunk []persistRecord
-			if err := dec.Decode(&chunk); err != nil {
-				return nil, fmt.Errorf("%w: record chunk: %v", ErrBadSnapshot, err)
-			}
-			if len(chunk) == 0 || got+len(chunk) > n {
-				return nil, fmt.Errorf("%w: record chunk framing", ErrBadSnapshot)
-			}
-			for i, pr := range chunk {
-				installRecord(store, UserID(got+i+1), pr)
-			}
-			got += len(chunk)
+		if len(chunk) == 0 || got+len(chunk) > n {
+			return nil, fmt.Errorf("%w: record chunk framing", ErrBadSnapshot)
 		}
-	} else {
-		n = len(snap.Records)
-		for i, pr := range snap.Records {
-			installRecord(store, UserID(i+1), pr)
+		for i, pr := range chunk {
+			installRecord(store, UserID(got+i+1), pr)
 		}
+		got += len(chunk)
 	}
 	// Publish each shard's backing and only then commit the count, the same
 	// order creation uses.
@@ -416,22 +362,13 @@ func readSnapshot(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opt
 	}
 	store.users.Store(int64(n))
 
-	names := snap.NameList
-	if snap.Version < 4 {
-		names = names[:0]
-		for id, name := range snap.Names {
-			names = append(names, persistName{ID: id, Name: name})
-		}
-	}
-	for _, pn := range names {
+	for _, pn := range snap.NameList {
 		id := UserID(pn.ID)
 		if pn.ID < 1 || int(pn.ID) > n {
 			return nil, fmt.Errorf("%w: name %q for unknown user %d", ErrBadSnapshot, pn.Name, pn.ID)
 		}
 		sh := store.shardOf(id)
 		if _, dup := sh.names[id]; dup {
-			// Impossible in legacy map streams (map keys are unique) but a
-			// real corruption class for the v4 list encoding.
 			return nil, fmt.Errorf("%w: user %d named twice", ErrBadSnapshot, pn.ID)
 		}
 		stripe := store.stripeFor(pn.Name)
@@ -442,40 +379,24 @@ func readSnapshot(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opt
 		stripe.byName[pn.Name] = id
 	}
 
-	if snap.Version >= 5 {
-		if snap.TargetN < 0 {
-			return nil, fmt.Errorf("%w: negative target count", ErrBadSnapshot)
+	if snap.TargetN < 0 {
+		return nil, fmt.Errorf("%w: negative target count", ErrBadSnapshot)
+	}
+	for i := int64(0); i < snap.TargetN; i++ {
+		var pt persistTarget
+		if err := dec.Decode(&pt); err != nil {
+			return nil, fmt.Errorf("%w: target value: %v", ErrBadSnapshot, err)
 		}
-		for i := int64(0); i < snap.TargetN; i++ {
-			var pt persistTarget
-			if err := dec.Decode(&pt); err != nil {
-				return nil, fmt.Errorf("%w: target value: %v", ErrBadSnapshot, err)
-			}
-			if keep != nil {
-				if err := foldTargetCounts(store, &pt, snap.Version, n); err != nil {
-					return nil, err
-				}
-				if !keep(UserID(pt.ID)) {
-					continue
-				}
-			}
-			if err := installTarget(store, &pt, snap.Version, n); err != nil {
+		if keep != nil {
+			if err := foldTargetCounts(store, &pt, n); err != nil {
 				return nil, err
 			}
+			if !keep(UserID(pt.ID)) {
+				continue
+			}
 		}
-	} else {
-		for i := range snap.Targets {
-			if keep != nil {
-				if err := foldTargetCounts(store, &snap.Targets[i], snap.Version, n); err != nil {
-					return nil, err
-				}
-				if !keep(UserID(snap.Targets[i].ID)) {
-					continue
-				}
-			}
-			if err := installTarget(store, &snap.Targets[i], snap.Version, n); err != nil {
-				return nil, err
-			}
+		if err := installTarget(store, &pt, n); err != nil {
+			return nil, err
 		}
 	}
 	return store, nil
@@ -504,7 +425,7 @@ func installRecord(store *Store, id UserID, pr persistRecord) {
 
 // installTarget validates pt and installs it as a materialised target.
 // n is the committed record count (follower range bound).
-func installTarget(store *Store, pt *persistTarget, version, n int) error {
+func installTarget(store *Store, pt *persistTarget, n int) error {
 	if pt.ID < 1 || int(pt.ID) > n {
 		return fmt.Errorf("%w: target %d out of range", ErrBadSnapshot, pt.ID)
 	}
@@ -512,54 +433,33 @@ func installTarget(store *Store, pt *persistTarget, version, n int) error {
 	var sealer edgeSealer
 	var prevAt int64
 	var prevSeq uint64
-	if version >= 5 {
-		if pt.EdgeN < 0 || pt.RemovedN < 0 {
-			return fmt.Errorf("%w: negative edge counts for target %d", ErrBadSnapshot, pt.ID)
+	if pt.EdgeN < 0 || pt.RemovedN < 0 {
+		return fmt.Errorf("%w: negative edge counts for target %d", ErrBadSnapshot, pt.ID)
+	}
+	err := decodeEdgeStream(pt.EdgeStream, int(pt.EdgeN), func(e segEdge) error {
+		if e.follower < 1 || int64(e.follower) > int64(n) {
+			return fmt.Errorf("%w: follower %d out of range", ErrBadSnapshot, e.follower)
 		}
-		err := decodeEdgeStream(pt.EdgeStream, int(pt.EdgeN), func(e segEdge) error {
-			if e.follower < 1 || int64(e.follower) > int64(n) {
-				return fmt.Errorf("%w: follower %d out of range", ErrBadSnapshot, e.follower)
-			}
-			if e.at < prevAt {
-				return fmt.Errorf("%w: follow times not monotonic for target %d", ErrBadSnapshot, pt.ID)
-			}
-			if e.seq <= prevSeq {
-				return fmt.Errorf("%w: edge seqs not increasing for target %d", ErrBadSnapshot, pt.ID)
-			}
-			prevAt, prevSeq = e.at, e.seq
-			sealer.add(e)
-			return nil
-		})
-		if err != nil {
-			if errors.Is(err, errEdgeStream) {
-				return fmt.Errorf("%w: edge stream of target %d: %v", ErrBadSnapshot, pt.ID, err)
-			}
-			return err
+		if e.at < prevAt {
+			return fmt.Errorf("%w: follow times not monotonic for target %d", ErrBadSnapshot, pt.ID)
 		}
-	} else {
-		for i, pf := range pt.Follows {
-			if pf.Follower < 1 || int(pf.Follower) > n {
-				return fmt.Errorf("%w: follower %d out of range", ErrBadSnapshot, pf.Follower)
-			}
-			if pf.At < prevAt {
-				return fmt.Errorf("%w: follow times not monotonic for target %d", ErrBadSnapshot, pt.ID)
-			}
-			prevAt = pf.At
-			seq := pf.Seq
-			if version < 3 {
-				// Pre-seq stream: reassign dense anchors in stored order.
-				seq = uint64(i + 1)
-			} else if seq <= prevSeq {
-				return fmt.Errorf("%w: edge seqs not increasing for target %d", ErrBadSnapshot, pt.ID)
-			}
-			prevSeq = seq
-			sealer.add(segEdge{follower: pf.Follower, at: pf.At, seq: seq})
+		if e.seq <= prevSeq {
+			return fmt.Errorf("%w: edge seqs not increasing for target %d", ErrBadSnapshot, pt.ID)
 		}
+		prevAt, prevSeq = e.at, e.seq
+		sealer.add(e)
+		return nil
+	})
+	if err != nil {
+		if errors.Is(err, errEdgeStream) {
+			return fmt.Errorf("%w: edge stream of target %d: %v", ErrBadSnapshot, pt.ID, err)
+		}
+		return err
 	}
 	td.seq = pt.SeqCounter
 	if td.seq < prevSeq {
-		// Older streams (or a counter that lost a race with the log):
-		// resume above every seq actually present.
+		// A counter that lost a race with the log: resume above every seq
+		// actually present.
 		td.seq = prevSeq
 	}
 	for _, ptw := range pt.Tweets {
@@ -587,46 +487,26 @@ func installTarget(store *Store, pt *persistTarget, version, n int) error {
 		td.friends.Store(&fl)
 	}
 	var prevRemoved int64
-	if version >= 5 {
-		td.removed = make([]Follow, 0, min(int(pt.RemovedN), recordChunkLen))
-		err := decodeEdgeStream(pt.RemovedStream, int(pt.RemovedN), func(e segEdge) error {
-			if e.follower < 1 || int64(e.follower) > int64(n) {
-				return fmt.Errorf("%w: removed follower %d out of range", ErrBadSnapshot, e.follower)
-			}
-			if e.at < prevRemoved {
-				return fmt.Errorf("%w: removal times not monotonic for target %d", ErrBadSnapshot, pt.ID)
-			}
-			prevRemoved = e.at
-			if e.seq > td.seq {
-				td.seq = e.seq
-			}
-			td.removed = append(td.removed, Follow{Follower: UserID(e.follower), At: unixUTC(e.at), Seq: e.seq})
-			return nil
-		})
-		if err != nil {
-			if errors.Is(err, errEdgeStream) {
-				return fmt.Errorf("%w: removal stream of target %d: %v", ErrBadSnapshot, pt.ID, err)
-			}
-			return err
+	td.removed = make([]Follow, 0, min(int(pt.RemovedN), recordChunkLen))
+	err = decodeEdgeStream(pt.RemovedStream, int(pt.RemovedN), func(e segEdge) error {
+		if e.follower < 1 || int64(e.follower) > int64(n) {
+			return fmt.Errorf("%w: removed follower %d out of range", ErrBadSnapshot, e.follower)
 		}
-	} else {
-		for _, pf := range pt.Removed {
-			if pf.Follower < 1 || int(pf.Follower) > n {
-				return fmt.Errorf("%w: removed follower %d out of range", ErrBadSnapshot, pf.Follower)
-			}
-			if pf.At < prevRemoved {
-				return fmt.Errorf("%w: removal times not monotonic for target %d", ErrBadSnapshot, pt.ID)
-			}
-			prevRemoved = pf.At
-			if pf.Seq > td.seq {
-				td.seq = pf.Seq
-			}
-			td.removed = append(td.removed, Follow{
-				Follower: UserID(pf.Follower),
-				At:       unixUTC(pf.At),
-				Seq:      pf.Seq,
-			})
+		if e.at < prevRemoved {
+			return fmt.Errorf("%w: removal times not monotonic for target %d", ErrBadSnapshot, pt.ID)
 		}
+		prevRemoved = e.at
+		if e.seq > td.seq {
+			td.seq = e.seq
+		}
+		td.removed = append(td.removed, Follow{Follower: UserID(e.follower), At: unixUTC(e.at), Seq: e.seq})
+		return nil
+	})
+	if err != nil {
+		if errors.Is(err, errEdgeStream) {
+			return fmt.Errorf("%w: removal stream of target %d: %v", ErrBadSnapshot, pt.ID, err)
+		}
+		return err
 	}
 	// A target that ever held an edge (live now or since removed) keeps the
 	// materialised count authoritative; one promoted by tweets/friends alone

@@ -3,7 +3,6 @@ package twitter
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"fakeproject/internal/simclock"
 )
@@ -34,9 +33,6 @@ import (
 // targets produce identical bytes, regardless of what other targets each
 // happens to hold.
 func (s *Store) WriteSnapshotRange(w io.Writer, keep func(UserID) bool) error {
-	if keep == nil {
-		return s.writeSnapshot(w, nil, nil)
-	}
 	return s.writeSnapshot(w, nil, keep)
 }
 
@@ -48,27 +44,22 @@ func (s *Store) WriteSnapshotRange(w io.Writer, keep func(UserID) bool) error {
 // cross-topology differential tests loads, so its exports compare
 // byte-for-byte with the partial nodes'.
 func ReadSnapshotRange(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opts ...Option) (*Store, error) {
+	return readSnapshot(r, clock, rangeKeep(keep), opts...)
+}
+
+// rangeKeep resolves a range reader's nil keep to "every target": the nil
+// the shared reader understands means "not a range load, do not fold".
+func rangeKeep(keep func(UserID) bool) func(UserID) bool {
 	if keep == nil {
-		keep = func(UserID) bool { return true }
+		return func(UserID) bool { return true }
 	}
-	return readSnapshot(r, clock, keep, opts...)
+	return keep
 }
 
 // LoadSnapshotRangeFile is ReadSnapshotRange over a snapshot file, with the
 // operator-facing error translation of LoadSnapshotFile.
 func LoadSnapshotRangeFile(path string, clock simclock.Clock, keep func(UserID) bool, opts ...Option) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("twitter: opening snapshot: %w", err)
-	}
-	defer f.Close()
-	store, err := ReadSnapshotRange(f, clock, keep, opts...)
-	if err != nil {
-		return nil, fmt.Errorf(
-			"twitter: snapshot %s is not loadable: %w (this build writes snapshot v%d and reads v%d through v%d; regenerate with genpop if the file predates v%d or is truncated)",
-			path, err, snapshotVersion, minSnapshotVersion, snapshotVersion, minSnapshotVersion)
-	}
-	return store, nil
+	return loadSnapshotFile(path, clock, rangeKeep(keep), opts...)
 }
 
 // foldTargetCounts rewrites pt's record so the profile the record alone
@@ -77,18 +68,14 @@ func LoadSnapshotRangeFile(path string, clock simclock.Clock, keep func(UserID) 
 // materialised (the same "ever" rule profileIn applies — a target promoted
 // by tweets or friends alone keeps its synthetic counter), and the friends
 // counter becomes the materialised list's length whenever SetFriends ran.
-func foldTargetCounts(store *Store, pt *persistTarget, version, n int) error {
+func foldTargetCounts(store *Store, pt *persistTarget, n int) error {
 	if pt.ID < 1 || int(pt.ID) > n {
 		return fmt.Errorf("%w: target %d out of range", ErrBadSnapshot, pt.ID)
 	}
-	edgeN, removedN := int64(len(pt.Follows)), int64(len(pt.Removed))
-	if version >= 5 {
-		edgeN, removedN = pt.EdgeN, pt.RemovedN
-	}
 	id := UserID(pt.ID)
 	rec := &store.shardOf(id).recs[store.slotFor(id)]
-	if edgeN > 0 || removedN > 0 {
-		rec.followers = int32(edgeN)
+	if pt.EdgeN > 0 || pt.RemovedN > 0 {
+		rec.followers = int32(pt.EdgeN)
 	}
 	if pt.FriendsSet || pt.Friends != nil {
 		rec.friends = int32(len(pt.Friends))

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,57 +51,6 @@ func buildRichStore(t *testing.T) (*Store, UserID) {
 		t.Fatal(err)
 	}
 	return store, target
-}
-
-// legacySnapshotOf flattens the current streamed (v5) encoding of store
-// back into the single-struct layout pre-v5 writers produced, so the
-// compatibility tests can forge old-version payloads from live state.
-func legacySnapshotOf(t *testing.T, store *Store) snapshot {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := store.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dec := gob.NewDecoder(&buf)
-	var snap snapshot
-	if err := dec.Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	for got := 0; got < int(snap.RecordN); {
-		var chunk []persistRecord
-		if err := dec.Decode(&chunk); err != nil {
-			t.Fatal(err)
-		}
-		snap.Records = append(snap.Records, chunk...)
-		got += len(chunk)
-	}
-	for i := int64(0); i < snap.TargetN; i++ {
-		var pt persistTarget
-		if err := dec.Decode(&pt); err != nil {
-			t.Fatal(err)
-		}
-		pt.Follows = followsFromStream(t, pt.EdgeStream, int(pt.EdgeN))
-		pt.Removed = followsFromStream(t, pt.RemovedStream, int(pt.RemovedN))
-		pt.EdgeN, pt.EdgeStream = 0, nil
-		pt.RemovedN, pt.RemovedStream = 0, nil
-		pt.FriendsSet = false
-		snap.Targets = append(snap.Targets, pt)
-	}
-	snap.RecordN, snap.TargetN = 0, 0
-	return snap
-}
-
-func followsFromStream(t *testing.T, data []byte, n int) []persistFollow {
-	t.Helper()
-	var out []persistFollow
-	err := decodeEdgeStream(data, n, func(e segEdge) error {
-		out = append(out, persistFollow{Follower: e.follower, At: e.at, Seq: e.seq})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -176,8 +127,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripWithChurn covers the version-2 facet: removal logs
-// survive the round trip alongside the compacted live edge list.
+// TestSnapshotRoundTripWithChurn: removal logs survive the round trip alongside the compacted live edge list.
 func TestSnapshotRoundTripWithChurn(t *testing.T) {
 	store, target := buildRichStore(t)
 	chrono, _ := store.FollowersChronological(target)
@@ -252,54 +202,11 @@ func TestSnapshotResumesClock(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadsVersion1 proves pre-churn snapshots (version 1, no
-// Removed fields) still load after the dynamics fields landed.
-func TestSnapshotReadsVersion1(t *testing.T) {
-	store, target := buildRichStore(t)
-
-	// Serialise the store exactly as a pre-churn build would have: the
-	// single-struct gob payload with Version forced to 1 and no Removed
-	// logs. Decoding a v1 stream into the current struct leaves the new
-	// fields at their zero values, which is precisely the compatibility
-	// contract under test.
-	snap := legacySnapshotOf(t, store)
-	snap.Version = 1
-	snap.ClockUnix = 0
-	for i := range snap.Targets {
-		snap.Targets[i].Removed = nil
-	}
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := ReadSnapshot(&v1, simclock.NewVirtualAtEpoch())
-	if err != nil {
-		t.Fatalf("version-1 snapshot rejected: %v", err)
-	}
-	if loaded.UserCount() != store.UserCount() {
-		t.Fatalf("user count %d vs %d", loaded.UserCount(), store.UserCount())
-	}
-	a, _ := store.FollowersNewestFirst(target)
-	b, _ := loaded.FollowersNewestFirst(target)
-	if len(a) != len(b) {
-		t.Fatalf("follower counts differ: %d vs %d", len(a), len(b))
-	}
-	if removed, _ := loaded.RemovedEdges(target); len(removed) != 0 {
-		t.Fatalf("v1 snapshot grew a removal log: %d entries", len(removed))
-	}
-	// Pre-churn stores accept churn once loaded.
-	if _, err := loaded.RemoveFollowers(target, b[:2], loaded.Now()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSnapshotV3PreservesSeqAnchors covers the version-3 facet: edge
-// sequence numbers — the anchors in-flight pagination cursors point at —
+// TestSnapshotPreservesSeqAnchors: edge sequence numbers — the anchors in-flight pagination cursors point at —
 // survive the round trip exactly, for live and removed edges alike, and
 // the per-target counter resumes above everything ever assigned so
 // post-load follows cannot mint duplicate anchors.
-func TestSnapshotV3PreservesSeqAnchors(t *testing.T) {
+func TestSnapshotPreservesSeqAnchors(t *testing.T) {
 	store, target := buildRichStore(t)
 	chrono, _ := store.FollowersChronological(target)
 	// Churn so that seqs have gaps: remove two mid-list edges, refollow one.
@@ -357,64 +264,11 @@ func TestSnapshotV3PreservesSeqAnchors(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadsVersion2 proves pre-seq churn snapshots (version 2:
-// removal logs and clock position, but no edge seqs) still load after the
-// v3 bump: survivors get dense anchors reassigned in stored order and the
-// counter resumes above them.
-func TestSnapshotReadsVersion2(t *testing.T) {
-	store, target := buildRichStore(t)
-	chrono, _ := store.FollowersChronological(target)
-	if _, err := store.RemoveFollowers(target, chrono[:5], store.Now()); err != nil {
-		t.Fatal(err)
-	}
-
-	snap := legacySnapshotOf(t, store)
-	snap.Version = 2
-	for i := range snap.Targets {
-		snap.Targets[i].SeqCounter = 0
-		for j := range snap.Targets[i].Follows {
-			snap.Targets[i].Follows[j].Seq = 0
-		}
-		for j := range snap.Targets[i].Removed {
-			snap.Targets[i].Removed[j].Seq = 0
-		}
-	}
-	var v2 bytes.Buffer
-	if err := gob.NewEncoder(&v2).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := ReadSnapshot(&v2, simclock.NewVirtualAtEpoch())
-	if err != nil {
-		t.Fatalf("version-2 snapshot rejected: %v", err)
-	}
-	edges, _ := loaded.FollowEdges(target)
-	if len(edges) != 495 {
-		t.Fatalf("loaded %d edges, want 495", len(edges))
-	}
-	for i, e := range edges {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("edge %d reassigned seq %d, want %d", i, e.Seq, i+1)
-		}
-	}
-	// Pagination works immediately over the reassigned anchors.
-	page, err := loaded.FollowersPage(target, SeqNewest, 100)
-	if err != nil || len(page.IDs) != 100 || page.Total != 495 {
-		t.Fatalf("page over reassigned seqs = %d ids/%d total, %v", len(page.IDs), page.Total, err)
-	}
-	// And the counter starts above the densest survivor.
-	extra := loaded.MustCreateUser(UserParams{})
-	if err := loaded.AddFollower(target, extra, loaded.Now().Add(time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	edges, _ = loaded.FollowEdges(target)
-	if got := edges[len(edges)-1].Seq; got != 496 {
-		t.Fatalf("post-load follow seq = %d, want 496", got)
-	}
-}
-
-// TestSnapshotRejectsFutureVersion guards the other direction: a snapshot
-// from a newer build fails loudly instead of loading half-understood state.
+// TestSnapshotRejectsFutureVersion: the reader accepts exactly the version
+// the writer emits. A header from any other build — the retired v1–v4
+// layouts or a newer one — fails loudly with the operator message (version
+// found, version wanted, the regeneration tool) instead of loading
+// half-understood state.
 func TestSnapshotRejectsFutureVersion(t *testing.T) {
 	store, _ := buildRichStore(t)
 	var buf bytes.Buffer
@@ -425,13 +279,21 @@ func TestSnapshotRejectsFutureVersion(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	snap.Version = snapshotVersion + 1
-	var future bytes.Buffer
-	if err := gob.NewEncoder(&future).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSnapshot(&future, simclock.NewVirtualAtEpoch()); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("err = %v, want ErrBadSnapshot", err)
+	for _, v := range []int{1, 2, 3, 4, 6} {
+		snap.Version = v
+		var other bytes.Buffer
+		if err := gob.NewEncoder(&other).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadSnapshot(&other, simclock.NewVirtualAtEpoch())
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("v%d: err = %v, want ErrBadSnapshot", v, err)
+		}
+		for _, want := range []string{fmt.Sprintf("version %d", v), "version 5", "genpop"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("v%d: message %q does not mention %q", v, err, want)
+			}
+		}
 	}
 }
 
@@ -516,7 +378,7 @@ func buildRichStoreSharded(t *testing.T, shards int) (*Store, UserID) {
 	return store, target
 }
 
-// TestSnapshotBytesShardCountIndependent is the v4 canonical-encoding
+// TestSnapshotBytesShardCountIndependent is the canonical-encoding
 // guarantee: the same logical state serialises to the same bytes no matter
 // how many shards the store uses, and repeated writes are byte-stable (no
 // map-iteration-order leakage).
@@ -593,23 +455,25 @@ func TestSnapshotLoadsAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsDuplicateNameListIDs covers the corruption class the
-// v4 list encoding makes possible (the legacy map's keys were structurally
-// unique): one user carrying two explicit names must fail loading, not
-// silently overwrite.
+// TestSnapshotRejectsDuplicateNameListIDs covers a corruption class the
+// name list makes possible: one user carrying two explicit names must fail
+// loading, not silently overwrite.
 func TestSnapshotRejectsDuplicateNameListIDs(t *testing.T) {
-	snap := snapshot{
-		Version:  4,
-		NameSeed: 1,
-		Records:  make([]persistRecord, 3),
-		NameList: []persistName{{ID: 2, Name: "a"}, {ID: 2, Name: "b"}},
-	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(snapshot{
+		Version:  snapshotVersion,
+		NameSeed: 1,
+		RecordN:  3,
+		NameList: []persistName{{ID: 2, Name: "a"}, {ID: 2, Name: "b"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(make([]persistRecord, 3)); err != nil {
 		t.Fatal(err)
 	}
 	_, err := ReadSnapshot(&buf, simclock.NewVirtualAtEpoch())
-	if !errors.Is(err, ErrBadSnapshot) {
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "named twice") {
 		t.Fatalf("duplicate NameList IDs loaded: %v", err)
 	}
 }

@@ -120,7 +120,7 @@ func TestServerAdvertisesReset(t *testing.T) {
 	clock := simclock.NewVirtualAtEpoch()
 	store := twitter.NewStore(clock, 1)
 	target := store.MustCreateUser(twitter.UserParams{ScreenName: "t"})
-	srv := httptest.NewServer(NewServer(NewService(store), clock))
+	srv := httptest.NewServer(NewServerLimits(NewService(store), clock, DefaultLimits()))
 	defer srv.Close()
 
 	get := func() *http.Response {

@@ -230,7 +230,7 @@ func TestCrawlSurvivesMassivePurge(t *testing.T) {
 // shared virtual clock.
 func TestCrawlUnderChurnOverHTTP(t *testing.T) {
 	rig := newChurnRig(t, 23000)
-	srv := httptest.NewServer(NewServer(NewService(rig.store), rig.clock))
+	srv := httptest.NewServer(NewServerLimits(NewService(rig.store), rig.clock, DefaultLimits()))
 	defer srv.Close()
 	client := NewHTTPClient(srv.URL, "crawler-token", rig.clock)
 	src := drand.New(11)

@@ -189,17 +189,23 @@ type Server struct {
 	throttled map[string]*metrics.Counter
 }
 
-// NewServer builds the HTTP front end with the Table I budgets. Rate-limit
-// budgets are per (endpoint, bearer token) pair, as on the real platform.
-func NewServer(svc *Service, clock simclock.Clock) *Server {
-	return NewServerLimits(svc, clock, DefaultLimits())
+// NewServerLimits builds the HTTP front end with an explicit per-endpoint
+// budget table (DefaultLimits is Table I), unobserved. Budgets are per
+// (endpoint, bearer token) pair, as on the real platform. Endpoints absent
+// from the table are unlimited; a nil table disables rate limiting entirely
+// — the configuration the load harness uses to measure the serving hot path
+// rather than the limiter's rejections.
+func NewServerLimits(svc *Service, clock simclock.Clock, limits map[string]ratelimit.Limit) *Server {
+	return NewServerObserved(svc, clock, limits, nil)
 }
 
-// NewServerLimits builds the HTTP front end with an explicit per-endpoint
-// budget table. Endpoints absent from the table are unlimited; a nil table
-// disables rate limiting entirely — the configuration the load harness uses
-// to measure the serving hot path rather than the limiter's rejections.
-func NewServerLimits(svc *Service, clock simclock.Clock, limits map[string]ratelimit.Limit) *Server {
+// NewServerObserved is the one server builder. With a registry it wraps the
+// shared HTTP instrumentation around every route (plane "api"): per-endpoint
+// latency histograms and status-class counters in reg, plus 429 throttle
+// counters fed from gate() and the limiter's rejection/backoff totals. With
+// a nil registry the routes are mounted bare — no wrapper on the request
+// path, no counters.
+func NewServerObserved(svc *Service, clock simclock.Clock, limits map[string]ratelimit.Limit, reg *metrics.Registry) *Server {
 	s := &Server{
 		svc:     svc,
 		clock:   clock,
@@ -207,36 +213,25 @@ func NewServerLimits(svc *Service, clock simclock.Clock, limits map[string]ratel
 		limits:  limits,
 		mux:     http.NewServeMux(),
 	}
+	var plane *metrics.HTTPPlane
+	if reg != nil {
+		plane = metrics.NewHTTPPlane(reg, "api", clock)
+		s.throttled = make(map[string]*metrics.Counter)
+		reg.CounterFunc("ratelimit_backoffs_total",
+			"Reserve calls that had to wait for a budget window.",
+			func() float64 { return float64(s.limiter.Stats().Backoffs) },
+			metrics.L("plane", "api"))
+	}
 	for _, rt := range s.routes() {
-		s.mux.HandleFunc(rt.path, rt.handler)
+		h := http.Handler(rt.handler)
+		if reg != nil {
+			h = plane.WrapFunc(rt.endpoint, rt.handler)
+			s.throttled[rt.endpoint] = reg.Counter("ratelimit_throttled_total",
+				"Requests rejected with 429 by the endpoint budget.",
+				metrics.L("plane", "api"), metrics.L("endpoint", rt.endpoint))
+		}
+		s.mux.Handle(rt.path, h)
 	}
-	return s
-}
-
-// NewServerObserved is NewServerLimits with the shared HTTP instrumentation
-// wrapped around every route (plane "api"): per-endpoint latency histograms
-// and status-class counters in reg, plus 429 throttle counters fed from
-// gate() and the limiter's rejection/backoff totals.
-func NewServerObserved(svc *Service, clock simclock.Clock, limits map[string]ratelimit.Limit, reg *metrics.Registry) *Server {
-	s := &Server{
-		svc:       svc,
-		clock:     clock,
-		limiter:   ratelimit.New(clock, nil),
-		limits:    limits,
-		mux:       http.NewServeMux(),
-		throttled: make(map[string]*metrics.Counter),
-	}
-	plane := metrics.NewHTTPPlane(reg, "api", clock)
-	for _, rt := range s.routes() {
-		s.mux.Handle(rt.path, plane.WrapFunc(rt.endpoint, rt.handler))
-		s.throttled[rt.endpoint] = reg.Counter("ratelimit_throttled_total",
-			"Requests rejected with 429 by the endpoint budget.",
-			metrics.L("plane", "api"), metrics.L("endpoint", rt.endpoint))
-	}
-	reg.CounterFunc("ratelimit_backoffs_total",
-		"Reserve calls that had to wait for a budget window.",
-		func() float64 { return float64(s.limiter.Stats().Backoffs) },
-		metrics.L("plane", "api"))
 	return s
 }
 

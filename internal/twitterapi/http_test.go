@@ -37,7 +37,7 @@ func newHTTPFixture(t *testing.T) (*HTTPClient, twitter.UserID, []twitter.UserID
 		chrono = append(chrono, id)
 		at = at.Add(time.Minute)
 	}
-	srv := httptest.NewServer(NewServer(NewService(store), clock))
+	srv := httptest.NewServer(NewServerLimits(NewService(store), clock, DefaultLimits()))
 	t.Cleanup(srv.Close)
 	return NewHTTPClient(srv.URL, "test-token", clock), target, chrono, clock
 }
@@ -162,7 +162,7 @@ func TestHTTPRateLimitPerToken(t *testing.T) {
 	clock := simclock.NewVirtualAtEpoch()
 	store := twitter.NewStore(clock, 1)
 	target, _ := store.CreateUser(twitter.UserParams{ScreenName: "t"})
-	srv := httptest.NewServer(NewServer(NewService(store), clock))
+	srv := httptest.NewServer(NewServerLimits(NewService(store), clock, DefaultLimits()))
 	t.Cleanup(srv.Close)
 
 	a := NewHTTPClient(srv.URL, "token-a", clock)

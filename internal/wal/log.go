@@ -202,8 +202,9 @@ func (l *Log) Close() error {
 	return l.closeErr
 }
 
-// Observe registers the wal_* instruments on reg.
-func (l *Log) Observe(reg *metrics.Registry) {
+// observe registers the wal_* instruments on reg (Open does, for
+// Config.Metrics).
+func (l *Log) observe(reg *metrics.Registry) {
 	reg.CounterFunc("wal_records_total",
 		"Records in the write-ahead log's history (the newest LSN).",
 		func() float64 { return float64(l.w.records.Load()) })

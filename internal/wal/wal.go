@@ -1,8 +1,8 @@
 // Package wal is the durability plane of the platform store: an append-only,
 // CRC-framed, length-prefixed binary log of every store mutation, a
 // group-commit writer that batches fsyncs, periodic compaction into the
-// canonical v4 snapshot format, and crash recovery by snapshot load plus
-// log-tail replay.
+// canonical snapshot format (the one version internal/twitter writes and
+// reads), and crash recovery by snapshot load plus log-tail replay.
 //
 // A log directory holds three kinds of files:
 //
@@ -163,7 +163,7 @@ func Open(cfg Config) (*twitter.Store, *Log, RecoveryStats, error) {
 	l.lastCompactLSN.Store(stats.SnapshotLSN)
 	store.SetOpLog(l)
 	if cfg.Metrics != nil {
-		l.Observe(cfg.Metrics)
+		l.observe(cfg.Metrics)
 	}
 	if cfg.CompactEvery > 0 {
 		// A long recovered tail means the last run crashed (or never

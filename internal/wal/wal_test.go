@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"hash/crc32"
 	"math"
@@ -320,6 +321,27 @@ func TestRecoveryRejectsHeaderMismatch(t *testing.T) {
 	}
 	if _, _, _, err := Open(Config{Dir: dir, Clock: simclock.NewVirtualAtEpoch()}); err == nil {
 		t.Fatal("header/name mismatch not detected")
+	}
+}
+
+// TestRecoveryRejectsOtherSnapshotVersion: a directory whose only snapshot
+// carries a retired (or future) format version fails recovery with the
+// declared error — naming the version found — never with an empty store.
+func TestRecoveryRejectsOtherSnapshotVersion(t *testing.T) {
+	dir := t.TempDir()
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(struct {
+		Version  int
+		NameSeed uint64
+	}{Version: 4, NameSeed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(0)), old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err := Open(Config{Dir: dir, Clock: simclock.NewVirtualAtEpoch()})
+	if err == nil || !strings.Contains(err.Error(), "no loadable snapshot") || !strings.Contains(err.Error(), "version 4") {
+		t.Fatalf("v4-only directory: %v", err)
 	}
 }
 

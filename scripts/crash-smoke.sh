@@ -8,6 +8,9 @@
 # 3. twitterd itself is hard-killed and re-booted; the capture is repeated.
 # 4. The two captures must be byte-identical: recovery is deterministic and
 #    the hard kill lost nothing the first boot had acknowledged to clients.
+# 5. The second daemon is stopped the polite way: SIGTERM must drain, seal
+#    the WAL segment and exit 0 within 5 s; a third boot must report no torn
+#    tail and serve the same bytes again.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -76,7 +79,6 @@ boot_and_capture() { # $1 = capture file, $2 = boot log
   "$work/twitterd" -addr "$addr" -wal-dir "$waldir" -metrics=false \
     >"$work/$2" 2>&1 &
   daemon_pid=$!
-  disown "$daemon_pid"
   up=""
   for _ in $(seq 1 150); do
     if curl -sf -H 'Authorization: Bearer probe' \
@@ -90,21 +92,47 @@ boot_and_capture() { # $1 = capture file, $2 = boot log
   capture "$1"
 }
 
+hard_kill() { # SIGKILL the daemon and wait until it is gone
+  disown "$daemon_pid" # keeps bash's "Killed" job notice out of the log
+  kill -9 "$daemon_pid" 2>/dev/null || true
+  while kill -0 "$daemon_pid" 2>/dev/null; do sleep 0.05; done
+  daemon_pid=""
+}
+
 echo "==> boot 1: recover the acknowledged state, capture served views"
 boot_and_capture pre.json boot1.log
 grep -m1 '^wal:' "$work/boot1.log" || true
 
 echo "==> SIGKILLing the daemon"
-kill -9 "$daemon_pid"
-while kill -0 "$daemon_pid" 2>/dev/null; do sleep 0.05; done
-daemon_pid=""
+hard_kill
 
 echo "==> boot 2: recover again, capture again"
 boot_and_capture post.json boot2.log
 grep -m1 '^wal:' "$work/boot2.log" || true
-kill -9 "$daemon_pid" 2>/dev/null || true
-daemon_pid=""
 
 echo "==> diffing served state across the hard kill"
 diff -u "$work/pre.json" "$work/post.json"
-echo "crash-smoke OK: users/show and every follower page identical across SIGKILL + recovery"
+
+echo "==> SIGTERM: the daemon must drain, seal its segment and exit 0 within 5 s"
+kill -TERM "$daemon_pid"
+for _ in $(seq 1 100); do
+  kill -0 "$daemon_pid" 2>/dev/null || break
+  sleep 0.05
+done
+if kill -0 "$daemon_pid" 2>/dev/null; then
+  cat "$work/boot2.log"; echo "twitterd still running 5 s after SIGTERM"; exit 1
+fi
+status=0
+wait "$daemon_pid" || status=$?
+daemon_pid=""
+[ "$status" -eq 0 ] || { cat "$work/boot2.log"; echo "twitterd exited $status on SIGTERM, want 0"; exit 1; }
+
+echo "==> boot 3: a stopped daemon leaves nothing to repair"
+boot_and_capture term.json boot3.log
+grep -m1 '^wal:' "$work/boot3.log"
+if grep -m1 '^wal:' "$work/boot3.log" | grep -q 'torn tail'; then
+  echo "boot after a clean SIGTERM stop found a torn tail"; exit 1
+fi
+hard_kill
+diff -u "$work/post.json" "$work/term.json"
+echo "crash-smoke OK: users/show and every follower page identical across SIGKILL + recovery and SIGTERM + reboot"
