@@ -9,10 +9,12 @@
 //	loadd -mix churn-storm -rate 800 -duration 10s
 //	loadd -mix crawl-heavy -api http://127.0.0.1:8080 -accounts davc
 //
-// Results are written as BENCH_e2e.json (-out, or $BENCH_JSON/BENCH_e2e.json
-// when the variable is set), the artifact CI archives and diffs across
-// commits. Mixes: crawl-heavy, audit-heavy, churn-storm, celebrity-hotspot;
-// -duration is per mix. See docs/OPERATIONS.md for the full runbook.
+// Each mix prints one table on stdout, and the exit status is non-zero if
+// any mix saw an unexpected (non-429) error; nothing is written to disk —
+// numbers meant to be compared across commits come from the benchmark
+// (go run ./bench). Mixes: crawl-heavy, audit-heavy, churn-storm,
+// celebrity-hotspot; -duration is per mix. See docs/OPERATIONS.md for the
+// full runbook.
 //
 // While a mix runs, a status line reports per-endpoint throughput and
 // latency every -progress interval (suppress with -quiet), and -metrics
@@ -28,12 +30,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"fakeproject/internal/benchjson"
 	"fakeproject/internal/loadgen"
 	"fakeproject/internal/metrics"
 	"fakeproject/internal/platform"
@@ -60,7 +60,6 @@ func run() error {
 		burstEvery = flag.Duration("burst-every", time.Second, "burst period, start to start")
 		burstLen   = flag.Duration("burst-len", 200*time.Millisecond, "burst length")
 		inflight   = flag.Int("inflight", 256, "max outstanding requests; arrivals beyond it are shed and reported")
-		out        = flag.String("out", "", "write BENCH_e2e.json here (default ./BENCH_e2e.json, or $BENCH_JSON/BENCH_e2e.json)")
 		progress   = flag.Duration("progress", 2*time.Second, "live status-line interval (0 disables)")
 		quiet      = flag.Bool("quiet", false, "suppress the live status line")
 
@@ -82,7 +81,6 @@ func run() error {
 		walDir       = flag.String("wal-dir", "", "back the in-process store with a WAL in this (fresh) directory")
 		walFsync     = flag.String("fsync", "interval", "WAL fsync policy: always, interval, off (with -wal-dir)")
 		compactEvery = flag.Uint64("compact-every", 0, "compact the WAL every N records past the newest snapshot (0 = never; with -wal-dir)")
-		walCompare   = flag.Bool("wal-compare", false, "run each mix twice — plain store, then WAL-backed (mix rows suffixed +wal) — for a durability-tax comparison")
 	)
 	flag.Parse()
 
@@ -104,41 +102,22 @@ func run() error {
 		defer obs.Server.Close()
 	}
 
-	if (*walDir != "" || *walCompare) && *api != "" {
-		return fmt.Errorf("-wal-dir/-wal-compare back the in-process store and cannot be combined with -api")
+	if *walDir != "" && *api != "" {
+		return fmt.Errorf("-wal-dir backs the in-process store and cannot be combined with -api")
 	}
 
-	baseCfg := loadgen.Config{
-		Seed:         *seed,
-		Targets:      *targets,
-		Followers:    *followers,
-		AuditWorkers: *workers,
-		AuditTools:   splitList(*tools),
-		TableILimits: *limits,
-		Metrics:      reg,
+	cfg := loadgen.Config{
+		Seed:            *seed,
+		Targets:         *targets,
+		Followers:       *followers,
+		AuditWorkers:    *workers,
+		AuditTools:      splitList(*tools),
+		TableILimits:    *limits,
+		Metrics:         reg,
+		WALDir:          *walDir,
+		WALFsync:        *walFsync,
+		WALCompactEvery: *compactEvery,
 	}
-
-	// Each pass is one harness build plus a full sweep of the mixes; a
-	// -wal-compare run adds a second, WAL-backed pass whose mix rows carry a
-	// "+wal" suffix so both land side by side in one artifact.
-	type pass struct {
-		suffix string
-		walDir string
-	}
-	passes := []pass{{walDir: *walDir}}
-	if *walCompare {
-		cmpDir := *walDir
-		if cmpDir == "" {
-			tmp, err := os.MkdirTemp("", "loadd-wal-")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(tmp)
-			cmpDir = tmp
-		}
-		passes = []pass{{}, {suffix: "+wal", walDir: cmpDir}}
-	}
-
 	pattern := loadgen.Pattern{
 		Rate:       *rate,
 		BurstRate:  *burstRate,
@@ -149,91 +128,42 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var results []loadgen.Result
-	for _, ps := range passes {
-		cfg := baseCfg
-		cfg.WALDir = ps.walDir
-		cfg.WALFsync = *walFsync
-		cfg.WALCompactEvery = *compactEvery
-		if ps.walDir != "" {
-			fmt.Fprintf(os.Stderr, "WAL in %s (fsync %s)\n", ps.walDir, *walFsync)
+	if *walDir != "" {
+		fmt.Fprintf(os.Stderr, "WAL in %s (fsync %s)\n", *walDir, *walFsync)
+	}
+	h, err := buildHarness(*api, *audit, *accounts, cfg)
+	if err != nil {
+		return err
+	}
+	defer h.Close()
+
+	var failures uint64
+	ran := 0
+	for _, name := range mixes {
+		fmt.Fprintf(os.Stderr, "running %s for %v at %.0f/s...\n", name, *duration, *rate)
+		col := loadgen.NewCollector()
+		if reg != nil {
+			col.Publish(reg, metrics.L("mix", name))
 		}
-		h, err := buildHarness(*api, *audit, *accounts, cfg)
+		runCtx, stopProgress := context.WithCancel(ctx)
+		if *progress > 0 && !*quiet {
+			go progressLoop(runCtx, col, *progress)
+		}
+		res, err := h.RunMixWith(ctx, name, pattern, *duration, *inflight, col)
+		stopProgress()
 		if err != nil {
-			return err
+			return fmt.Errorf("mix %s: %w", name, err)
 		}
-		for _, name := range mixes {
-			fmt.Fprintf(os.Stderr, "running %s%s for %v at %.0f/s...\n", name, ps.suffix, *duration, *rate)
-			col := loadgen.NewCollector()
-			if reg != nil {
-				col.Publish(reg, metrics.L("mix", name+ps.suffix))
-			}
-			runCtx, stopProgress := context.WithCancel(ctx)
-			if *progress > 0 && !*quiet {
-				go progressLoop(runCtx, col, *progress)
-			}
-			res, err := h.RunMixWith(ctx, name, pattern, *duration, *inflight, col)
-			stopProgress()
-			if err != nil {
-				h.Close()
-				return fmt.Errorf("mix %s%s: %w", name, ps.suffix, err)
-			}
-			res.Mix += ps.suffix
-			res.Format(os.Stdout)
-			results = append(results, res)
-			if ctx.Err() != nil {
-				break
-			}
-		}
-		h.Close()
+		res.Format(os.Stdout)
+		failures += res.TotalErrors()
+		ran++
 		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "interrupted; emitting what completed")
+			fmt.Fprintln(os.Stderr, "interrupted; reported what completed")
 			break
 		}
 	}
-
-	runConfig := map[string]any{
-		"mixes":             mixes,
-		"duration_s":        duration.Seconds(),
-		"rate":              *rate,
-		"burst_rate":        *burstRate,
-		"burst_every_s":     burstEvery.Seconds(),
-		"burst_len_s":       burstLen.Seconds(),
-		"inflight":          *inflight,
-		"seed":              *seed,
-		"targets":           *targets,
-		"followers":         *followers,
-		"audit_workers":     *workers,
-		"audit_tools":       splitList(*tools),
-		"table1_limits":     *limits,
-		"api":               *api,
-		"audit":             *audit,
-		"accounts":          splitList(*accounts),
-		"wal_dir":           *walDir,
-		"wal_fsync":         *walFsync,
-		"wal_compact_every": *compactEvery,
-		"wal_compare":       *walCompare,
-	}
-
-	path := *out
-	if path == "" {
-		if dir := os.Getenv(benchjson.EnvVar); dir != "" {
-			path = filepath.Join(dir, "BENCH_e2e.json")
-		} else {
-			path = "BENCH_e2e.json"
-		}
-	}
-	if err := benchjson.WriteFile(path, loadgen.BenchFile(results, runConfig)); err != nil {
-		return fmt.Errorf("writing results: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "results written to %s\n", path)
-
-	var failures uint64
-	for _, r := range results {
-		failures += r.TotalErrors()
-	}
 	if failures > 0 {
-		return fmt.Errorf("%d unexpected (non-429) errors across %d mixes", failures, len(results))
+		return fmt.Errorf("%d unexpected (non-429) errors across %d mixes", failures, ran)
 	}
 	return nil
 }

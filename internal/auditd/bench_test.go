@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"fakeproject/internal/benchjson"
 	"fakeproject/internal/core"
 )
 
@@ -70,70 +69,6 @@ func BenchmarkAuditThroughput(b *testing.B) {
 			}
 		})
 	}
-}
-
-// TestBenchJSON emits BENCH_auditd.json with the suite's representative
-// numbers when BENCH_JSON=<dir> is set (the CI bench step):
-//
-//	BENCH_JSON=. go test ./internal/auditd -run BenchJSON
-func TestBenchJSON(t *testing.T) {
-	if !benchjson.Enabled() {
-		t.Skipf("set %s=<dir> to emit benchmark JSON", benchjson.EnvVar)
-	}
-	results := []benchjson.Result{
-		benchjson.Measure("AuditThroughput/serial", func(b *testing.B) {
-			stub := newStub("alpha", 5*time.Millisecond)
-			for i := 0; i < b.N; i++ {
-				for tgt := 0; tgt < 8; tgt++ {
-					if _, err := stub.Audit(fmt.Sprintf("b%d-t%d", i, tgt)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}),
-		benchjson.Measure("AuditThroughput/workers=8", func(b *testing.B) {
-			stub := newStub("alpha", 5*time.Millisecond)
-			svc := benchService(b, 8, stub)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ids := make([]JobID, 0, 8)
-				for tgt := 0; tgt < 8; tgt++ {
-					snap, err := svc.Submit(JobSpec{Target: fmt.Sprintf("b%d-t%d", i, tgt)})
-					if err != nil {
-						b.Fatal(err)
-					}
-					ids = append(ids, snap.ID)
-				}
-				for _, id := range ids {
-					if _, err := svc.Await(context.Background(), id); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}),
-		benchjson.Measure("CachedRepeat", func(b *testing.B) {
-			stub := newStub("alpha", 0)
-			svc := benchService(b, 1, stub)
-			snap, err := svc.Submit(JobSpec{Target: "davc"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := svc.Await(context.Background(), snap.ID); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := svc.Submit(JobSpec{Target: "davc"}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-	}
-	path, err := benchjson.Write("auditd", results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }
 
 // BenchmarkCachedRepeat measures the repeat-request fast path: a fully

@@ -207,27 +207,31 @@ func (s *Service) Submit(spec JobSpec) (JobSnapshot, error) {
 		return j.snapshot(), nil
 	}
 
+	// Push and record are one critical section (lock order s.mu → queue.mu):
+	// the push publishes j to coalescing submitters and to the workers, so
+	// the table must resolve its ID before either can observe it.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	winner, enqueued, err := s.queue.push(j)
+	if err == nil && !enqueued && winner.state.Terminal() {
+		// winner finished but its worker has yet to drop the dedup entry:
+		// it is no longer queued or running, so j runs fresh.
+		s.queue.release(winner)
+		winner, enqueued, err = s.queue.push(j)
+	}
 	if err != nil {
-		s.mu.Lock()
 		if err == ErrQueueFull {
 			s.stats.Rejected++
 		}
-		s.mu.Unlock()
 		return JobSnapshot{}, err
 	}
-	s.mu.Lock()
 	if !enqueued {
 		s.stats.Deduped++
 		winner.deduped = true
-		snap := winner.snapshot()
-		s.mu.Unlock()
-		return snap, nil
+		return winner.snapshot(), nil
 	}
 	s.recordLocked(j)
-	snap := j.snapshot()
-	s.mu.Unlock()
-	return snap, nil
+	return j.snapshot(), nil
 }
 
 // tryCacheOnly serves spec entirely from the cache, if possible.
@@ -255,9 +259,17 @@ func (s *Service) recordLocked(j *job) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	excess := len(s.order) - s.cfg.RetainJobs
+	// Jobs mostly finish in submission order, so the oldest terminal job is
+	// usually the head: drop it without touching the rest of the table.
+	for excess > 0 && s.jobs[s.order[0]].state.Terminal() {
+		delete(s.jobs, s.order[0])
+		s.order = s.order[1:]
+		excess--
+	}
 	if excess <= 0 {
 		return
 	}
+	// A live job holds the head: scan past it for the oldest terminal ones.
 	kept := s.order[:0]
 	for _, id := range s.order {
 		old := s.jobs[id]

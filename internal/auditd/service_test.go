@@ -273,6 +273,48 @@ func TestDedupCoalescing(t *testing.T) {
 	}
 }
 
+// TestSubmittedIDResolvesAtOnce: an ID Submit hands out — to the submitter
+// whose job was enqueued or to one that coalesced onto it — is in the job
+// table before anyone can see it, and names a job still queued or running,
+// never one that already finished (a coalesced re-audit would replay the
+// previous round's verdict). Identical specs against a zero-work stub with
+// the cache off keep the dedup window and the workers as tight against
+// Submit as they get; RetainJobs covers every submission so nothing is
+// evicted.
+func TestSubmittedIDResolvesAtOnce(t *testing.T) {
+	const submitters, rounds = 8, 500
+	svc := stubService(t, Config{Workers: 2, QueueCap: submitters, CacheTTL: -1,
+		RetainJobs: submitters * rounds}, newStub("alpha", 0))
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				snap, err := svc.Submit(JobSpec{Target: "davc", Tools: []string{"alpha"}})
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				if snap.State.Terminal() {
+					t.Errorf("submit coalesced onto finished job %s (%s)", snap.ID, snap.State)
+					return
+				}
+				if _, err := svc.Get(snap.ID); err != nil {
+					t.Errorf("get %s just after submit: %v", snap.ID, err)
+					return
+				}
+				done, err := svc.Await(context.Background(), snap.ID)
+				if err != nil || done.State != StateDone {
+					t.Errorf("await %s: state %q, err %v", snap.ID, done.State, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestSingleflightAcrossJobs: two non-identical jobs needing the same
 // (tool, target) analysis share one engine run through the in-flight map.
 func TestSingleflightAcrossJobs(t *testing.T) {
@@ -306,11 +348,16 @@ func TestSingleflightAcrossJobs(t *testing.T) {
 }
 
 func TestPriorityOrdering(t *testing.T) {
-	alpha := newStub("alpha", 10*time.Millisecond)
-	svc := stubService(t, Config{Workers: 1}, alpha)
+	unblock := make(chan struct{})
+	gated := &gatedAuditor{inner: newStub("alpha", 0), gate: unblock, blockTarget: "gate"}
+	svc := stubService(t, Config{
+		Workers: 1,
+		Tools:   map[string]Factory{"alpha": func(int) (core.Auditor, error) { return gated, nil }},
+	})
 
-	// Occupy the single worker so subsequent submissions queue up.
-	gate, err := svc.Submit(JobSpec{Target: "gate"})
+	// Occupy the single worker until both submissions are queued; the gate
+	// outranks them, so a worker slow to its first pop still takes it first.
+	gate, err := svc.Submit(JobSpec{Target: "gate", Priority: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,6 +369,7 @@ func TestPriorityOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(unblock)
 	for _, id := range []JobID{gate.ID, low.ID, high.ID} {
 		if _, err := svc.Await(context.Background(), id); err != nil {
 			t.Fatal(err)

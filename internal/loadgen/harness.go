@@ -359,9 +359,7 @@ func (h *Harness) idsURL(path string, id twitter.UserID, cursor int64) string {
 // sweeps over the ground-truth fakes — the storm the crawl mixes race.
 // When col is non-nil, the step's writes are timed into it: the burst as one
 // "write/follow-burst" sample plus individually timed "write/follow" and
-// "write/tweet" probe ops, and purge sweeps as "write/purge". The probes run
-// with and without a WAL, so the durability-tax comparison reads like for
-// like.
+// "write/tweet" probe ops, and purge sweeps as "write/purge".
 func (h *Harness) churnStep(col *Collector, step, burst int, purgeFraction float64) (added, removed int, err error) {
 	if h.store == nil {
 		return 0, 0, fmt.Errorf("remote harness cannot churn the platform")

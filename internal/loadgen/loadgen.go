@@ -7,9 +7,10 @@
 //
 // Per-endpoint latencies land in fixed-bucket log-linear histograms (no
 // per-request allocation), together with throughput, error and throttle
-// counters, and the whole run is emitted through internal/benchjson as
-// BENCH_e2e.json — the regression-tracked answer to "how fast is the
-// assembled system, as a whole, under realistic mixed load".
+// counters; Result.Format prints them as one table per mix. The harness is
+// the open-loop driver of the smokes and the chaos test, not a measurement
+// of record: numbers that are compared across commits come from the
+// closed-loop benchmark (go run ./bench, BENCHMARK.json).
 //
 // The four standard mixes (see scenarios.go): crawl-heavy, audit-heavy,
 // churn-storm and celebrity-hotspot. cmd/loadd is the CLI front end.
@@ -55,7 +56,6 @@ type EndpointStats struct {
 	Count     uint64 // completed requests, including throttled ones
 	Errors    uint64 // non-429 failures
 	Throttled uint64 // 429s
-	Mean      time.Duration
 	P50       time.Duration
 	P90       time.Duration
 	P99       time.Duration
@@ -104,7 +104,7 @@ const errorSampleCap = 5
 
 // endpointRec is the live recording state for one endpoint label.
 type endpointRec struct {
-	hist      Histogram
+	hist      metrics.Histogram
 	errors    atomic.Uint64
 	throttled atomic.Uint64
 
@@ -200,7 +200,6 @@ func (c *Collector) Stats(runDuration time.Duration) []EndpointStats {
 			Count:     r.hist.Count(),
 			Errors:    r.errors.Load(),
 			Throttled: r.throttled.Load(),
-			Mean:      r.hist.Mean(),
 			P50:       r.hist.Quantile(0.50),
 			P90:       r.hist.Quantile(0.90),
 			P99:       r.hist.Quantile(0.99),
@@ -275,7 +274,7 @@ loop:
 			if err != nil && errors.Is(err, context.Canceled) {
 				// An interrupted run (Ctrl-C) cancels every in-flight
 				// request; those are casualties of the interrupt, not
-				// server failures, and must not pollute the artifact.
+				// server failures, and must not count as errors.
 				return
 			}
 			col.Record(op.Endpoint, time.Since(scheduled), err)

@@ -5,62 +5,7 @@ import (
 	"io"
 	"text/tabwriter"
 	"time"
-
-	"fakeproject/internal/benchjson"
 )
-
-// BenchResults renders one mix run into benchjson rows: a row per endpoint
-// ("<mix>/<endpoint>", latency percentiles and throughput in Metrics) plus
-// a "<mix>/run" summary row (offered/shed arrivals, churn totals).
-func (r Result) BenchResults() []benchjson.Result {
-	out := make([]benchjson.Result, 0, len(r.Endpoints)+1)
-	for _, e := range r.Endpoints {
-		out = append(out, benchjson.Result{
-			Name:    r.Mix + "/" + e.Endpoint,
-			N:       int(e.Count),
-			NsPerOp: float64(e.Mean.Nanoseconds()),
-			Metrics: map[string]float64{
-				"p50_ns":         float64(e.P50.Nanoseconds()),
-				"p90_ns":         float64(e.P90.Nanoseconds()),
-				"p99_ns":         float64(e.P99.Nanoseconds()),
-				"p999_ns":        float64(e.P999.Nanoseconds()),
-				"max_ns":         float64(e.Max.Nanoseconds()),
-				"throughput_rps": e.Throughput,
-				"errors":         float64(e.Errors),
-				"throttled_429":  float64(e.Throttled),
-			},
-		})
-	}
-	out = append(out, benchjson.Result{
-		Name: r.Mix + "/run",
-		N:    int(r.TotalCount()),
-		Metrics: map[string]float64{
-			"duration_s":    r.Duration.Seconds(),
-			"offered":       float64(r.Offered),
-			"shed":          float64(r.Shed),
-			"errors":        float64(r.TotalErrors()),
-			"churn_added":   float64(r.ChurnAdded),
-			"churn_removed": float64(r.ChurnRemoved),
-		},
-	})
-	return out
-}
-
-// BenchFile folds several mix runs into the BENCH_e2e document. config, when
-// non-nil, is stamped into the artifact so a stored BENCH_e2e.json says
-// exactly what produced it.
-func BenchFile(results []Result, config map[string]any) benchjson.File {
-	var rows []benchjson.Result
-	for _, r := range results {
-		rows = append(rows, r.BenchResults()...)
-	}
-	return benchjson.File{
-		Component:   "e2e",
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Results:     rows,
-		Config:      config,
-	}
-}
 
 // Format writes a human-readable summary of one mix run.
 func (r Result) Format(w io.Writer) {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"fakeproject/internal/auditd"
-	"fakeproject/internal/benchjson"
 	"fakeproject/internal/core"
 	"fakeproject/internal/simclock"
 )
@@ -64,48 +63,6 @@ func BenchmarkMonitorTick(b *testing.B) {
 			b.Fatalf("tick ran %d watches: %v", n, err)
 		}
 	}
-}
-
-// TestBenchJSON emits BENCH_monitord.json with the suite's representative
-// numbers when BENCH_JSON=<dir> is set (the CI bench step):
-//
-//	BENCH_JSON=. go test ./internal/monitord -run BenchJSON
-func TestBenchJSON(t *testing.T) {
-	if !benchjson.Enabled() {
-		t.Skipf("set %s=<dir> to emit benchmark JSON", benchjson.EnvVar)
-	}
-	results := []benchjson.Result{
-		benchjson.Measure("MonitorTick/targets=8,tools=4", func(b *testing.B) {
-			mon, clock := benchMonitor(b, 8, 4)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				clock.Advance(24 * time.Hour)
-				if _, err := mon.Tick(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchjson.Measure("SeriesQuery/full-ring", func(b *testing.B) {
-			mon, clock := benchMonitor(b, 1, 4)
-			for i := 0; i < 300; i++ {
-				clock.Advance(24 * time.Hour)
-				if _, err := mon.Tick(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := mon.Series("t0"); !ok {
-					b.Fatal("series query failed")
-				}
-			}
-		}),
-	}
-	path, err := benchjson.Write("monitord", results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }
 
 // BenchmarkSeriesQuery measures the read path with full rings.

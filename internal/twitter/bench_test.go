@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"fakeproject/internal/benchjson"
 	"fakeproject/internal/simclock"
 )
 
@@ -89,7 +88,7 @@ func BenchmarkFollowersPage(b *testing.B) {
 // goroutines hammering one target — the celebrity-read case. Pages are
 // served off the RCU-published segment view with no shard lock, so
 // throughput should scale with reader parallelism instead of serialising on
-// the target's shard; the BENCH_twitter.json lock-free-read row tracks it.
+// the target's shard.
 func BenchmarkFollowersPageParallel(b *testing.B) {
 	store, target := benchStore(b, 50000)
 	b.ReportAllocs()
@@ -241,66 +240,5 @@ func BenchmarkParallelMixed(b *testing.B) {
 				})
 			}
 		}
-	}
-}
-
-// TestBenchJSON emits BENCH_twitter.json with the striping suite's numbers
-// when BENCH_JSON=<dir> is set (the CI bench step):
-//
-//	BENCH_JSON=. go test ./internal/twitter -run BenchJSON
-//
-// The shards=1 rows are the pre-shard baseline; the speedup criterion for
-// the striped store is ParallelMixed uniform @8 goroutines, shards=16 vs
-// shards=1.
-func TestBenchJSON(t *testing.T) {
-	if !benchjson.Enabled() {
-		t.Skipf("set %s=<dir> to emit benchmark JSON", benchjson.EnvVar)
-	}
-	results := []benchjson.Result{
-		benchjson.Measure("CreateUserPostGrow", BenchmarkCreateUserPostGrow),
-		benchjson.Measure("FollowersPage/followers=50000", BenchmarkFollowersPage),
-		benchjson.Measure("FollowersPageParallel/followers=50000", BenchmarkFollowersPageParallel),
-		edgeBytesResult(t),
-	}
-	for _, shards := range []int{1, DefaultShards} {
-		for _, skew := range []string{"uniform", "hot"} {
-			for _, workers := range []int{1, 4, 8} {
-				shards, skew, workers := shards, skew, workers
-				results = append(results, benchjson.Measure(
-					fmt.Sprintf("ParallelMixed/shards=%d/skew=%s/goroutines=%d", shards, skew, workers),
-					func(b *testing.B) { benchmarkParallelMixed(b, shards, workers, skew == "hot") },
-				))
-			}
-		}
-	}
-	path, err := benchjson.Write("twitter", results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
-}
-
-// edgeBytesResult measures the in-memory cost of the compact edge segments
-// on the 50K-follower bench fixture and reports it as a bytes-per-edge
-// metrics row. The acceptance budget is 12 bytes/edge (the struct encoding
-// this replaced cost ~40); the delta-varint blocks land around 4-6.
-func edgeBytesResult(t *testing.T) benchjson.Result {
-	t.Helper()
-	store, target := benchStore(t, 50000)
-	edges, bytes := store.EdgeMemoryStats(target)
-	if edges != 50000 {
-		t.Fatalf("bench fixture has %d edges, want 50000", edges)
-	}
-	per := float64(bytes) / float64(edges)
-	if per > 12 {
-		t.Fatalf("edge storage at %.2f bytes/edge exceeds the 12-byte budget", per)
-	}
-	return benchjson.Result{
-		Name: "EdgeSegmentMemory/followers=50000",
-		N:    edges,
-		Metrics: map[string]float64{
-			"bytes_per_edge": per,
-			"edge_bytes":     float64(bytes),
-		},
 	}
 }

@@ -203,8 +203,8 @@ func TestEdgeStreamRoundTrip(t *testing.T) {
 
 // TestEdgeMemoryStatsBudget is the compactness acceptance: a realistic
 // follower list (ascending IDs, advancing times, dense seqs) must cost at
-// most 12 bytes per edge in memory — the benchmark row in BENCH_twitter.json
-// tracks the real figure, typically ~4-6.
+// most 12 bytes per edge in memory — the benchmark's
+// twitter.edge_bytes_per_edge row tracks the real figure, typically ~4-6.
 func TestEdgeMemoryStatsBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var l edgeList
@@ -219,6 +219,20 @@ func TestEdgeMemoryStatsBudget(t *testing.T) {
 		t.Fatalf("%.2f bytes/edge, budget is 12", per)
 	}
 	t.Logf("%.2f bytes/edge over %d edges", per, n)
+}
+
+// TestStoreEdgeMemoryBudget holds the same 12 bytes/edge budget at the
+// store level, as Store.EdgeMemoryStats reports it for the 50K-follower
+// bench fixture (the struct encoding the segments replaced cost ~40).
+func TestStoreEdgeMemoryBudget(t *testing.T) {
+	store, target := benchStore(t, 50000)
+	edges, mem := store.EdgeMemoryStats(target)
+	if edges != 50000 {
+		t.Fatalf("bench fixture has %d edges, want 50000", edges)
+	}
+	if per := float64(mem) / float64(edges); per > 12 {
+		t.Fatalf("edge storage at %.2f bytes/edge exceeds the 12-byte budget", per)
+	}
 }
 
 // FuzzEdgeSegmentDecode pins the two decoder properties snapshot loading

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"fakeproject/internal/benchjson"
 	"fakeproject/internal/simclock"
 	"fakeproject/internal/twitter"
 )
@@ -76,39 +75,4 @@ func BenchmarkSynthFriendsPage(b *testing.B) {
 			benchmarkSynthFriends(b, count)
 		})
 	}
-}
-
-// TestBenchJSON emits BENCH_twitterapi.json with the suite's representative
-// numbers when BENCH_JSON=<dir> is set (the CI bench step):
-//
-//	BENCH_JSON=. go test ./internal/twitterapi -run BenchJSON
-func TestBenchJSON(t *testing.T) {
-	if !benchjson.Enabled() {
-		t.Skipf("set %s=<dir> to emit benchmark JSON", benchjson.EnvVar)
-	}
-	results := []benchjson.Result{
-		benchjson.Measure("FollowerIDsPage/followers=100000", BenchmarkFollowerIDsPage),
-	}
-	// The plain/observed HTTP pair pins the per-request cost of the metrics
-	// middleware on the hot path; the delta between the two is the number
-	// that must stay flat across commits.
-	plainSrv, observedSrv, httpTarget := benchServers(t, 20000)
-	results = append(results,
-		benchjson.Measure("FollowerIDsHTTP/plain",
-			func(b *testing.B) { benchmarkFollowerIDsHTTP(b, plainSrv, httpTarget) }),
-		benchjson.Measure("FollowerIDsHTTP/observed",
-			func(b *testing.B) { benchmarkFollowerIDsHTTP(b, observedSrv, httpTarget) }),
-	)
-	for _, count := range []int{5000, 50000, 200000} {
-		count := count
-		results = append(results, benchjson.Measure(
-			fmt.Sprintf("SynthFriendsPage/friends=%d", count),
-			func(b *testing.B) { benchmarkSynthFriends(b, count) },
-		))
-	}
-	path, err := benchjson.Write("twitterapi", results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

@@ -32,7 +32,7 @@ echo "==> churning a WAL-backed platform (to be killed mid-run)"
 "$work/loadd" -mix churn-storm -duration 120s -rate 100 -inflight 64 \
   -targets 2 -followers 2000 -quiet -metrics=false \
   -wal-dir "$waldir" -fsync interval -compact-every 3000 \
-  -out "$work/bench.json" >"$work/loadd.log" 2>&1 &
+  >"$work/loadd.log" 2>&1 &
 loadd_pid=$!
 # Wait until the log shows real traffic (the population build plus churn),
 # then strike while writes are in flight.

@@ -67,7 +67,7 @@ curl -sf "http://$router/1.1/users/lookup.json?user_id=1,2,3,4,5,6,7,8" >/dev/nu
 echo "==> driving the crawl mix through the router"
 "$work/loadd" -mix crawl-heavy -duration 4s -rate 200 -inflight 64 \
   -api "http://$router" -accounts genpop_target -quiet -metrics=false \
-  -out "$work/bench.json" || { cat "$work/routerd.log"; exit 1; }
+  || { cat "$work/routerd.log"; exit 1; }
 
 echo "==> validating the router's scrape with the repo's own parser"
 "$work/checkmetrics" -url "http://$router/metrics" \
