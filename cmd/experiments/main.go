@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -29,32 +30,37 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run executes the experiments args select and prints their tables to out
+// (progress notes go to stderr).
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		all      = flag.Bool("all", false, "run every experiment")
-		table1   = flag.Bool("table1", false, "print Table I (API limits)")
-		table2   = flag.Bool("table2", false, "run Table II (response times)")
-		table3   = flag.Bool("table3", false, "run Table III (analysis results)")
-		order    = flag.Bool("order", false, "run the follower-order experiment")
-		crawl    = flag.Bool("crawl", false, "print crawl-cost estimates")
-		anecdote = flag.Bool("anecdote", false, "run the bought-followers anecdote")
-		deepdive = flag.Bool("deepdive", false, "run the Deep Dive comparison")
-		fceval   = flag.Bool("fceval", false, "run the FC methodology evaluation")
-		ablation = flag.Bool("ablation", false, "run the sampling-window ablation")
-		coverage = flag.Bool("coverage", false, "run the FC confidence-interval coverage check")
-		monitor  = flag.Bool("monitor", false, "replay a 27-day continuous watch over an Obama-scale churning target")
-		seed        = flag.Uint64("seed", 20140301, "simulation seed")
-		scale       = flag.Int("scale", 120000, "max materialised followers per account")
-		csvdir      = flag.String("csvdir", "", "directory for CSV exports (optional)")
-		concurrency = flag.Int("concurrency", 1, "run Table III audits through the auditd scheduler with this many workers (1 = serial)")
+		all         = fs.Bool("all", false, "run every experiment")
+		table1      = fs.Bool("table1", false, "print Table I (API limits)")
+		table2      = fs.Bool("table2", false, "run Table II (response times)")
+		table3      = fs.Bool("table3", false, "run Table III (analysis results)")
+		order       = fs.Bool("order", false, "run the follower-order experiment")
+		crawl       = fs.Bool("crawl", false, "print crawl-cost estimates")
+		anecdote    = fs.Bool("anecdote", false, "run the bought-followers anecdote")
+		deepdive    = fs.Bool("deepdive", false, "run the Deep Dive comparison")
+		fceval      = fs.Bool("fceval", false, "run the FC methodology evaluation")
+		ablation    = fs.Bool("ablation", false, "run the sampling-window ablation")
+		coverage    = fs.Bool("coverage", false, "run the FC confidence-interval coverage check")
+		monitor     = fs.Bool("monitor", false, "replay a 27-day continuous watch over an Obama-scale churning target")
+		seed        = fs.Uint64("seed", 20140301, "simulation seed")
+		scale       = fs.Int("scale", 120000, "max materialised followers per account")
+		csvdir      = fs.String("csvdir", "", "directory for CSV exports (optional)")
+		concurrency = fs.Int("concurrency", 1, "run Table III audits through the auditd scheduler with this many workers (1 = serial)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	selected := *table1 || *table2 || *table3 || *order || *crawl || *anecdote || *deepdive || *fceval || *ablation || *coverage || *monitor
 	if *all || !selected {
@@ -78,7 +84,6 @@ func run() error {
 		}
 	}
 
-	out := os.Stdout
 	if *table1 {
 		section(out, "Table I: Twitter APIs: type and limitations to API calls")
 		if err := report.TableI(out); err != nil {
@@ -243,7 +248,7 @@ func run() error {
 	return nil
 }
 
-func section(w *os.File, title string) {
+func section(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n===== %s =====\n", title)
 }
 

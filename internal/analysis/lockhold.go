@@ -158,7 +158,9 @@ type fnFacts struct {
 	calls  []callSite
 }
 
-func (ff *fnFacts) appendDirect(pos token.Pos, desc string) { ff.direct = append(ff.direct, opSite{pos, desc}) }
+func (ff *fnFacts) appendDirect(pos token.Pos, desc string) {
+	ff.direct = append(ff.direct, opSite{pos, desc})
+}
 func (ff *fnFacts) appendCall(pos token.Pos, callee *types.Func) {
 	ff.calls = append(ff.calls, callSite{pos, callee})
 }
@@ -363,12 +365,12 @@ var nonBlockingHTTP = map[string]bool{
 // blockingRecvTypes are concrete/interface receiver types whose methods
 // perform I/O (or hand bytes to something that does).
 var blockingRecvTypes = map[string]map[string]bool{
-	"os.File":       nil, // nil = every method
-	"net.Conn":      nil,
-	"net.TCPConn":   nil,
-	"net.UDPConn":   nil,
-	"net.Listener":  nil,
-	"net.TCPListener": nil,
+	"os.File":                 nil, // nil = every method
+	"net.Conn":                nil,
+	"net.TCPConn":             nil,
+	"net.UDPConn":             nil,
+	"net.Listener":            nil,
+	"net.TCPListener":         nil,
 	"net/http.Client":         nil,
 	"net/http.Transport":      nil,
 	"net/http.ResponseWriter": nil,

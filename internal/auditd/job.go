@@ -10,8 +10,9 @@
 // across workers, and exposes the whole lifecycle over an HTTP JSON API
 // (see Handler). Each worker owns its own per-tool engine instances — and
 // therefore its own rate-limit token state — so workers never contend on an
-// engine's sampling stream and token budgets scale with the pool, exactly
-// as the commercial tools run "large token pools".
+// engine and token budgets scale with the pool, exactly as the commercial
+// tools run "large token pools"; what an engine concludes about a target
+// does not depend on which worker's instance it is.
 package auditd
 
 import (
@@ -111,12 +112,12 @@ type JobSnapshot struct {
 	// start running (0 = never started). Priority tests and monitors use it
 	// to prove interactive jobs preempt queued background work regardless
 	// of how virtual timestamps interleave.
-	RunSeq uint64 `json:"run_seq,omitempty"`
-	Err    string `json:"error,omitempty"`
-	Results  map[string]ToolResult `json:"results,omitempty"`
-	Submitted time.Time `json:"submitted_at"`
-	Started   time.Time `json:"started_at,omitzero"`
-	Finished  time.Time `json:"finished_at,omitzero"`
+	RunSeq    uint64                `json:"run_seq,omitempty"`
+	Err       string                `json:"error,omitempty"`
+	Results   map[string]ToolResult `json:"results,omitempty"`
+	Submitted time.Time             `json:"submitted_at"`
+	Started   time.Time             `json:"started_at,omitzero"`
+	Finished  time.Time             `json:"finished_at,omitzero"`
 }
 
 // Elapsed is the queue-to-finish latency for terminal jobs, zero otherwise.
@@ -131,14 +132,14 @@ func (s JobSnapshot) Elapsed() time.Duration {
 // service's jobs mutex except done, which is closed exactly once on
 // reaching a terminal state.
 type job struct {
-	id       JobID
-	spec     JobSpec
-	state    JobState
-	deduped  bool
-	worker   int
-	runSeq   uint64
-	errMsg   string
-	results  map[string]ToolResult
+	id        JobID
+	spec      JobSpec
+	state     JobState
+	deduped   bool
+	worker    int
+	runSeq    uint64
+	errMsg    string
+	results   map[string]ToolResult
 	submitted time.Time
 	started   time.Time
 	finished  time.Time

@@ -39,8 +39,8 @@ func (h jobHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h jobHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)        { *h = append(*h, x.(queueItem)) }
+func (h jobHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *jobHeap) Push(x any)   { *h = append(*h, x.(queueItem)) }
 func (h *jobHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -13,8 +13,8 @@ import (
 )
 
 // Factory builds one tool-engine instance for one worker. Every worker gets
-// its own instance (and therefore its own API token state and sampling
-// stream), so engines need not be safe for concurrent Audit calls.
+// its own instance (and therefore its own API token state), so engines need
+// not be safe for concurrent Audit calls.
 type Factory func(worker int) (core.Auditor, error)
 
 // Config configures a Service.
@@ -212,13 +212,9 @@ func (s *Service) Submit(spec JobSpec) (JobSnapshot, error) {
 	// the table must resolve its ID before either can observe it.
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// A job's dedup entry is dropped in the critical section that turns it
+	// terminal, so a winner observed here is queued or running.
 	winner, enqueued, err := s.queue.push(j)
-	if err == nil && !enqueued && winner.state.Terminal() {
-		// winner finished but its worker has yet to drop the dedup entry:
-		// it is no longer queued or running, so j runs fresh.
-		s.queue.release(winner)
-		winner, enqueued, err = s.queue.push(j)
-	}
 	if err != nil {
 		if err == ErrQueueFull {
 			s.stats.Rejected++
@@ -323,14 +319,11 @@ func (s *Service) Cancel(id JobID) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
-	canceled := j.state == StateQueued
-	if canceled {
+	if j.state == StateQueued {
 		j.canceled = true
-	}
-	s.mu.Unlock()
-	if canceled {
 		s.queue.release(j)
 	}
+	s.mu.Unlock()
 	return nil
 }
 
@@ -513,14 +506,13 @@ func (s *Service) worker(id int) {
 
 // runJob executes one job on one worker.
 func (s *Service) runJob(worker int, engines map[string]core.Auditor, j *job) {
-	defer s.queue.release(j)
-
 	s.mu.Lock()
 	if j.canceled {
 		j.state = StateCanceled
 		j.errMsg = "canceled before execution"
 		j.finished = s.clock.Now()
 		s.stats.Canceled++
+		s.queue.release(j)
 		s.mu.Unlock()
 		close(j.done)
 		return
@@ -559,6 +551,10 @@ func (s *Service) runJob(worker int, engines map[string]core.Auditor, j *job) {
 		j.state = StateDone
 		s.stats.Completed++
 	}
+	// Terminal and no longer coalescable are one step under s.mu (lock
+	// order s.mu → queue.mu, as in Submit): no submitter can be handed a
+	// finished job as its in-flight winner.
+	s.queue.release(j)
 	s.mu.Unlock()
 	s.progressNs.Store(j.finished.UnixNano())
 	close(j.done)

@@ -35,7 +35,9 @@ type ClientFunc func(tool string, worker int) twitterapi.Client
 type ToolSetConfig struct {
 	// Clock drives the engines' latency accounting.
 	Clock simclock.Clock
-	// Seed derives per-worker sampling seeds.
+	// Seed derives each tool's sampling seed — the same on every worker:
+	// an engine forks its stream per audit from (seed, tool, target), so
+	// which worker runs a job never shows in its verdict.
 	Seed uint64
 	// NominalFollowers optionally maps screen names to real-world follower
 	// counts for scaled populations (FC report display).
@@ -72,16 +74,16 @@ func StandardFactories(newClient ClientFunc, cfg ToolSetConfig) map[string]Facto
 				return nil, fmt.Errorf("training FC classifier: %w", err)
 			}
 			return fc.NewEngine(newClient(ToolFC, worker), clock, m, s, fc.EngineConfig{
-				Seed:             cfg.Seed + 2 + uint64(worker)*101,
+				Seed:             cfg.Seed + 2,
 				NominalFollowers: cfg.NominalFollowers,
 			}), nil
 		},
 		ToolTA: func(worker int) (core.Auditor, error) {
-			return twitteraudit.New(newClient(ToolTA, worker), clock, cfg.Seed+3+uint64(worker)*101), nil
+			return twitteraudit.New(newClient(ToolTA, worker), clock, cfg.Seed+3), nil
 		},
 		ToolSP: func(worker int) (core.Auditor, error) {
 			spCfg := statuspeople.Current()
-			spCfg.Seed = cfg.Seed + 4 + uint64(worker)*101
+			spCfg.Seed = cfg.Seed + 4
 			return statuspeople.New(newClient(ToolSP, worker), clock, spCfg), nil
 		},
 		ToolSB: func(worker int) (core.Auditor, error) {

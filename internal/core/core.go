@@ -93,9 +93,9 @@ func (v VerdictCounts) Percentages() (inactive, fake, genuine float64) {
 // IsDormant applies the shared inactivity definition of the FC engine and
 // Socialbakers: never tweeted, or last tweet older than 90 days at
 // observation time.
-func IsDormant(p twitter.Profile, now time.Time) bool {
-	if p.HasNeverTweeted() {
+func IsDormant(v twitter.ProfileView, now time.Time) bool {
+	if v.HasNeverTweeted() {
 		return true
 	}
-	return now.Sub(p.LastTweetAt) > 90*24*time.Hour
+	return now.Sub(v.LastTweet()) > 90*24*time.Hour
 }

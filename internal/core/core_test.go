@@ -25,17 +25,17 @@ func TestVerdictCountsPercentages(t *testing.T) {
 func TestIsDormant(t *testing.T) {
 	now := simclock.Epoch
 	never := twitter.Profile{}
-	if !IsDormant(never, now) {
+	if !IsDormant(never.View(), now) {
 		t.Fatal("never-tweeted account must be dormant")
 	}
 	old := twitter.Profile{LastTweetAt: now.AddDate(0, 0, -91)}
 	old.StatusesCount = 10
-	if !IsDormant(old, now) {
+	if !IsDormant(old.View(), now) {
 		t.Fatal("91-day-old last tweet must be dormant")
 	}
 	fresh := twitter.Profile{LastTweetAt: now.AddDate(0, 0, -89)}
 	fresh.StatusesCount = 10
-	if IsDormant(fresh, now) {
+	if IsDormant(fresh.View(), now) {
 		t.Fatal("89-day-old last tweet must not be dormant")
 	}
 }

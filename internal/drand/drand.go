@@ -73,8 +73,13 @@ func HashString(s string) uint64 {
 // constructing the child's generator. Hot paths that only need a derived
 // seed value (not a stream) use this: building a math/rand generator costs
 // a 607-word state initialisation, ~10µs per call. It does not allocate.
-func (s *Source) SeedFor(label string) uint64 {
-	return fnvString(fnvUint64(fnvOffset64, s.seed), label)
+func (s *Source) SeedFor(label string) uint64 { return HashSeed(s.seed, label) }
+
+// HashSeed is the derivation behind SeedFor for callers that hold a bare
+// seed rather than a Source: FNV-64a over seed's eight little-endian bytes
+// followed by label's. It does not allocate.
+func HashSeed(seed uint64, label string) uint64 {
+	return fnvString(fnvUint64(fnvOffset64, seed), label)
 }
 
 // SeedForN returns the seed ForkN(label, n) would give its child, without

@@ -7,6 +7,7 @@ import (
 
 	"fakeproject/internal/population"
 	"fakeproject/internal/simclock"
+	"fakeproject/internal/twitter"
 	"fakeproject/internal/twitterapi"
 )
 
@@ -85,7 +86,7 @@ func (s *Simulation) ValidateCrawlModel(followers int) (CrawlValidation, error) 
 	if err != nil {
 		return CrawlValidation{}, fmt.Errorf("crawling ids: %w", err)
 	}
-	if _, err := twitterapi.LookupMany(client, ids); err != nil {
+	if err := client.ScanProfiles(ids, func(twitter.ProfileView) {}); err != nil {
 		return CrawlValidation{}, fmt.Errorf("crawling profiles: %w", err)
 	}
 	simulated := sw.Elapsed()

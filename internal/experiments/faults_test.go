@@ -67,6 +67,12 @@ func (f *faultyClient) UsersLookup(ids []twitter.UserID) ([]twitter.Profile, err
 	return f.inner.UsersLookup(ids)
 }
 
+// ScanProfiles goes through the wrapper's own UsersLookup, so every batch
+// can trip.
+func (f *faultyClient) ScanProfiles(ids []twitter.UserID, fn func(twitter.ProfileView)) error {
+	return twitterapi.ScanLookups(f.UsersLookup, ids, fn)
+}
+
 func (f *faultyClient) UserTimeline(id twitter.UserID, count int, maxID twitter.TweetID) ([]twitter.Tweet, error) {
 	if err := f.trip(); err != nil {
 		return nil, err

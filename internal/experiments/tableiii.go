@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"fakeproject/internal/core"
+	"fakeproject/internal/simclock"
 	"fakeproject/internal/stats"
 )
 
@@ -38,10 +39,39 @@ func (r TableIIIRow) GenuineDisagreement() float64 {
 	return stats.PairwiseDisagreement(vals)
 }
 
+// snapshotAuditor is one tool as Table III consults it: each analysis runs
+// on an engine, an API client with untouched rate-limit budgets and a
+// virtual clock of its own, started at the instant the table was begun.
+// Nothing another analysis did — its sleeps, its spent budget, its jitter
+// draws — reaches this one, so a row is a function of (seed, tool, target,
+// platform state, that instant) and the table reads the same in whatever
+// order, and on however many workers, it is computed. (On the simulation's
+// shared clock every audit's sleeps move every later audit's observation
+// instant, and accounts whose last tweet sits near the 90-day line change
+// verdict with it.)
+type snapshotAuditor struct {
+	sim  *Simulation
+	tool string
+	at   time.Time
+}
+
+// Name implements core.Auditor.
+func (a snapshotAuditor) Name() string { return a.tool }
+
+// Audit implements core.Auditor.
+func (a snapshotAuditor) Audit(screenName string) (core.Report, error) {
+	engine, err := a.sim.toolFactories(simclock.NewVirtual(a.at))[a.tool](0)
+	if err != nil {
+		return core.Report{}, err
+	}
+	return engine.Audit(screenName)
+}
+
 // RunTableIII reproduces the fake-follower analysis results of Section IV-D:
-// all four tools over every testbed account, caches bypassed (fresh
-// analyses), with rate-limit windows rolled between audits.
+// all four tools over every testbed account, every verdict a fresh analysis
+// of the platform as it stands (see snapshotAuditor).
 func (s *Simulation) RunTableIII() ([]TableIIIRow, error) {
+	at := s.Clock.Now()
 	var rows []TableIIIRow
 	for _, acct := range s.testbed {
 		row := TableIIIRow{
@@ -49,14 +79,11 @@ func (s *Simulation) RunTableIII() ([]TableIIIRow, error) {
 			Measured: make(map[string]core.Report, 4),
 		}
 		for _, tool := range ToolOrder {
-			auditor := s.auditors[tool]
-			auditor.Forget(acct.ScreenName) // Table III wants fresh verdicts
-			report, err := auditor.Audit(acct.ScreenName)
+			report, err := snapshotAuditor{sim: s, tool: tool, at: at}.Audit(acct.ScreenName)
 			if err != nil {
 				return nil, fmt.Errorf("table III, %s on %s: %w", tool, acct.ScreenName, err)
 			}
 			row.Measured[tool] = report
-			s.Clock.Advance(30 * time.Minute)
 		}
 		rows = append(rows, row)
 	}

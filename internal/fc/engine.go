@@ -54,7 +54,10 @@ type Engine struct {
 	model  ml.Classifier
 	set    features.Set
 	cfg    EngineConfig
-	src    *drand.Source
+	// root is the seed every audit's sampling stream is forked from, by
+	// screen name: a verdict is a function of (seed, target, platform
+	// state), not of which audits this engine instance ran before.
+	root *drand.Source
 }
 
 var _ core.Auditor = (*Engine)(nil)
@@ -69,7 +72,7 @@ func NewEngine(client twitterapi.Client, clock simclock.Clock, model ml.Classifi
 		model:  model,
 		set:    set,
 		cfg:    cfg,
-		src:    drand.New(cfg.Seed).Fork("fc-engine"),
+		root:   drand.New(cfg.Seed).Fork("fc-engine"),
 	}
 }
 
@@ -161,35 +164,41 @@ func (e *Engine) Audit(screenName string) (core.Report, error) {
 
 	// Step 2: uniform sample over the whole list.
 	n := e.SampleSizeFor(len(ids))
-	idx := sampling.Uniform{}.Sample(len(ids), n, e.src)
+	idx := sampling.Uniform{}.Sample(len(ids), n, e.root.Fork(screenName))
 	sample := sampling.Select(ids, idx)
 
-	// Step 3: profiles of the sampled accounts.
-	profiles, err := twitterapi.LookupMany(e.client, sample)
-	if err != nil {
-		return core.Report{}, fmt.Errorf("looking up sample of %q: %w", screenName, err)
-	}
-
-	// Step 4: inactivity rule first, classifier on the active remainder.
-	now := e.clock.Now()
+	// Steps 3 and 4: scan the sampled accounts' profile attributes and
+	// judge each as it arrives — inactivity rule first, classifier on the
+	// active remainder — so the sample is never materialised. The
+	// observation instant is latched at the first visit, when the lookups
+	// are paid for; ctx and its feature row are this audit's only scratch.
+	obs := simclock.Latch{Clock: e.clock}
+	ctx := features.Context{}
+	row := make([]float64, 0, len(e.set.Features))
 	var counts core.VerdictCounts
-	for i := range profiles {
-		ctx := features.Context{Profile: profiles[i], Now: now}
-		switch {
-		case core.IsDormant(profiles[i], now):
+	err = e.client.ScanProfiles(sample, func(v twitter.ProfileView) {
+		ctx.Profile, ctx.Now = v, obs.Now()
+		var verdict string
+		verdict, row = e.classify(&ctx, row)
+		switch verdict {
+		case verdictInactive:
 			counts.Inactive++
-		case e.model.Predict(e.set.Extract(&ctx)) == ml.LabelFake:
+		case verdictFake:
 			counts.Fake++
 		default:
 			counts.Genuine++
 		}
+	})
+	if err != nil {
+		return core.Report{}, fmt.Errorf("looking up sample of %q: %w", screenName, err)
 	}
+	now := obs.Now()
 
 	report := core.Report{
 		Tool:             e.Name(),
 		Target:           target,
 		NominalFollowers: e.nominal(screenName, target.FollowersCount),
-		SampleSize:       len(profiles),
+		SampleSize:       counts.Total(),
 		Window:           0, // whole list
 		HasInactiveClass: true,
 		Elapsed:          sw.Elapsed(),
@@ -221,16 +230,31 @@ func (e *Engine) nominal(screenName string, actual int) int {
 	return actual
 }
 
+// The engine's per-account verdicts.
+const (
+	verdictInactive = "inactive"
+	verdictFake     = "fake"
+	verdictGenuine  = "genuine"
+)
+
 // ClassifyProfile exposes the engine's per-account verdict (inactivity rule
 // then classifier), used by evaluation code and examples.
 func (e *Engine) ClassifyProfile(ctx *features.Context) string {
+	verdict, _ := e.classify(ctx, nil)
+	return verdict
+}
+
+// classify is the per-account verdict over a caller-owned feature row,
+// returned (possibly grown) for the next account.
+func (e *Engine) classify(ctx *features.Context, row []float64) (string, []float64) {
 	if core.IsDormant(ctx.Profile, ctx.Now) {
-		return "inactive"
+		return verdictInactive, row
 	}
-	if e.model.Predict(e.set.Extract(ctx)) == ml.LabelFake {
-		return "fake"
+	row = e.set.Extract(ctx, row)
+	if e.model.Predict(row) == ml.LabelFake {
+		return verdictFake, row
 	}
-	return "genuine"
+	return verdictGenuine, row
 }
 
 // Elapsed since an arbitrary instant on the engine's clock — convenience

@@ -212,7 +212,7 @@ func TestAuditUnknownTarget(t *testing.T) {
 func TestClassifyProfile(t *testing.T) {
 	e, clock := engineFixture(t, 10, nil)
 	now := clock.Now()
-	dormant := &features.Context{Profile: twitter.Profile{}, Now: now}
+	dormant := &features.Context{Profile: twitter.Profile{}.View(), Now: now}
 	if got := e.ClassifyProfile(dormant); got != "inactive" {
 		t.Fatalf("never-tweeted = %q", got)
 	}
@@ -221,7 +221,7 @@ func TestClassifyProfile(t *testing.T) {
 		FollowersCount: 5, FriendsCount: 2500, StatusesCount: 80,
 		LastTweetAt: now.AddDate(0, 0, -1),
 		Behavior:    twitter.Behavior{SpamRatio: 0.6, LinkRatio: 0.9, DuplicateRatio: 0.5, RetweetRatio: 0.5},
-	}, Now: now}
+	}.View(), Now: now}
 	if got := e.ClassifyProfile(bot); got != "fake" {
 		t.Fatalf("spam bot = %q", got)
 	}
@@ -306,4 +306,54 @@ func TestOptimizedClassifierCostBenefit(t *testing.T) {
 		t.Fatalf("optimized accuracy %.3f sacrifices too much vs full %.3f",
 			lookup.Metrics.Accuracy(), full.Metrics.Accuracy())
 	}
+}
+
+// TestAuditAllocatesPerAuditNotPerAccount: the per-account path — scan the
+// view, apply the inactivity rule, extract the feature row, walk the forest
+// — allocates nothing, so what an audit allocates does not grow with its
+// sample (it used to materialise one profile and one feature row each).
+func TestAuditAllocatesPerAuditNotPerAccount(t *testing.T) {
+	mix := population.Layout{{Width: 0, Mix: population.Mix{Inactive: 0.3, Fake: 0.2, Genuine: 0.5}}}
+	e, clock := engineFixture(t, 12000, mix)
+	target, err := e.client.UserByScreenName("subject")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := twitterapi.AllFollowerIDs(e.client, target.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := features.Context{Now: clock.Now()}
+	row := make([]float64, 0, len(e.set.Features))
+	verdicts := map[string]int{}
+	visit := func(v twitter.ProfileView) {
+		ctx.Profile = v
+		var verdict string
+		verdict, row = e.classify(&ctx, row)
+		verdicts[verdict]++
+	}
+	perScan := testing.AllocsPerRun(5, func() {
+		if err := e.client.ScanProfiles(ids, visit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perScan != 0 {
+		t.Fatalf("scanning and classifying %d accounts allocates %.0f times, want 0", len(ids), perScan)
+	}
+	for _, verdict := range []string{verdictInactive, verdictFake, verdictGenuine} {
+		if verdicts[verdict] == 0 {
+			t.Fatalf("no account was judged %s: the loop did not exercise that branch (%v)", verdict, verdicts)
+		}
+	}
+	// The whole audit: pages of ids, the sample, the report — a few dozen
+	// allocations whatever the sample size.
+	perAudit := testing.AllocsPerRun(3, func() {
+		if _, err := e.Audit("subject"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perAudit > 64 {
+		t.Fatalf("an audit of a %d-account sample allocates %.0f times: that is per account, not per audit", e.SampleSizeFor(len(ids)), perAudit)
+	}
+	t.Logf("%.0f allocations per audit of %d accounts", perAudit, e.SampleSizeFor(len(ids)))
 }

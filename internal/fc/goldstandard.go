@@ -79,7 +79,7 @@ func (g *GoldStandard) Context(id twitter.UserID, withTimeline, withRelations bo
 	if err != nil {
 		return nil, err
 	}
-	ctx := &features.Context{Profile: p, Now: g.Now}
+	ctx := &features.Context{Profile: p.View(), Now: g.Now}
 	if withTimeline {
 		tl, err := g.Store.Timeline(id, 200)
 		if err != nil {
@@ -125,7 +125,7 @@ func (g *GoldStandard) Dataset(set features.Set, withTimeline, withRelations boo
 			if err != nil {
 				return fmt.Errorf("account %d: %w", id, err)
 			}
-			d.X = append(d.X, set.Extract(ctx))
+			d.X = append(d.X, set.Extract(ctx, nil))
 			d.Y = append(d.Y, label)
 		}
 		return nil

@@ -49,7 +49,10 @@ func (c CostClass) String() string {
 // Timeline and relationship fields may be nil when the crawler did not pay
 // for them; features needing them fall back as documented on each feature.
 type Context struct {
-	Profile twitter.Profile
+	// Profile is the account's users/lookup attributes. The view, not the
+	// materialised profile: no feature reads a string for more than
+	// emptiness.
+	Profile twitter.ProfileView
 	// Timeline holds the account's most recent tweets, newest first
 	// (nil if not crawled).
 	Timeline []twitter.Tweet
@@ -108,13 +111,15 @@ func (s Set) Filter(budget CostClass) Set {
 	return out
 }
 
-// Extract computes the feature vector of ctx under this set.
-func (s Set) Extract(ctx *Context) []float64 {
-	out := make([]float64, len(s.Features))
-	for i, f := range s.Features {
-		out[i] = f.Extract(ctx)
+// Extract computes the feature vector of ctx under this set into dst's
+// backing array (grown only if too short) and returns it, so a caller
+// classifying account after account owns one row; pass nil for a fresh one.
+func (s Set) Extract(ctx *Context, dst []float64) []float64 {
+	dst = dst[:0]
+	for _, f := range s.Features {
+		dst = append(dst, f.Extract(ctx))
 	}
-	return out
+	return dst
 }
 
 func boolF(b bool) float64 {
@@ -126,19 +131,20 @@ func boolF(b bool) float64 {
 
 // AgeDays returns the account age in days at observation time.
 func AgeDays(ctx *Context) float64 {
-	if ctx.Profile.CreatedAt.IsZero() {
+	created := ctx.Profile.Created()
+	if created.IsZero() {
 		return 0
 	}
-	return ctx.Now.Sub(ctx.Profile.CreatedAt).Hours() / 24
+	return ctx.Now.Sub(created).Hours() / 24
 }
 
 // LastTweetAgeDays returns days since the last tweet; never-tweeted accounts
 // return a large sentinel (3650) so that tree splits can isolate them.
 func LastTweetAgeDays(ctx *Context) float64 {
-	if ctx.Profile.LastTweetAt.IsZero() {
+	if ctx.Profile.LastTweetAt == 0 {
 		return 3650
 	}
-	age := ctx.Now.Sub(ctx.Profile.LastTweetAt).Hours() / 24
+	age := ctx.Now.Sub(ctx.Profile.LastTweet()).Hours() / 24
 	if age < 0 {
 		return 0
 	}
@@ -298,9 +304,9 @@ func ProfileSet() Set {
 			{Name: "age_days", Cost: CostA, Extract: AgeDays},
 			{Name: "last_tweet_age_days", Cost: CostA, Extract: LastTweetAgeDays},
 			{Name: "tweets_per_day", Cost: CostA, Extract: TweetsPerDay},
-			{Name: "has_bio", Cost: CostA, Extract: func(c *Context) float64 { return boolF(c.Profile.Bio != "") }},
-			{Name: "has_location", Cost: CostA, Extract: func(c *Context) float64 { return boolF(c.Profile.Location != "") }},
-			{Name: "has_url", Cost: CostA, Extract: func(c *Context) float64 { return boolF(c.Profile.URL != "") }},
+			{Name: "has_bio", Cost: CostA, Extract: func(c *Context) float64 { return boolF(c.Profile.HasBio) }},
+			{Name: "has_location", Cost: CostA, Extract: func(c *Context) float64 { return boolF(c.Profile.HasLocation) }},
+			{Name: "has_url", Cost: CostA, Extract: func(c *Context) float64 { return boolF(c.Profile.HasURL) }},
 			{Name: "default_profile_image", Cost: CostA, Extract: func(c *Context) float64 { return boolF(c.Profile.DefaultProfileImage) }},
 			{Name: "protected", Cost: CostA, Extract: func(c *Context) float64 { return boolF(c.Profile.Protected) }},
 			{Name: "verified", Cost: CostA, Extract: func(c *Context) float64 { return boolF(c.Profile.Verified) }},

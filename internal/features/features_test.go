@@ -26,7 +26,7 @@ func activeProfile() twitter.Profile {
 }
 
 func ctxOf(p twitter.Profile) *Context {
-	return &Context{Profile: p, Now: simclock.Epoch}
+	return &Context{Profile: p.View(), Now: simclock.Epoch}
 }
 
 func TestAgeDays(t *testing.T) {
@@ -34,7 +34,7 @@ func TestAgeDays(t *testing.T) {
 	if got := AgeDays(ctx); got < 729 || got > 732 {
 		t.Fatalf("AgeDays = %v, want ≈730.5", got)
 	}
-	if got := AgeDays(&Context{Now: simclock.Epoch}); got != 0 {
+	if got := AgeDays(ctxOf(twitter.Profile{})); got != 0 {
 		t.Fatalf("zero CreatedAt AgeDays = %v", got)
 	}
 }
@@ -70,7 +70,7 @@ func TestTimelineRatiosFromCrawledTimeline(t *testing.T) {
 		{Text: "RT @x: hi", IsRetweet: true},
 		{Text: "make money fast http://x", HasLink: true},
 	}
-	ctx := &Context{Profile: activeProfile(), Timeline: tl, TimelineCrawled: true, Now: simclock.Epoch}
+	ctx := &Context{Profile: activeProfile().View(), Timeline: tl, TimelineCrawled: true, Now: simclock.Epoch}
 	if got := RetweetRatio(ctx); got != 0.25 {
 		t.Fatalf("RetweetRatio = %v, want 0.25", got)
 	}
@@ -120,7 +120,7 @@ func TestProfileSetAllCostA(t *testing.T) {
 	if s.MaxCost() != CostA {
 		t.Fatalf("ProfileSet MaxCost = %v, want A", s.MaxCost())
 	}
-	vec := s.Extract(ctxOf(activeProfile()))
+	vec := s.Extract(ctxOf(activeProfile()), nil)
 	if len(vec) != len(s.Features) {
 		t.Fatalf("vector length %d != %d features", len(vec), len(s.Features))
 	}
@@ -182,12 +182,16 @@ func TestSetNamesAlignWithVector(t *testing.T) {
 func TestExtractDeterministic(t *testing.T) {
 	s := FullSet()
 	ctx := ctxOf(activeProfile())
-	a := s.Extract(ctx)
-	b := s.Extract(ctx)
+	a := s.Extract(ctx, nil)
+	b := s.Extract(ctx, nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("feature %s not deterministic", s.Features[i].Name)
 		}
+	}
+	// A row that is long enough is reused, not reallocated.
+	if c := s.Extract(ctx, b); &c[0] != &b[0] || len(c) != len(a) {
+		t.Fatalf("Extract did not fill the caller's row in place")
 	}
 }
 
@@ -207,7 +211,7 @@ func TestFakeVsGenuineSeparation(t *testing.T) {
 	}
 	fctx := ctxOf(fake)
 	gctx := ctxOf(activeProfile())
-	if FollowerFriend := fake.FollowerFriendRatio(); FollowerFriend >= 0.1 {
+	if FollowerFriend := fake.View().FollowerFriendRatio(); FollowerFriend >= 0.1 {
 		t.Fatalf("fake ff ratio = %v, want tiny", FollowerFriend)
 	}
 	if LastTweetAgeDays(fctx) <= LastTweetAgeDays(gctx) {

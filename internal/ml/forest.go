@@ -33,8 +33,39 @@ func (c ForestConfig) withDefaults(nFeatures int) ForestConfig {
 
 // RandomForest is a bagged ensemble of CART trees; P(fake) is the mean of
 // the member probabilities.
+//
+// Training grows pointer trees; prediction walks a flattened copy of them.
+// A deployed forest predicts once per audited account (9,604 times per FC
+// audit, 21 trees each), and chasing heap pointers through a few thousand
+// separately allocated nodes is most of that cost; the flat form keeps every
+// node of every tree in one slice, a tree's nodes in preorder, so a walk
+// stays inside a few cache lines. Same comparisons, same tree order, same
+// sum: the votes are bit-identical to the pointer trees'.
 type RandomForest struct {
 	trees []*DecisionTree
+	nodes []flatNode
+	roots []int32 // index in nodes of each tree's root, in tree order
+}
+
+// flatNode is one tree node in the forest's node slice. A split's left
+// child is the next node (preorder), its right child is at right; a leaf
+// has feature < 0 and keeps P(fake) in value.
+type flatNode struct {
+	value   float64 // split threshold, or leaf probability
+	feature int32
+	right   int32
+}
+
+// flatten appends n's subtree to nodes in preorder.
+func flatten(nodes []flatNode, n *treeNode) []flatNode {
+	if n.leaf {
+		return append(nodes, flatNode{value: n.prob, feature: -1})
+	}
+	at := len(nodes)
+	nodes = append(nodes, flatNode{value: n.threshold, feature: int32(n.feature)})
+	nodes = flatten(nodes, n.left)
+	nodes[at].right = int32(len(nodes))
+	return flatten(nodes, n.right)
 }
 
 var _ Classifier = (*RandomForest)(nil)
@@ -61,6 +92,8 @@ func TrainForest(d Dataset, cfg ForestConfig) (*RandomForest, error) {
 			return nil, fmt.Errorf("training tree %d: %w", b, err)
 		}
 		forest.trees = append(forest.trees, tree)
+		forest.roots = append(forest.roots, int32(len(forest.nodes)))
+		forest.nodes = flatten(forest.nodes, tree.root)
 	}
 	return forest, nil
 }
@@ -77,8 +110,17 @@ func (f *RandomForest) PredictProba(x []float64) float64 {
 		return 0
 	}
 	s := 0.0
-	for _, t := range f.trees {
-		s += t.PredictProba(x)
+	for _, i := range f.roots {
+		n := f.nodes[i]
+		for n.feature >= 0 {
+			if x[n.feature] <= n.value {
+				i++
+			} else {
+				i = n.right
+			}
+			n = f.nodes[i]
+		}
+		s += n.value
 	}
 	return s / float64(len(f.trees))
 }

@@ -136,7 +136,7 @@ func TestArchetypesHonourOperationalDefinitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dormant := p.HasNeverTweeted() || now.Sub(p.LastTweetAt) > InactivityThreshold
+		dormant := p.View().HasNeverTweeted() || now.Sub(p.LastTweetAt) > InactivityThreshold
 		switch class {
 		case twitter.ClassInactive:
 			if !dormant {
@@ -169,7 +169,7 @@ func TestFakeArchetypeLooksBought(t *testing.T) {
 	spammy := 0
 	for _, id := range chrono {
 		p, _ := store.Profile(id)
-		if p.FollowerFriendRatio() < 0.2 {
+		if p.View().FollowerFriendRatio() < 0.2 {
 			lowRatio++
 		}
 		if p.Behavior.SpamRatio > 0.3 || p.Behavior.DuplicateRatio > 0.25 {

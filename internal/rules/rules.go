@@ -100,12 +100,12 @@ func CamisaniCalzolari() Set {
 		Polarity:  IndicatesHuman,
 		Threshold: 5,
 		Rules: []Rule{
-			{Name: "has_name", Weight: 1, Fire: func(c *features.Context) bool { return c.Profile.Name != "" }},
+			{Name: "has_name", Weight: 1, Fire: func(c *features.Context) bool { return c.Profile.HasName }},
 			{Name: "has_image", Weight: 1, Fire: func(c *features.Context) bool { return !c.Profile.DefaultProfileImage }},
-			{Name: "has_address", Weight: 1, Fire: func(c *features.Context) bool { return c.Profile.Location != "" }},
-			{Name: "has_bio", Weight: 1, Fire: func(c *features.Context) bool { return c.Profile.Bio != "" }},
+			{Name: "has_address", Weight: 1, Fire: func(c *features.Context) bool { return c.Profile.HasLocation }},
+			{Name: "has_bio", Weight: 1, Fire: func(c *features.Context) bool { return c.Profile.HasBio }},
 			{Name: "followers_30_plus", Weight: 1, Fire: func(c *features.Context) bool { return c.Profile.FollowersCount >= 30 }},
-			{Name: "has_url", Weight: 1, Fire: func(c *features.Context) bool { return c.Profile.URL != "" }},
+			{Name: "has_url", Weight: 1, Fire: func(c *features.Context) bool { return c.Profile.HasURL }},
 			{Name: "tweets_50_plus", Weight: 1, Fire: func(c *features.Context) bool { return c.Profile.StatusesCount >= 50 }},
 			{Name: "2x_followers_vs_friends", Weight: 1, Fire: func(c *features.Context) bool {
 				return c.Profile.FollowersCount >= 2*c.Profile.FriendsCount
@@ -126,7 +126,7 @@ func StateOfSearch() Set {
 		Threshold: 3,
 		Rules: []Rule{
 			{Name: "default_image", Weight: 1, Fire: func(c *features.Context) bool { return c.Profile.DefaultProfileImage }},
-			{Name: "no_bio", Weight: 1, Fire: func(c *features.Context) bool { return c.Profile.Bio == "" }},
+			{Name: "no_bio", Weight: 1, Fire: func(c *features.Context) bool { return !c.Profile.HasBio }},
 			{Name: "follows_many_followed_little", Weight: 1, Fire: func(c *features.Context) bool {
 				return c.Profile.FriendsCount >= 100 && c.Profile.FollowerFriendRatio() < 0.1
 			}},
@@ -183,7 +183,7 @@ func Socialbakers() Set {
 			// "the user did not fill in neither bio nor location and, at
 			// the same time, is following more than 100 accounts"
 			{Name: "empty_profile_following_100", Weight: 1, Fire: func(c *features.Context) bool {
-				return c.Profile.Bio == "" && c.Profile.Location == "" && c.Profile.FriendsCount > 100
+				return !c.Profile.HasBio && !c.Profile.HasLocation && c.Profile.FriendsCount > 100
 			}},
 		},
 	}

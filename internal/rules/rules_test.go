@@ -22,7 +22,7 @@ func genuineCtx() *features.Context {
 			StatusesCount:  4500,
 			LastTweetAt:    simclock.Epoch.AddDate(0, 0, -2),
 			Behavior:       twitter.Behavior{RetweetRatio: 0.2, LinkRatio: 0.25},
-		},
+		}.View(),
 		Now: simclock.Epoch,
 	}
 }
@@ -40,7 +40,7 @@ func boughtFakeCtx() *features.Context {
 			FollowersCount: 3,
 			FriendsCount:   2100,
 			StatusesCount:  0,
-		},
+		}.View(),
 		Now: simclock.Epoch,
 	}
 }
@@ -62,7 +62,7 @@ func spamBotCtx() *features.Context {
 				RetweetRatio: 0.3, LinkRatio: 0.95,
 				SpamRatio: 0.6, DuplicateRatio: 0.5,
 			},
-		},
+		}.View(),
 		Now: simclock.Epoch,
 	}
 }
@@ -129,7 +129,7 @@ func TestSocialbakersIndividualCriteria(t *testing.T) {
 	// Never tweeted.
 	ctx = genuineCtx()
 	ctx.Profile.StatusesCount = 0
-	ctx.Profile.LastTweetAt = simclock.Epoch.AddDate(-1, 0, 0)
+	ctx.Profile.LastTweetAt = simclock.Epoch.AddDate(-1, 0, 0).Unix()
 	if !byName["never_tweeted"].Fire(boughtFakeCtx()) {
 		t.Fatal("never_tweeted should fire for 0 statuses")
 	}
@@ -139,7 +139,7 @@ func TestSocialbakersIndividualCriteria(t *testing.T) {
 		t.Fatal("old_default_image should fire (4 months old, egg)")
 	}
 	young := boughtFakeCtx()
-	young.Profile.CreatedAt = simclock.Epoch.AddDate(0, -1, 0)
+	young.Profile.CreatedAt = simclock.Epoch.AddDate(0, -1, 0).Unix()
 	if byName["old_default_image"].Fire(young) {
 		t.Fatal("old_default_image must not fire under two months")
 	}
@@ -234,7 +234,7 @@ func TestRuleSetsDisagreeOnEdgeCases(t *testing.T) {
 			StatusesCount:  60,
 			LastTweetAt:    simclock.Epoch.AddDate(0, 0, -10),
 			Behavior:       twitter.Behavior{RetweetRatio: 0.4, LinkRatio: 0.4},
-		},
+		}.View(),
 		Now: simclock.Epoch,
 	}
 	cc := CamisaniCalzolari()

@@ -143,3 +143,22 @@ func (s *Stopwatch) Elapsed() time.Duration { return s.clock.Now().Sub(s.start) 
 
 // Restart resets the stopwatch start to the clock's current time.
 func (s *Stopwatch) Restart() { s.start = s.clock.Now() }
+
+// Latch fixes one instant of a clock: the first Now reads Clock and every
+// later call repeats that reading. A consumer that judges evidence as it
+// streams in latches its observation instant when the first piece arrives —
+// after whatever (virtual) time fetching it cost — and judges every later
+// piece against the same instant. Not safe for concurrent use.
+type Latch struct {
+	Clock Clock
+	at    time.Time
+	set   bool
+}
+
+// Now returns the latched instant, reading the clock if it is the first call.
+func (l *Latch) Now() time.Time {
+	if !l.set {
+		l.at, l.set = l.Clock.Now(), true
+	}
+	return l.at
+}

@@ -77,26 +77,26 @@ const (
 
 // IsInactive applies the published inactivity rules: fewer than 3 tweets,
 // or a last tweet older than 90 days.
-func IsInactive(p twitter.Profile, now time.Time) bool {
-	if p.StatusesCount < 3 {
+func IsInactive(v twitter.ProfileView, now time.Time) bool {
+	if v.StatusesCount < 3 {
 		return true
 	}
-	return !p.LastTweetAt.IsZero() && now.Sub(p.LastTweetAt) > 90*24*time.Hour
+	return v.LastTweetAt != 0 && now.Sub(v.LastTweet()) > 90*24*time.Hour
 }
 
-// Classify applies the criteria points and inactivity rules to one profile.
-func (c *Checker) Classify(p twitter.Profile, now time.Time) Verdict {
-	ctx := features.Context{Profile: p, Now: now}
-	suspicious := c.ruleSt.Fake(&ctx)
-	inactive := IsInactive(p, now)
-	switch {
-	case inactive:
+// Classify applies the criteria points and inactivity rules to the account
+// in ctx. The context is the caller's — the rules reach it through function
+// values, so one built here would be a heap allocation per account.
+func (c *Checker) Classify(ctx *features.Context) Verdict {
+	// The published flow tests suspicious accounts against the inactivity
+	// rules, so inactive wins and the criteria need not be scored for it.
+	if IsInactive(ctx.Profile, ctx.Now) {
 		return VerdictInactive
-	case suspicious:
-		return VerdictSuspicious
-	default:
-		return VerdictGenuine
 	}
+	if c.ruleSt.Fake(ctx) {
+		return VerdictSuspicious
+	}
+	return VerdictGenuine
 }
 
 // Audit implements core.Auditor.
@@ -125,15 +125,12 @@ func (c *Checker) Audit(screenName string) (core.Report, error) {
 	if err != nil {
 		return core.Report{}, fmt.Errorf("fetching follower window of %q: %w", screenName, err)
 	}
-	profiles, err := twitterapi.LookupMany(c.client, candidates)
-	if err != nil {
-		return core.Report{}, fmt.Errorf("looking up followers of %q: %w", screenName, err)
-	}
-
-	now := c.clock.Now()
+	obs := simclock.Latch{Clock: c.clock}
+	ctx := features.Context{}
 	var counts core.VerdictCounts
-	for _, p := range profiles {
-		switch c.Classify(p, now) {
+	err = c.client.ScanProfiles(candidates, func(v twitter.ProfileView) {
+		ctx.Profile, ctx.Now = v, obs.Now()
+		switch c.Classify(&ctx) {
 		case VerdictSuspicious:
 			counts.Fake++
 		case VerdictInactive:
@@ -141,12 +138,16 @@ func (c *Checker) Audit(screenName string) (core.Report, error) {
 		default:
 			counts.Genuine++
 		}
+	})
+	if err != nil {
+		return core.Report{}, fmt.Errorf("looking up followers of %q: %w", screenName, err)
 	}
+	now := obs.Now()
 	report := core.Report{
 		Tool:             c.Name(),
 		Target:           target,
 		NominalFollowers: target.FollowersCount,
-		SampleSize:       len(profiles),
+		SampleSize:       counts.Total(),
 		Window:           Window,
 		HasInactiveClass: true,
 		Elapsed:          sw.Elapsed(),

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"fakeproject/internal/features"
 	"fakeproject/internal/population"
 	"fakeproject/internal/simclock"
 	"fakeproject/internal/twitter"
@@ -32,6 +33,9 @@ func TestClassifyVerdictPrecedence(t *testing.T) {
 	clock := simclock.NewVirtualAtEpoch()
 	c := New(nil, clock)
 	now := clock.Now()
+	classify := func(p twitter.Profile) Verdict {
+		return c.Classify(&features.Context{Profile: p.View(), Now: now})
+	}
 
 	// An active spam bot: suspicious, not inactive.
 	spamBot := twitter.Profile{
@@ -40,7 +44,7 @@ func TestClassifyVerdictPrecedence(t *testing.T) {
 		LastTweetAt: now.AddDate(0, 0, -2),
 		Behavior:    twitter.Behavior{SpamRatio: 0.6, LinkRatio: 0.95, DuplicateRatio: 0.5},
 	}
-	if got := c.Classify(spamBot, now); got != VerdictSuspicious {
+	if got := classify(spamBot); got != VerdictSuspicious {
 		t.Fatalf("spam bot = %v, want suspicious", got)
 	}
 
@@ -51,7 +55,7 @@ func TestClassifyVerdictPrecedence(t *testing.T) {
 		User:           twitter.User{CreatedAt: now.AddDate(-1, 0, 0), DefaultProfileImage: true},
 		FollowersCount: 1, FriendsCount: 900, StatusesCount: 0,
 	}
-	if got := c.Classify(egg, now); got != VerdictInactive {
+	if got := classify(egg); got != VerdictInactive {
 		t.Fatalf("dormant egg = %v, want inactive", got)
 	}
 
@@ -62,7 +66,7 @@ func TestClassifyVerdictPrecedence(t *testing.T) {
 		FollowersCount: 50, FriendsCount: 60, StatusesCount: 2,
 		LastTweetAt: now.AddDate(0, 0, -1),
 	}
-	if got := c.Classify(sparse, now); got != VerdictInactive {
+	if got := classify(sparse); got != VerdictInactive {
 		t.Fatalf("two-tweet account = %v, want inactive", got)
 	}
 
@@ -72,7 +76,7 @@ func TestClassifyVerdictPrecedence(t *testing.T) {
 		LastTweetAt: now.AddDate(0, 0, -3),
 		Behavior:    twitter.Behavior{RetweetRatio: 0.2, LinkRatio: 0.3},
 	}
-	if got := c.Classify(genuine, now); got != VerdictGenuine {
+	if got := classify(genuine); got != VerdictGenuine {
 		t.Fatalf("genuine = %v, want genuine", got)
 	}
 }
@@ -145,9 +149,42 @@ func TestIsInactiveRules(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := IsInactive(tc.p, now); got != tc.want {
+			if got := IsInactive(tc.p.View(), now); got != tc.want {
 				t.Fatalf("IsInactive = %v, want %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestClassifyAllocatesNothing: scanning the window and applying the eight
+// criteria to each account allocates nothing (the rules reach the context
+// through function values, so it must be the caller's, built once).
+func TestClassifyAllocatesNothing(t *testing.T) {
+	mix := population.Layout{{Width: 0, Mix: population.Mix{Inactive: 0.3, Fake: 0.3, Genuine: 0.4}}}
+	c, clock := fixture(t, 3000, mix)
+	target, err := c.client.UserByScreenName("subject")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := twitterapi.FollowerIDsUpTo(c.client, target.ID, Window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := features.Context{Now: clock.Now()}
+	var seen [VerdictSuspicious + 1]int
+	visit := func(v twitter.ProfileView) {
+		ctx.Profile = v
+		seen[c.Classify(&ctx)]++
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := c.client.ScanProfiles(ids, visit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("scanning and classifying %d accounts allocates %.0f times, want 0", len(ids), allocs)
+	}
+	if seen[VerdictGenuine] == 0 || seen[VerdictInactive] == 0 || seen[VerdictSuspicious] == 0 {
+		t.Fatalf("verdicts %v: a branch was never taken", seen)
 	}
 }

@@ -52,7 +52,9 @@ type Fakers struct {
 	client twitterapi.Client
 	clock  simclock.Clock
 	cfg    Config
-	src    *drand.Source
+	// root is forked by screen name into each audit's sampling stream, so
+	// a verdict does not depend on the audits that came before it.
+	root *drand.Source
 }
 
 var _ core.Auditor = (*Fakers)(nil)
@@ -69,7 +71,7 @@ func New(client twitterapi.Client, clock simclock.Clock, cfg Config) *Fakers {
 		client: client,
 		clock:  clock,
 		cfg:    cfg,
-		src:    drand.New(cfg.Seed).Fork("statuspeople"),
+		root:   drand.New(cfg.Seed).Fork("statuspeople"),
 	}
 }
 
@@ -91,7 +93,7 @@ const (
 )
 
 // Classify applies the simple spam criteria to one profile.
-func (f *Fakers) Classify(p twitter.Profile, now time.Time) Verdict {
+func (f *Fakers) Classify(p twitter.ProfileView, now time.Time) Verdict {
 	score := 0.0
 	// "few or no followers"
 	if p.FollowersCount <= 30 {
@@ -113,7 +115,7 @@ func (f *Fakers) Classify(p twitter.Profile, now time.Time) Verdict {
 	if p.DefaultProfileImage {
 		score += 0.5
 	}
-	if p.Bio == "" {
+	if !p.HasBio {
 		score += 0.5
 	}
 	if score >= 2.5 {
@@ -138,17 +140,12 @@ func (f *Fakers) Audit(screenName string) (core.Report, error) {
 	if err != nil {
 		return core.Report{}, fmt.Errorf("fetching follower window of %q: %w", screenName, err)
 	}
-	idx := sampling.Uniform{}.Sample(len(candidates), f.cfg.Sample, f.src)
+	idx := sampling.Uniform{}.Sample(len(candidates), f.cfg.Sample, f.root.Fork(screenName))
 	sample := sampling.Select(candidates, idx)
-	profiles, err := twitterapi.LookupMany(f.client, sample)
-	if err != nil {
-		return core.Report{}, fmt.Errorf("looking up sample of %q: %w", screenName, err)
-	}
-
-	now := f.clock.Now()
+	obs := simclock.Latch{Clock: f.clock}
 	var counts core.VerdictCounts
-	for _, p := range profiles {
-		switch f.Classify(p, now) {
+	err = f.client.ScanProfiles(sample, func(v twitter.ProfileView) {
+		switch f.Classify(v, obs.Now()) {
 		case VerdictFake:
 			counts.Fake++
 		case VerdictInactive:
@@ -156,12 +153,16 @@ func (f *Fakers) Audit(screenName string) (core.Report, error) {
 		default:
 			counts.Genuine++
 		}
+	})
+	if err != nil {
+		return core.Report{}, fmt.Errorf("looking up sample of %q: %w", screenName, err)
 	}
+	now := obs.Now()
 	report := core.Report{
 		Tool:             f.Name(),
 		Target:           target,
 		NominalFollowers: target.FollowersCount,
-		SampleSize:       len(profiles),
+		SampleSize:       counts.Total(),
 		Window:           f.cfg.Window,
 		HasInactiveClass: true,
 		Elapsed:          sw.Elapsed(),

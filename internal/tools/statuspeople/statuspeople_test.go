@@ -62,7 +62,7 @@ func TestClassifyArchetypes(t *testing.T) {
 		User:           twitter.User{CreatedAt: now.AddDate(0, -4, 0), DefaultProfileImage: true},
 		FollowersCount: 2, FriendsCount: 1800, StatusesCount: 0,
 	}
-	if got := f.Classify(bought, now); got != VerdictFake {
+	if got := f.Classify(bought.View(), now); got != VerdictFake {
 		t.Fatalf("bought fake = %v, want fake (spam criteria win over dormancy)", got)
 	}
 
@@ -71,7 +71,7 @@ func TestClassifyArchetypes(t *testing.T) {
 		FollowersCount: 200, FriendsCount: 150, StatusesCount: 500,
 		LastTweetAt: now.AddDate(-1, 0, 0),
 	}
-	if got := f.Classify(dormant, now); got != VerdictInactive {
+	if got := f.Classify(dormant.View(), now); got != VerdictInactive {
 		t.Fatalf("dormant genuine = %v, want inactive", got)
 	}
 
@@ -80,7 +80,7 @@ func TestClassifyArchetypes(t *testing.T) {
 		FollowersCount: 900, FriendsCount: 400, StatusesCount: 3000,
 		LastTweetAt: now.AddDate(0, 0, -1),
 	}
-	if got := f.Classify(active, now); got != VerdictGood {
+	if got := f.Classify(active.View(), now); got != VerdictGood {
 		t.Fatalf("active genuine = %v, want good", got)
 	}
 }
@@ -162,5 +162,33 @@ func TestDeepDiveSeesMoreThanCurrent(t *testing.T) {
 	deepJunk := deep.FakePct + deep.InactivePct
 	if deepJunk <= pubJunk+20 {
 		t.Fatalf("deep dive junk %.1f%% should far exceed window junk %.1f%%", deepJunk, pubJunk)
+	}
+}
+
+// TestClassifyAllocatesNothing: scanning a sample and applying the spam
+// criteria to each account allocates nothing.
+func TestClassifyAllocatesNothing(t *testing.T) {
+	f, clock, name := fixture(t)
+	target, err := f.client.UserByScreenName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := twitterapi.FollowerIDsUpTo(f.client, target.ID, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := clock.Now()
+	var seen [VerdictFake + 1]int
+	visit := func(v twitter.ProfileView) { seen[f.Classify(v, now)]++ }
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := f.client.ScanProfiles(ids, visit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("scanning and classifying %d accounts allocates %.0f times, want 0", len(ids), allocs)
+	}
+	if seen[VerdictGood] == 0 || seen[VerdictInactive] == 0 || seen[VerdictFake] == 0 {
+		t.Fatalf("verdicts %v: a branch was never taken", seen)
 	}
 }

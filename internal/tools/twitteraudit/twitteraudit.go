@@ -45,7 +45,9 @@ const massFollowRatio = 0.03
 type Audit struct {
 	client twitterapi.Client
 	clock  simclock.Clock
-	src    *drand.Source
+	// root is forked by screen name into each audit's sampling stream, so
+	// a verdict does not depend on the audits that came before it.
+	root *drand.Source
 
 	// lastCharts holds the chart series of the most recent audit.
 	lastCharts Charts
@@ -72,7 +74,7 @@ func New(client twitterapi.Client, clock simclock.Clock, seed uint64) *Audit {
 	return &Audit{
 		client: client,
 		clock:  clock,
-		src:    drand.New(seed).Fork("twitteraudit"),
+		root:   drand.New(seed).Fork("twitteraudit"),
 	}
 }
 
@@ -81,7 +83,7 @@ func (a *Audit) Name() string { return "twitteraudit" }
 
 // Score computes the follower's 0-5 quality score from the three published
 // criteria.
-func Score(p twitter.Profile, now time.Time) float64 {
+func Score(p twitter.ProfileView, now time.Time) float64 {
 	// i) number of tweets: log-scaled, 1.0 at 1,000+ tweets.
 	tweets := math.Log10(float64(p.StatusesCount)+1) / 3
 	if tweets > 1 {
@@ -89,8 +91,8 @@ func Score(p twitter.Profile, now time.Time) float64 {
 	}
 	// ii) date of the last tweet: up to 2 points, decaying with dormancy.
 	var recency float64
-	if !p.LastTweetAt.IsZero() {
-		ageDays := now.Sub(p.LastTweetAt).Hours() / 24
+	if p.LastTweetAt != 0 {
+		ageDays := now.Sub(p.LastTweet()).Hours() / 24
 		switch {
 		case ageDays <= 30:
 			recency = 2
@@ -120,7 +122,7 @@ func Score(p twitter.Profile, now time.Time) float64 {
 }
 
 // IsFake applies the real/fake threshold to a follower's score.
-func IsFake(p twitter.Profile, now time.Time) bool {
+func IsFake(p twitter.ProfileView, now time.Time) bool {
 	return Score(p, now) < realThreshold
 }
 
@@ -140,18 +142,13 @@ func (a *Audit) Audit(screenName string) (core.Report, error) {
 	if err != nil {
 		return core.Report{}, fmt.Errorf("fetching followers of %q: %w", screenName, err)
 	}
-	idx := sampling.Uniform{}.Sample(len(candidates), SampleSize, a.src)
+	idx := sampling.Uniform{}.Sample(len(candidates), SampleSize, a.root.Fork(screenName))
 	sample := sampling.Select(candidates, idx)
-	profiles, err := twitterapi.LookupMany(a.client, sample)
-	if err != nil {
-		return core.Report{}, fmt.Errorf("looking up sample of %q: %w", screenName, err)
-	}
-
-	now := a.clock.Now()
+	obs := simclock.Latch{Clock: a.clock}
 	var charts Charts
 	fake, real := 0, 0
-	for _, p := range profiles {
-		score := Score(p, now)
+	err = a.client.ScanProfiles(sample, func(v twitter.ProfileView) {
+		score := Score(v, obs.Now())
 		bucket := int(score / MaxScore * 10)
 		if bucket > 9 {
 			bucket = 9
@@ -167,7 +164,11 @@ func (a *Audit) Audit(screenName string) (core.Report, error) {
 		} else {
 			real++
 		}
+	})
+	if err != nil {
+		return core.Report{}, fmt.Errorf("looking up sample of %q: %w", screenName, err)
 	}
+	now := obs.Now()
 	total := fake + real
 	fakePct := 0.0
 	if total > 0 {

@@ -34,10 +34,10 @@ func TestScoreArchetypes(t *testing.T) {
 		FollowersCount: 800, FriendsCount: 400, StatusesCount: 4000,
 		LastTweetAt: now.AddDate(0, 0, -2),
 	}
-	if s := Score(genuine, now); s < 4 {
+	if s := Score(genuine.View(), now); s < 4 {
 		t.Fatalf("genuine score = %.2f, want >= 4", s)
 	}
-	if IsFake(genuine, now) {
+	if IsFake(genuine.View(), now) {
 		t.Fatal("genuine flagged fake")
 	}
 
@@ -45,10 +45,10 @@ func TestScoreArchetypes(t *testing.T) {
 		User:           twitter.User{CreatedAt: now.AddDate(0, -3, 0)},
 		FollowersCount: 2, FriendsCount: 1500, StatusesCount: 0,
 	}
-	if s := Score(egg, now); s > 0.5 {
+	if s := Score(egg.View(), now); s > 0.5 {
 		t.Fatalf("egg score = %.2f, want ≈0", s)
 	}
-	if !IsFake(egg, now) {
+	if !IsFake(egg.View(), now) {
 		t.Fatal("egg not flagged fake")
 	}
 
@@ -59,8 +59,8 @@ func TestScoreArchetypes(t *testing.T) {
 		FollowersCount: 10, FriendsCount: 3000, StatusesCount: 200,
 		LastTweetAt: now.AddDate(0, 0, -1),
 	}
-	if !IsFake(bot, now) {
-		t.Fatalf("spam bot not flagged fake (score %.2f)", Score(bot, now))
+	if !IsFake(bot.View(), now) {
+		t.Fatalf("spam bot not flagged fake (score %.2f)", Score(bot.View(), now))
 	}
 }
 
@@ -71,10 +71,10 @@ func TestScoreBounds(t *testing.T) {
 		FollowersCount: 100000, FriendsCount: 100, StatusesCount: 100000,
 		LastTweetAt: now.Add(-time.Hour),
 	}
-	if s := Score(best, now); s > MaxScore {
+	if s := Score(best.View(), now); s > MaxScore {
 		t.Fatalf("score %.2f exceeds the five-point scale", s)
 	}
-	if s := Score(twitter.Profile{}, now); s < 0 {
+	if s := Score(twitter.ProfileView{}, now); s < 0 {
 		t.Fatalf("score %.2f below zero", s)
 	}
 }
@@ -156,5 +156,40 @@ func TestAuditResponseTimeShape(t *testing.T) {
 	// Twitteraudit column is 40-55s.
 	if elapsed < 35*time.Second || elapsed > 60*time.Second {
 		t.Fatalf("elapsed = %v, want ≈47s", elapsed)
+	}
+}
+
+// TestScoreAllocatesNothing: scanning a sample and scoring each account
+// allocates nothing.
+func TestScoreAllocatesNothing(t *testing.T) {
+	mix := population.Layout{{Width: 0, Mix: population.Mix{Inactive: 0.3, Fake: 0.3, Genuine: 0.4}}}
+	a, clock := fixture(t, 3000, mix)
+	target, err := a.client.UserByScreenName("subject")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := twitterapi.FollowerIDsUpTo(a.client, target.ID, SampleSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := clock.Now()
+	fake, real := 0, 0
+	visit := func(v twitter.ProfileView) {
+		if IsFake(v, now) {
+			fake++
+		} else {
+			real++
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := a.client.ScanProfiles(ids, visit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("scanning and scoring %d accounts allocates %.0f times, want 0", len(ids), allocs)
+	}
+	if fake == 0 || real == 0 {
+		t.Fatalf("%d fake, %d real: a branch was never taken", fake, real)
 	}
 }

@@ -2,7 +2,6 @@ package twitter
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"fakeproject/internal/drand"
@@ -70,25 +69,21 @@ var spamTexts = []string{
 	"lose weight now with this one weird tip",
 }
 
-// Profile string synthesis runs on the users/lookup hot path (a single FC
-// audit materialises ~9,600 profiles), so it must not construct PRNGs:
-// seeding one math/rand generator costs a 607-word state initialisation,
-// and the old Fork-per-field scheme paid that four times per profile. The
+// Profile string synthesis runs on the users/lookup serving path (100
+// profiles per request), so it must not construct PRNGs: seeding one
+// math/rand generator costs a 607-word state initialisation. The draws
+// below use a cheap hash finaliser instead of a rand stream. The
 // classifiers only ever read these strings for emptiness — emptiness is
-// flag-driven — so the draws below use a cheap hash finaliser instead of a
-// rand stream. Content changes cosmetically; no feature or verdict moves.
+// flag-driven, which is why an audit scans ProfileViews (view.go) and
+// never comes here at all.
 
-// synthDraw hashes (seed, salt) into a uniform uint64.
+// synthDraw hashes (seed, salt) into a uniform uint64: the allocation-free
+// FNV-64a fold of the seed's bytes and the salt's (the hash.Hash64 behind
+// fnv.New64a costs an interface and a []byte(salt) per draw, for the same
+// value), then a splitmix64 finaliser because fnv alone avalanches poorly
+// in the high bits.
 func synthDraw(seed uint64, salt string) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(seed >> (8 * i))
-	}
-	_, _ = h.Write(buf[:])
-	_, _ = h.Write([]byte(salt))
-	// splitmix64 finaliser: fnv alone avalanches poorly in the high bits.
-	x := h.Sum64()
+	x := drand.HashSeed(seed, salt)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -103,7 +98,8 @@ func synthScreenName(seed uint64) string {
 	const letters = "abcdefghijklmnopqrstuvwxyz"
 	x := synthDraw(seed, "name")
 	n := 7 + int(x%5)
-	b := make([]byte, 0, n+2)
+	var buf [13]byte // 11 letters + 2 digits at most; the string is the one allocation
+	b := buf[:0]
 	for i := 0; i < n; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
 		b = append(b, letters[(x>>33)%26])
@@ -114,10 +110,23 @@ func synthScreenName(seed uint64) string {
 	return string(b)
 }
 
+// fullNames is every "first last" pair, joined once so that humanName
+// allocates nothing.
+var fullNames = func() []string {
+	out := make([]string, 0, len(firstNames)*len(lastNames))
+	for _, first := range firstNames {
+		for _, last := range lastNames {
+			out = append(out, first+" "+last)
+		}
+	}
+	return out
+}()
+
 func humanName(seed uint64) string {
 	x := synthDraw(seed, "fullname")
-	return firstNames[x%uint64(len(firstNames))] + " " +
-		lastNames[(x>>24)%uint64(len(lastNames))]
+	first := x % uint64(len(firstNames))
+	last := (x >> 24) % uint64(len(lastNames))
+	return fullNames[first*uint64(len(lastNames))+last]
 }
 
 func synthBio(seed uint64) string {

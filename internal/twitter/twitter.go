@@ -123,20 +123,6 @@ type Profile struct {
 	Behavior    Behavior
 }
 
-// HasNeverTweeted reports whether the account has no statuses at all.
-func (p Profile) HasNeverTweeted() bool { return p.StatusesCount == 0 }
-
-// FollowerFriendRatio returns followers/friends, the signal StatusPeople's
-// founder calls the most meaningful one ("fake accounts tend to follow a lot
-// of people but don't have many followers"). Returns +Inf-free semantics:
-// if friends is zero, returns float64(followers).
-func (p Profile) FollowerFriendRatio() float64 {
-	if p.FriendsCount == 0 {
-		return float64(p.FollowersCount)
-	}
-	return float64(p.FollowersCount) / float64(p.FriendsCount)
-}
-
 // Tweet is a single status.
 type Tweet struct {
 	ID        TweetID
@@ -405,10 +391,16 @@ func (s *Store) screenNameIn(sh *shard, id UserID) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return sh.nameOf(id, rec), nil
+}
+
+// nameOf returns the explicit screen name of id, or the one synthesised
+// from its record's seed. Caller must hold sh.mu.
+func (sh *shard) nameOf(id UserID, rec *record) string {
 	if name, ok := sh.names[id]; ok {
-		return name, nil
+		return name
 	}
-	return synthScreenName(uint64(rec.seed)), nil
+	return synthScreenName(uint64(rec.seed))
 }
 
 // LookupName resolves an explicit screen name to a user ID.
@@ -445,65 +437,40 @@ func (s *Store) Profile(id UserID) (Profile, error) {
 }
 
 // profileIn materialises id's profile within its owning shard; the caller
-// must hold sh's lock. Everything a profile needs — record, explicit name,
-// materialised follower count — lives in the same shard, so a profile is a
-// single-shard read.
+// must hold sh's lock. A profile is its attribute view (viewOf) plus the
+// strings the view only records the presence of; everything either needs —
+// record, explicit name, materialised follower count — lives in the same
+// shard, so a profile is a single-shard read.
 func (s *Store) profileIn(sh *shard, id UserID) (Profile, error) {
 	rec, err := s.recordIn(sh, id)
 	if err != nil {
 		return Profile{}, err
 	}
-	name, err := s.screenNameIn(sh, id)
-	if err != nil {
-		return Profile{}, err
-	}
-	followers := int(rec.followers)
-	friends := int(rec.friends)
-	if td := sh.targetOf(id); td != nil {
-		// Only a follower list that was ever materialised overrides the
-		// synthetic counter. Targets promoted by SetFriends/AppendTweet
-		// alone keep their synthetic count — promotion must not zero a
-		// profile's followers (that corrupted FollowerFriendRatio, the
-		// paper's headline criterion).
-		if v := td.edges.view(); v.ever {
-			followers = v.total
-		}
-		if fl := td.friends.Load(); fl != nil {
-			friends = len(*fl)
-		}
-	}
-	var lastTweet time.Time
-	if rec.lastTweetAt != 0 {
-		lastTweet = time.Unix(rec.lastTweetAt, 0).UTC()
-	}
+	name := sh.nameOf(id, rec)
+	v := viewOf(sh, id, rec)
 	p := Profile{
 		User: User{
-			ID:                  id,
+			ID:                  v.ID,
 			ScreenName:          name,
-			CreatedAt:           time.Unix(rec.createdAt, 0).UTC(),
-			DefaultProfileImage: rec.has(flagDefaultImage),
-			Protected:           rec.has(flagProtected),
-			Verified:            rec.has(flagVerified),
+			Name:                humanName(uint64(rec.seed)),
+			CreatedAt:           v.Created(),
+			DefaultProfileImage: v.DefaultProfileImage,
+			Protected:           v.Protected,
+			Verified:            v.Verified,
 		},
-		FollowersCount: followers,
-		FriendsCount:   friends,
-		StatusesCount:  int(rec.statuses),
-		LastTweetAt:    lastTweet,
-		Behavior: Behavior{
-			RetweetRatio:   float64(rec.retweetPct) / 100,
-			LinkRatio:      float64(rec.linkPct) / 100,
-			SpamRatio:      float64(rec.spamPct) / 100,
-			DuplicateRatio: float64(rec.dupPct) / 100,
-		},
+		FollowersCount: v.FollowersCount,
+		FriendsCount:   v.FriendsCount,
+		StatusesCount:  v.StatusesCount,
+		LastTweetAt:    v.LastTweet(),
+		Behavior:       v.Behavior,
 	}
-	p.Name = humanName(uint64(rec.seed))
-	if rec.has(flagHasBio) {
+	if v.HasBio {
 		p.Bio = synthBio(uint64(rec.seed))
 	}
-	if rec.has(flagHasLocation) {
+	if v.HasLocation {
 		p.Location = synthLocation(uint64(rec.seed))
 	}
-	if rec.has(flagHasURL) {
+	if v.HasURL {
 		p.URL = "http://example.com/" + name
 	}
 	return p, nil
@@ -516,7 +483,6 @@ func (s *Store) profileIn(sh *shard, id UserID) (Profile, error) {
 // across shards; output order follows input order regardless.
 func (s *Store) Profiles(ids []UserID) []Profile {
 	profiles := make([]Profile, len(ids))
-	ok := make([]bool, len(ids))
 	for si, group := range s.groupByShard(ids) {
 		if len(group) == 0 {
 			continue
@@ -525,14 +491,15 @@ func (s *Store) Profiles(ids []UserID) []Profile {
 		sh.mu.RLock()
 		for _, i := range group {
 			if p, err := s.profileIn(sh, ids[i]); err == nil {
-				profiles[i], ok[i] = p, true
+				profiles[i] = p
 			}
 		}
 		sh.mu.RUnlock()
 	}
+	// IDs start at 1, so a zero ID marks a slot no profile was written to.
 	out := profiles[:0]
 	for i := range profiles {
-		if ok[i] {
+		if profiles[i].ID != 0 {
 			out = append(out, profiles[i])
 		}
 	}

@@ -129,18 +129,18 @@ func TestProfileNeverTweeted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.LastTweetAt.IsZero() || !p.HasNeverTweeted() {
+	if !p.LastTweetAt.IsZero() || !p.View().HasNeverTweeted() {
 		t.Fatalf("expected never-tweeted profile, got %+v", p)
 	}
 }
 
 func TestFollowerFriendRatio(t *testing.T) {
-	p := Profile{FollowersCount: 10, FriendsCount: 500}
-	if r := p.FollowerFriendRatio(); r != 0.02 {
+	v := ProfileView{FollowersCount: 10, FriendsCount: 500}
+	if r := v.FollowerFriendRatio(); r != 0.02 {
 		t.Fatalf("ratio = %v, want 0.02", r)
 	}
-	p = Profile{FollowersCount: 7, FriendsCount: 0}
-	if r := p.FollowerFriendRatio(); r != 7 {
+	v = ProfileView{FollowersCount: 7, FriendsCount: 0}
+	if r := v.FollowerFriendRatio(); r != 7 {
 		t.Fatalf("zero friends ratio = %v, want 7", r)
 	}
 }

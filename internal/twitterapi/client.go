@@ -23,6 +23,16 @@ type Client interface {
 	FriendIDs(id twitter.UserID, cursor int64) (IDPage, error)
 	// UsersLookup fetches up to 100 profiles in one call.
 	UsersLookup(ids []twitter.UserID) ([]twitter.Profile, error)
+	// ScanProfiles visits the profile attributes of any number of accounts
+	// at the cost of the ⌈len(ids)/100⌉ users/lookup calls that would fetch
+	// them: fn is called once per known id, in input order (unknown ids are
+	// skipped, as users/lookup drops them), and not before every one of
+	// those calls is paid for — a consumer that reads the clock at its
+	// first visit reads it where it stood when the profiles were in hand.
+	// It is how an audit reads its sample: the analytics test a profile's
+	// strings for emptiness only, so nothing here promises them. On error
+	// fn has not run.
+	ScanProfiles(ids []twitter.UserID, fn func(twitter.ProfileView)) error
 	// UserTimeline fetches up to count recent tweets in one call (≤200),
 	// restricted to IDs <= maxID when maxID is non-zero.
 	UserTimeline(id twitter.UserID, count int, maxID twitter.TweetID) ([]twitter.Tweet, error)
@@ -137,6 +147,20 @@ func (c *DirectClient) UsersLookup(ids []twitter.UserID) ([]twitter.Profile, err
 	return c.svc.UsersLookup(ids)
 }
 
+// ScanProfiles implements Client. It debits users/lookup once per 100 ids —
+// the same reservations, sleeps and call counts as that many UsersLookup
+// calls, Table I and II being the model — and only then reads the store,
+// as views: nothing is materialised for a consumer in the same process.
+// Paying first keeps an engine's observation instant (read at the first
+// visit) where it was when profiles were fetched before they were judged.
+func (c *DirectClient) ScanProfiles(ids []twitter.UserID, fn func(twitter.ProfileView)) error {
+	for start := 0; start < len(ids); start += UsersLookupBatchSize {
+		c.pay(EndpointUsersLookup)
+	}
+	c.svc.store.ScanProfiles(ids, fn)
+	return nil
+}
+
 // UserTimeline implements Client.
 func (c *DirectClient) UserTimeline(id twitter.UserID, count int, maxID twitter.TweetID) ([]twitter.Tweet, error) {
 	c.pay(EndpointUserTimeline)
@@ -217,22 +241,26 @@ func FollowerIDsUpTo(c Client, target twitter.UserID, max int) ([]twitter.UserID
 	return out, nil
 }
 
-// LookupMany fetches profiles for an arbitrary number of IDs in 100-sized
-// users/lookup batches, preserving input order (minus unknown IDs).
-func LookupMany(c Client, ids []twitter.UserID) ([]twitter.Profile, error) {
-	out := make([]twitter.Profile, 0, len(ids))
+// ScanLookups is ScanProfiles for a client that only has the wire: one
+// lookup call per 100 ids, then every materialised profile reduced to its
+// view. All batches are fetched before the first visit, so the visits begin
+// when the whole cost is paid, as with a DirectClient. HTTPClient scans this
+// way, and so does any Client that wraps another's UsersLookup (fault
+// injectors, test fakes).
+func ScanLookups(lookup func([]twitter.UserID) ([]twitter.Profile, error), ids []twitter.UserID, fn func(twitter.ProfileView)) error {
+	profiles := make([]twitter.Profile, 0, len(ids))
 	for start := 0; start < len(ids); start += UsersLookupBatchSize {
-		end := start + UsersLookupBatchSize
-		if end > len(ids) {
-			end = len(ids)
-		}
-		batch, err := c.UsersLookup(ids[start:end])
+		end := min(start+UsersLookupBatchSize, len(ids))
+		batch, err := lookup(ids[start:end])
 		if err != nil {
-			return nil, fmt.Errorf("users/lookup batch at %d: %w", start, err)
+			return fmt.Errorf("users/lookup batch at %d: %w", start, err)
 		}
-		out = append(out, batch...)
+		profiles = append(profiles, batch...)
 	}
-	return out, nil
+	for i := range profiles {
+		fn(profiles[i].View())
+	}
+	return nil
 }
 
 // FullTimeline pages through up to the 3,200 retrievable tweets of an

@@ -134,27 +134,6 @@ func TestFollowerIDsUpToShortList(t *testing.T) {
 	}
 }
 
-func TestLookupManyBatches(t *testing.T) {
-	store, _, chrono := buildTarget(t, 250)
-	svc := NewService(store)
-	client := NewDirectClient(svc, simclock.NewVirtualAtEpoch(), ClientConfig{})
-	profiles, err := LookupMany(client, chrono)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(profiles) != 250 {
-		t.Fatalf("got %d profiles", len(profiles))
-	}
-	if client.CallsByEndpoint()[EndpointUsersLookup] != 3 {
-		t.Fatalf("calls = %v, want 3 lookup batches", client.CallsByEndpoint())
-	}
-	for i, p := range profiles {
-		if p.ID != chrono[i] {
-			t.Fatalf("order not preserved at %d", i)
-		}
-	}
-}
-
 func TestUserByScreenName(t *testing.T) {
 	store, _, _ := buildTarget(t, 5)
 	svc := NewService(store)

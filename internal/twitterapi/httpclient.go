@@ -209,6 +209,12 @@ func (c *HTTPClient) UsersLookup(ids []twitter.UserID) ([]twitter.Profile, error
 	return out, nil
 }
 
+// ScanProfiles implements Client over the wire: UsersLookup per 100 ids,
+// each decoded profile reduced to its view.
+func (c *HTTPClient) ScanProfiles(ids []twitter.UserID, fn func(twitter.ProfileView)) error {
+	return ScanLookups(c.UsersLookup, ids, fn)
+}
+
 // UserTimeline implements Client.
 func (c *HTTPClient) UserTimeline(id twitter.UserID, count int, maxID twitter.TweetID) ([]twitter.Tweet, error) {
 	params := url.Values{

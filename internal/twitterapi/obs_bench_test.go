@@ -59,6 +59,12 @@ func BenchmarkFollowerIDsHTTP(b *testing.B) {
 // followers/ids hot path in the metrics middleware adds zero allocations
 // per request.
 func TestObservedOverheadZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		// Under the race detector sync.Pool drops a quarter of its Puts at
+		// random, so the pooled encoders' per-request counts are noise
+		// (17–19 on either server at the same commit).
+		t.Skip("allocation counts are not stable under -race")
+	}
 	plain, observed, target := benchServers(t, 20000)
 	measure := func(s *Server) float64 {
 		req := followerIDsReq(target)

@@ -19,8 +19,8 @@ func FuzzWALDecode(f *testing.F) {
 	full := buildSegment(1, payloads)
 	f.Add(full)
 	f.Add(full[:headerLen])
-	f.Add(full[:headerLen+3])          // partial frame
-	f.Add(full[:len(full)-1])          // truncated final payload
+	f.Add(full[:headerLen+3]) // partial frame
+	f.Add(full[:len(full)-1]) // truncated final payload
 	f.Add([]byte{})
 	f.Add([]byte("not a wal segment at all, but longer than a header"))
 	flipped := append([]byte(nil), full...)

@@ -76,10 +76,10 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{},
-		{0},             // kind 0 is reserved invalid
-		{99},            // unknown kind
-		valid[0][:5],    // truncated create
-		valid[6][:8],    // truncated tweet
+		{0},          // kind 0 is reserved invalid
+		{99},         // unknown kind
+		valid[0][:5], // truncated create
+		valid[6][:8], // truncated tweet
 		append(append([]byte(nil), valid[2]...), 0xFF), // trailing bytes
 	}
 	// Claimed list count far beyond remaining bytes must fail before
