@@ -251,12 +251,17 @@ const nameAlphabet = "abcdefghijklmnopqrstuvwxyz0123456789_"
 // ScreenName synthesises a plausible Twitter screen name of length in
 // [6, 14] from this source.
 func (s *Source) ScreenName() string {
+	return string(s.AppendScreenName(make([]byte, 0, 14)))
+}
+
+// AppendScreenName appends the name ScreenName would return to dst, making
+// the same draws.
+func (s *Source) AppendScreenName(dst []byte) []byte {
 	n := s.IntBetween(6, 14)
-	b := make([]byte, n)
 	// First character alphabetic for readability.
-	b[0] = nameAlphabet[s.Intn(26)]
+	dst = append(dst, nameAlphabet[s.Intn(26)])
 	for i := 1; i < n; i++ {
-		b[i] = nameAlphabet[s.Intn(len(nameAlphabet))]
+		dst = append(dst, nameAlphabet[s.Intn(len(nameAlphabet))])
 	}
-	return string(b)
+	return dst
 }

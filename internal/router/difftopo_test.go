@@ -111,9 +111,24 @@ func bootTopology(t *testing.T, snap []byte, nodes int) *topology {
 	return tp
 }
 
+// reply is what a client sees of a response: the framing headers count,
+// since a body the router sends chunked where a node sends it with a
+// Content-Length is a visible difference between the topologies.
 type reply struct {
-	status int
-	body   []byte
+	status        int
+	body          []byte
+	contentType   string
+	contentLength string
+}
+
+// same reports whether two replies are indistinguishable to a client.
+func (r reply) same(o reply) bool {
+	return r.status == o.status && bytes.Equal(r.body, o.body) &&
+		r.contentType == o.contentType && r.contentLength == o.contentLength
+}
+
+func (r reply) String() string {
+	return fmt.Sprintf("%d [%s, Content-Length %q] %q", r.status, r.contentType, r.contentLength, truncate(r.body))
 }
 
 func fetch(t *testing.T, client *http.Client, base, path string) reply {
@@ -127,7 +142,7 @@ func fetch(t *testing.T, client *http.Client, base, path string) reply {
 	if err != nil {
 		t.Fatalf("GET %s: reading body: %v", path, err)
 	}
-	return reply{resp.StatusCode, body}
+	return reply{resp.StatusCode, body, resp.Header.Get("Content-Type"), resp.Header.Get("Content-Length")}
 }
 
 func TestCrossTopologyDifferential(t *testing.T) {
@@ -169,11 +184,10 @@ func TestCrossTopologyDifferential(t *testing.T) {
 			for _, path := range paths {
 				want := fetch(t, client, baseline.URL, path)
 				got := fetch(t, client, tp.front.URL, path)
-				if got.status != want.status || !bytes.Equal(got.body, want.body) {
+				if !got.same(want) {
 					mismatches++
 					if mismatches <= 5 {
-						t.Errorf("divergence on %s:\n  single-node: %d %q\n  ring-%d:     %d %q",
-							path, want.status, truncate(want.body), nodes, got.status, truncate(got.body))
+						t.Errorf("divergence on %s:\n  single-node: %v\n  ring-%d:     %v", path, want, nodes, got)
 					}
 				}
 			}
@@ -307,9 +321,8 @@ func TestCrossTopologyCursorWalks(t *testing.T) {
 				continue
 			}
 			for i := range want {
-				if got[i].status != want[i].status || !bytes.Equal(got[i].body, want[i].body) {
-					t.Errorf("ring-%d: id %d page %d diverged:\n  want %d %q\n  got  %d %q",
-						nodes, id, i, want[i].status, truncate(want[i].body), got[i].status, truncate(got[i].body))
+				if !got[i].same(want[i]) {
+					t.Errorf("ring-%d: id %d page %d diverged:\n  want %v\n  got  %v", nodes, id, i, want[i], got[i])
 				}
 			}
 		}

@@ -472,8 +472,16 @@ func (rt *Router) reply(w http.ResponseWriter, resp *upstreamResponse, err error
 		return
 	}
 	copyHeader(w.Header(), resp.header)
-	w.WriteHeader(resp.status)
-	_, _ = w.Write(resp.body)
+	writeBody(w, resp.status, resp.body)
+}
+
+// writeBody sends a body the router holds whole with its Content-Length, as
+// the node that produced it did: left to net/http, anything past its 2 KB
+// sniff buffer goes out chunked, which no single node ever sends.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 // forwardedHeaders are the response headers the router relays: the content

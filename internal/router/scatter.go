@@ -116,8 +116,7 @@ func (rt *Router) serveLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(merged)
+	writeBody(w, http.StatusOK, merged)
 }
 
 // parseIDList mirrors the backend's user_id list parsing (split on comma,

@@ -38,8 +38,9 @@ import (
 // bytes stay shard-count independent.
 //
 // This file is fpvet //fp:hotpath territory: no fmt, no reflection, and no
-// construction of ID slices — page buffers are allocated by the caller
-// (twitter.go) and filled here by index.
+// construction of ID slices — a page is walked a block at a time
+// (FollowerWalk) and whoever wants it as a slice copies it elsewhere
+// (FollowersPage, twitter.go).
 
 // edgeBlockLen is the number of edges per sealed block. 512 keeps a block's
 // decode scratch (512 * 24B = 12KB) comfortably on the stack while making
@@ -192,55 +193,172 @@ func (b *edgeBlock) decodeInto(dst *[edgeBlockLen]segEdge) {
 	}
 }
 
+// FollowerWalk reads one page of a follower list newest-first, a run of IDs
+// at a time, straight off a frozen edge view: no shard lock, no page-sized
+// copy, nothing on the heap (the walk is a value on its caller's stack).
+// Store.WalkFollowers starts one; Next yields the runs; NextSeq, once Next
+// has returned nil, is the anchor of the following page. It is the one
+// page read: FollowersPage copies its runs into a slice, the followers/ids
+// handler prints them into the response as they come.
+//
+// A sealed block chains its deltas from the block's oldest edge, so it can
+// only be decoded forwards; the walk decodes it once, back to front into
+// ids and seqs, and serves the newest-first runs as subslices. Of the three
+// varints of an edge only the follower and the seq are decoded (the seq
+// finds the anchor edge in the first block and names the next page's anchor
+// in the last); the timestamp is stepped over.
+type FollowerWalk struct {
+	// Total is the live follower count of the view the page is cut from.
+	Total int
+
+	v     *edgeView
+	at    int // live index of the next edge to yield
+	left  int // edges the page may still yield
+	block int // sealed block held in ids/seqs, -1 for none
+	// Edge k of the held block sits at position edgeBlockLen-1-k.
+	ids  [edgeBlockLen]UserID
+	seqs [edgeBlockLen]uint64
+}
+
+// WalkFollowers points w at the page of target's followers that
+// FollowersPage(target, fromSeq, limit) returns: up to limit edges, starting
+// at the newest one whose sequence number is <= fromSeq.
+func (s *Store) WalkFollowers(w *FollowerWalk, target UserID, fromSeq uint64, limit int) error {
+	if err := s.checkExists(target); err != nil {
+		return err
+	}
+	v := &emptyEdgeView
+	if td := s.shardFor(target).targetOf(target); td != nil {
+		v = td.edges.view()
+	}
+	w.start(v, fromSeq, limit)
+	return nil
+}
+
+func (w *FollowerWalk) start(v *edgeView, fromSeq uint64, limit int) {
+	w.Total, w.v, w.at, w.left, w.block = v.total, v, -1, 0, -1
+	if limit <= 0 {
+		return
+	}
+	if w.at = w.locate(fromSeq); w.at >= 0 {
+		w.left = min(limit, w.at+1)
+	}
+}
+
+// Len is the number of IDs Next has still to yield.
+func (w *FollowerWalk) Len() int { return w.left }
+
 // locate returns the live index of the newest edge whose seq is <= fromSeq,
 // or -1 if every live edge is newer (anchor below the oldest survivor).
-// O(log blocks) on sealed data plus one block decode.
-func (v *edgeView) locate(fromSeq uint64) int {
+// O(log blocks); a block is decoded only for an anchor strictly inside it,
+// and stays held for the page's first run.
+func (w *FollowerWalk) locate(fromSeq uint64) int {
+	v := w.v
 	sealed := len(v.blocks) * edgeBlockLen
 	if n := len(v.tail); n > 0 && fromSeq >= v.tail[0].seq {
-		i := sort.Search(n, func(k int) bool { return v.tail[k].seq > fromSeq }) - 1
-		return sealed + i
+		return sealed + sort.Search(n, func(k int) bool { return v.tail[k].seq > fromSeq }) - 1
 	}
 	if len(v.blocks) == 0 || fromSeq < v.blocks[0].firstSeq {
 		return -1
 	}
 	bi := sort.Search(len(v.blocks), func(k int) bool { return v.blocks[k].firstSeq > fromSeq }) - 1
-	var buf [edgeBlockLen]segEdge
-	v.blocks[bi].decodeInto(&buf)
-	j := sort.Search(edgeBlockLen, func(k int) bool { return buf[k].seq > fromSeq }) - 1
-	return bi*edgeBlockLen + j
+	if fromSeq >= v.blocks[bi].lastSeq {
+		return bi*edgeBlockLen + edgeBlockLen - 1
+	}
+	w.load(bi)
+	newer := sort.Search(edgeBlockLen, func(k int) bool { return w.seqs[k] <= fromSeq })
+	return bi*edgeBlockLen + edgeBlockLen - 1 - newer
 }
 
-// seqAt returns the seq of the edge at live index i (0 <= i < total).
-func (v *edgeView) seqAt(i int) uint64 {
-	sealed := len(v.blocks) * edgeBlockLen
-	if i >= sealed {
-		return v.tail[i-sealed].seq
-	}
-	var buf [edgeBlockLen]segEdge
-	v.blocks[i/edgeBlockLen].decodeInto(&buf)
-	return buf[i%edgeBlockLen].seq
-}
-
-// fillNewestFirst writes the followers at live indices newest, newest-1, ...
-// into dst (len(dst) <= newest+1). The page buffer is allocated by the
-// caller; this fill stays within the hotpath allocation budget by writing
-// into it by index, one block decode per 512 edges.
-func (v *edgeView) fillNewestFirst(newest int, dst []UserID) {
-	sealed := len(v.blocks) * edgeBlockLen
-	k, i := 0, newest
-	for ; k < len(dst) && i >= sealed; i, k = i-1, k+1 {
-		dst[k] = UserID(v.tail[i-sealed].follower)
-	}
-	var buf [edgeBlockLen]segEdge
-	bi := -1
-	for ; k < len(dst) && i >= 0; i, k = i-1, k+1 {
-		if nb := i / edgeBlockLen; nb != bi {
-			bi = nb
-			v.blocks[bi].decodeInto(&buf)
+// load decodes sealed block bi into ids and seqs, newest edge first. As in
+// decodeInto, malformed bytes mean memory corruption and panic.
+func (w *FollowerWalk) load(bi int) {
+	data := w.v.blocks[bi].data
+	var follower, seq int64
+	for k := edgeBlockLen - 1; k >= 0; k-- {
+		df, n := uvarint(data)
+		if n <= 0 {
+			panic("twitter: corrupt edge segment block")
 		}
-		dst[k] = UserID(buf[i%edgeBlockLen].follower)
+		for n < len(data) && data[n] >= 0x80 { // the timestamp delta
+			n++
+		}
+		n++
+		if n >= len(data) {
+			panic("twitter: corrupt edge segment block")
+		}
+		ds, m := uvarint(data[n:])
+		if m <= 0 {
+			panic("twitter: corrupt edge segment block")
+		}
+		data = data[n+m:]
+		follower += unzigzag(df)
+		seq += unzigzag(ds)
+		w.ids[k] = UserID(follower)
+		w.seqs[k] = uint64(seq)
 	}
+	if len(data) != 0 {
+		panic("twitter: trailing bytes in edge segment block")
+	}
+	w.block = bi
+}
+
+// uvarint is binary.Uvarint with the one-byte case — nearly every seq delta
+// and most follower deltas — decided inline.
+func uvarint(data []byte) (uint64, int) {
+	if len(data) > 0 && data[0] < 0x80 {
+		return uint64(data[0]), 1
+	}
+	return binary.Uvarint(data)
+}
+
+// Next returns the page's next run of follower IDs, newest first, or nil
+// when the page is complete. The run is the walk's own memory: it is valid
+// until the next call on the walk.
+func (w *FollowerWalk) Next() []UserID {
+	if w.left == 0 {
+		return nil
+	}
+	v := w.v
+	sealed := len(v.blocks) * edgeBlockLen
+	var run []UserID
+	if w.at >= sealed {
+		run = w.ids[:min(w.left, w.at-sealed+1)]
+		for k := range run {
+			run[k] = UserID(v.tail[w.at-sealed-k].follower)
+		}
+		w.block = -1
+	} else {
+		if bi := w.at / edgeBlockLen; bi != w.block {
+			w.load(bi)
+		}
+		newest := edgeBlockLen - 1 - w.at%edgeBlockLen
+		run = w.ids[newest : newest+min(w.left, edgeBlockLen-newest)]
+	}
+	w.at -= len(run)
+	w.left -= len(run)
+	return run
+}
+
+// NextSeq returns the sequence number of the edge after the page's last —
+// the anchor of the next page — or 0 when the page reaches the oldest
+// surviving edge. Call it once Next has returned nil.
+func (w *FollowerWalk) NextSeq() uint64 {
+	v := w.v
+	rest := w.at - w.left
+	sealed := len(v.blocks) * edgeBlockLen
+	switch {
+	case rest < 0:
+		return 0
+	case rest >= sealed:
+		return v.tail[rest-sealed].seq
+	case rest%edgeBlockLen == edgeBlockLen-1:
+		return v.blocks[rest/edgeBlockLen].lastSeq
+	}
+	if bi := rest / edgeBlockLen; bi != w.block {
+		w.load(bi)
+	}
+	return w.seqs[edgeBlockLen-1-rest%edgeBlockLen]
 }
 
 // forEach decodes the live edges oldest-first and calls fn for each until

@@ -87,38 +87,63 @@ func TestEdgeListAppendAndNavigate(t *testing.T) {
 	if at, ok := v.newestAt(); !ok || at != edges[len(edges)-1].at {
 		t.Fatalf("newestAt = %d,%v", at, ok)
 	}
-	// seqAt and locate agree with the slice at every index, including both
-	// sides of each block boundary.
+	// A walk anchored at an edge's seq starts on that edge and names the one
+	// before it as the next anchor, at every index including both sides of
+	// each block boundary.
+	walk := func(fromSeq uint64, limit int) (ids []UserID, next uint64) {
+		var w FollowerWalk
+		w.start(v, fromSeq, limit)
+		for run := w.Next(); run != nil; run = w.Next() {
+			ids = append(ids, run...)
+		}
+		return ids, w.NextSeq()
+	}
 	for _, idx := range []int{0, 1, edgeBlockLen - 1, edgeBlockLen, 2*edgeBlockLen - 1, 2 * edgeBlockLen, 3*edgeBlockLen - 1, 3 * edgeBlockLen, len(edges) - 1} {
-		if got := v.seqAt(idx); got != edges[idx].seq {
-			t.Fatalf("seqAt(%d) = %d, want %d", idx, got, edges[idx].seq)
+		// randEdges may skip seq values: an anchor between this seq and
+		// the next still resolves here.
+		anchors := []uint64{edges[idx].seq}
+		if idx+1 < len(edges) && edges[idx+1].seq > edges[idx].seq+1 {
+			anchors = append(anchors, edges[idx].seq+1)
 		}
-		if got := v.locate(edges[idx].seq); got != idx {
-			t.Fatalf("locate(%d) = %d, want %d", edges[idx].seq, got, idx)
-		}
-		// An anchor between this seq and the next still resolves here (seqs
-		// in randEdges may skip values).
-		if got := v.locate(edges[idx].seq + 1); idx+1 < len(edges) && edges[idx+1].seq > edges[idx].seq+1 && got != idx {
-			t.Fatalf("locate(%d) = %d, want %d", edges[idx].seq+1, got, idx)
+		for _, anchor := range anchors {
+			ids, next := walk(anchor, 1)
+			if len(ids) != 1 || ids[0] != UserID(edges[idx].follower) {
+				t.Fatalf("walk(%d) = %v, want the follower of edge %d", anchor, ids, idx)
+			}
+			var want uint64
+			if idx > 0 {
+				want = edges[idx-1].seq
+			}
+			if next != want {
+				t.Fatalf("walk(%d) next seq = %d, want %d", anchor, next, want)
+			}
 		}
 	}
-	if got := v.locate(edges[0].seq - 1); got != -1 {
-		t.Fatalf("locate below oldest = %d, want -1", got)
+	if ids, next := walk(edges[0].seq-1, 10); len(ids) != 0 || next != 0 {
+		t.Fatalf("walk below oldest = %v, %d, want an empty final page", ids, next)
 	}
-	// fillNewestFirst spans tail and multiple sealed blocks.
+	// Pages spanning tail and multiple sealed blocks.
 	for _, span := range []struct{ newest, n int }{
 		{len(edges) - 1, len(edges)},            // everything
 		{len(edges) - 1, 140},                   // tail into last block
 		{2*edgeBlockLen + 3, edgeBlockLen + 10}, // across a block boundary
 		{5, 6},                                  // oldest edges only
 	} {
-		dst := make([]UserID, span.n)
-		v.fillNewestFirst(span.newest, dst)
-		for k := range dst {
-			want := UserID(edges[span.newest-k].follower)
-			if dst[k] != want {
-				t.Fatalf("fill(newest=%d)[%d] = %d, want %d", span.newest, k, dst[k], want)
+		ids, next := walk(edges[span.newest].seq, span.n)
+		if len(ids) != span.n {
+			t.Fatalf("walk(newest=%d, %d) yields %d ids", span.newest, span.n, len(ids))
+		}
+		for k := range ids {
+			if want := UserID(edges[span.newest-k].follower); ids[k] != want {
+				t.Fatalf("walk(newest=%d)[%d] = %d, want %d", span.newest, k, ids[k], want)
 			}
+		}
+		var want uint64
+		if rest := span.newest - span.n; rest >= 0 {
+			want = edges[rest].seq
+		}
+		if next != want {
+			t.Fatalf("walk(newest=%d, %d) next seq = %d, want %d", span.newest, span.n, next, want)
 		}
 	}
 }

@@ -1,8 +1,7 @@
 package twitter
 
 import (
-	"fmt"
-	"time"
+	"strconv"
 
 	"fakeproject/internal/drand"
 )
@@ -139,25 +138,32 @@ func synthLocation(seed uint64) string {
 
 var tweetSources = []string{"web", "mobile", "api"}
 
-// synthTimeline deterministically generates up to max most-recent-first
-// tweets for a compact record. The same (record, max) always yields the same
-// tweets. Feature guarantees:
+// timelineSynth is the draw state of one account's synthetic timeline: a
+// seeded stream that yields the account's tweets newest first, one step per
+// tweet. The same record always yields the same tweets. Feature guarantees:
 //
 //   - the newest tweet is at rec.lastTweetAt;
 //   - inter-tweet gaps are exponential with a mean derived from the account's
 //     lifetime and status count, so "tweets per day" features are coherent;
 //   - retweet/link/spam/duplicate flags appear with the stored ratios;
 //   - tweet IDs are unique per author and stable.
-func synthTimeline(id UserID, rec *record, max int) []Tweet {
-	total := int(rec.statuses)
-	if total == 0 || rec.lastTweetAt == 0 {
-		return nil
-	}
-	if max > total {
-		max = total
-	}
-	src := drand.New(uint64(rec.seed)).Fork("timeline")
+type timelineSynth struct {
+	src     *drand.Source
+	id      UserID
+	total   int
+	rank    int   // of the next tweet: 0 is the newest
+	at      int64 // its unix-second timestamp
+	created int64
+	meanGap float64
+	dupText string
 
+	retweetP, linkP, spamP, dupP float64
+
+	text []byte // scratch the next tweet's text is assembled in
+}
+
+func newTimelineSynth(id UserID, rec *record) *timelineSynth {
+	total := int(rec.statuses)
 	// Mean gap spreads the account's statuses over its active life span.
 	lifeSeconds := float64(rec.lastTweetAt - rec.createdAt)
 	if lifeSeconds < 3600 {
@@ -167,80 +173,133 @@ func synthTimeline(id UserID, rec *record, max int) []Tweet {
 	if meanGap < 30 {
 		meanGap = 30
 	}
+	// The stream drand.New(seed).Fork("timeline") has, without seeding the
+	// parent generator nobody draws from.
+	src := drand.New(drand.HashSeed(uint64(rec.seed), "timeline"))
+	return &timelineSynth{
+		src:      src,
+		id:       id,
+		total:    total,
+		at:       rec.lastTweetAt,
+		created:  rec.createdAt,
+		meanGap:  meanGap,
+		dupText:  spamTexts[src.Intn(len(spamTexts))],
+		retweetP: float64(rec.retweetPct) / 100,
+		linkP:    float64(rec.linkPct) / 100,
+		spamP:    float64(rec.spamPct) / 100,
+		dupP:     float64(rec.dupPct) / 100,
+	}
+}
 
-	dupText := spamTexts[src.Intn(len(spamTexts))]
-	retweetP := float64(rec.retweetPct) / 100
-	linkP := float64(rec.linkPct) / 100
-	spamP := float64(rec.spamPct) / 100
-	dupP := float64(rec.dupPct) / 100
+// step makes the draws of the next tweet and moves to the one before it.
+// Every tweet consumes its draws whether or not it is built — a page deep
+// in the timeline is reached by stepping over the tweets above it — but
+// only a built tweet pays for its string; an unbuilt one's value is void.
+func (t *timelineSynth) step(build bool) Tweet {
+	src := t.src
+	age := t.total - t.rank // 1 for the oldest tweet
+	isDup := src.Bool(t.dupP)
+	isSpam := src.Bool(t.spamP)
+	// Intentional duplicates repeat the exact same text — the signal the
+	// "same tweets are repeated" criterion looks for. Every other tweet
+	// gets a unique suffix (its age) so that template reuse never
+	// masquerades as the duplication signal.
+	base := t.dupText
+	switch {
+	case isDup:
+	case isSpam:
+		base = spamTexts[src.Intn(len(spamTexts))]
+	default:
+		base = genuineTexts[src.Intn(len(genuineTexts))]
+	}
+	var tw Tweet
+	tw.IsRetweet = src.Bool(t.retweetP)
+	tw.HasLink = isSpam || src.Bool(t.linkP)
+	tw.IsReply = src.Bool(0.15)
+	tw.Mentions = src.Intn(3)
+	tw.Hashtags = src.Intn(3)
+	source := tweetSources[src.Intn(len(tweetSources))]
 
-	out := make([]Tweet, 0, max)
-	at := rec.lastTweetAt
-	for i := 0; i < max; i++ {
-		var text string
-		isDup := src.Bool(dupP)
-		isSpam := src.Bool(spamP)
-		switch {
-		case isDup:
-			// Intentional duplicates repeat the exact same text — the
-			// signal the "same tweets are repeated" criterion looks for.
-			text = dupText
-		case isSpam:
-			// Non-duplicate tweets get a unique suffix so that template
-			// reuse never masquerades as the duplication signal.
-			text = fmt.Sprintf("%s %d", spamTexts[src.Intn(len(spamTexts))], total-i)
-		default:
-			text = fmt.Sprintf("%s %d", genuineTexts[src.Intn(len(genuineTexts))], total-i)
-		}
-		tw := Tweet{
-			// Per-author unique, stable ID: author in the high bits, the
-			// age index in the low 32. statuses is an int32, so the index
-			// can never overflow into the author bits — 20 bits used to,
-			// for any account past 1,048,576 statuses (Katy Perry scale),
-			// silently colliding with the next author's ID space.
-			ID:        TweetID(int64(id)<<32 | int64(total-i)),
-			Author:    id,
-			CreatedAt: time.Unix(at, 0).UTC(),
-			Text:      text,
-			IsRetweet: src.Bool(retweetP),
-			HasLink:   isSpam || src.Bool(linkP),
-			IsReply:   src.Bool(0.15),
-			Mentions:  src.Intn(3),
-			Hashtags:  src.Intn(3),
-			Source:    tweetSources[src.Intn(len(tweetSources))],
-		}
-		if tw.IsRetweet {
-			tw.Text = "RT @" + src.ScreenName() + ": " + tw.Text
-		}
-		if tw.HasLink {
-			tw.Text += fmt.Sprintf(" http://t.co/%08x", src.Intn(1<<30))
-		}
-		out = append(out, tw)
-		gap := int64(src.Exp(meanGap))
-		if gap < 1 {
-			gap = 1
-		}
-		// Cap the gap so the tweets still to come share the span left
-		// above the account's creation instant, instead of the old clamp
-		// that piled every overflowing tweet onto createdAt+1 — a
-		// timestamp spike no real timeline exhibits. The budget counts
-		// the *full* status count, not the requested max: Timeline(id, k)
-		// must stay a timestamp-identical prefix of any deeper read, so
-		// the cap cannot depend on how far this caller pages. It may
-		// reach 0 (more tweets than seconds of life): timestamps then
-		// repeat, which the chronology invariant permits.
-		if remaining := int64(total - 1 - i); remaining > 0 {
-			if maxGap := (at - (rec.createdAt + 1)) / remaining; gap > maxGap {
-				gap = maxGap
-				if gap < 0 {
-					gap = 0
-				}
-			}
-		}
-		at -= gap
-		if at <= rec.createdAt {
-			at = rec.createdAt + 1
+	b := t.text[:0]
+	if tw.IsRetweet {
+		b = append(b, "RT @"...)
+		b = src.AppendScreenName(b)
+		b = append(b, ": "...)
+	}
+	b = append(b, base...)
+	if !isDup {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(age), 10)
+	}
+	if tw.HasLink {
+		const hexDigits = "0123456789abcdef"
+		link := src.Intn(1 << 30)
+		b = append(b, " http://t.co/"...)
+		for shift := 28; shift >= 0; shift -= 4 {
+			b = append(b, hexDigits[link>>shift&0xf])
 		}
 	}
-	return out
+	t.text = b
+	if build {
+		// Per-author unique, stable ID: author in the high bits, the age in
+		// the low 32. statuses is an int32, so the age can never overflow
+		// into the author bits — 20 bits used to, for any account past
+		// 1,048,576 statuses (Katy Perry scale), silently colliding with
+		// the next author's ID space.
+		tw.ID = TweetID(int64(t.id)<<32 | int64(age))
+		tw.Author = t.id
+		tw.CreatedAt = unixUTC(t.at)
+		tw.Text = string(b)
+		tw.Source = source
+	}
+
+	gap := int64(src.Exp(t.meanGap))
+	if gap < 1 {
+		gap = 1
+	}
+	// Cap the gap so the tweets still to come share the span left above
+	// the account's creation instant, instead of piling every overflowing
+	// tweet onto createdAt+1 — a timestamp spike no real timeline
+	// exhibits. The budget counts the *full* status count, not how far
+	// this caller reads: a tweet's timestamp may not depend on the page
+	// that shows it. It may reach 0 (more tweets than seconds of life):
+	// timestamps then repeat, which the chronology invariant permits.
+	if remaining := int64(age - 1); remaining > 0 {
+		if maxGap := (t.at - (t.created + 1)) / remaining; gap > maxGap {
+			gap = max(maxGap, 0)
+		}
+	}
+	t.at -= gap
+	if t.at <= t.created {
+		t.at = t.created + 1
+	}
+	t.rank++
+	return tw
+}
+
+// visitSynthTimeline is VisitTimeline for an account without stored
+// tweets: rank r (0 = newest) of its timeline carries the ID id<<32|total-r.
+func visitSynthTimeline(id UserID, rec *record, maxID TweetID, count, depth int, fn func(Tweet)) {
+	total := int(rec.statuses)
+	if total == 0 || rec.lastTweetAt == 0 {
+		return
+	}
+	first := 0
+	if maxID != 0 {
+		// The age of the newest tweet at or below maxID: 0 when maxID is
+		// below every ID of this author.
+		age := min(max(int64(maxID)-int64(id)<<32, 0), int64(total))
+		first = total - int(age)
+	}
+	end := min(first+count, depth, total)
+	if first >= end {
+		return
+	}
+	t := newTimelineSynth(id, rec)
+	for t.rank < first {
+		t.step(false)
+	}
+	for t.rank < end {
+		fn(t.step(true))
+	}
 }

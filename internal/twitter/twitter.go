@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -636,35 +637,22 @@ type FollowerPage struct {
 //
 // The page is served from a frozen edge view with no shard lock (the
 // celebrity-crawl hot path: a hot target's pages proceed while its writer
-// holds the shard mutex). Segments are sorted by Seq, so the anchor is
-// found by binary search over sealed block bounds: each page costs
-// O(log blocks + limit) plus one block decode per 512 edges served.
-// limit <= 0 yields an empty page.
+// holds the shard mutex). It is a FollowerWalk copied out: O(log blocks +
+// limit), one block decode per 512 edges served. limit <= 0 yields an empty
+// page.
 func (s *Store) FollowersPage(target UserID, fromSeq uint64, limit int) (FollowerPage, error) {
-	if err := s.checkExists(target); err != nil {
+	var w FollowerWalk
+	if err := s.WalkFollowers(&w, target, fromSeq, limit); err != nil {
 		return FollowerPage{}, err
 	}
-	td := s.shardFor(target).targetOf(target)
-	if td == nil {
-		return FollowerPage{}, nil
+	page := FollowerPage{Total: w.Total}
+	if n := w.Len(); n > 0 {
+		page.IDs = make([]UserID, 0, n)
+		for run := w.Next(); run != nil; run = w.Next() {
+			page.IDs = append(page.IDs, run...)
+		}
 	}
-	v := td.edges.view()
-	page := FollowerPage{Total: v.total}
-	if limit <= 0 || v.total == 0 {
-		return page, nil
-	}
-	newest := v.locate(fromSeq)
-	if newest < 0 {
-		return page, nil
-	}
-	if n := newest + 1; limit > n { // n = servable edges
-		limit = n
-	}
-	page.IDs = make([]UserID, limit)
-	v.fillNewestFirst(newest, page.IDs)
-	if rest := newest - limit; rest >= 0 {
-		page.NextSeq = v.seqAt(rest)
-	}
+	page.NextSeq = w.NextSeq()
 	return page, nil
 }
 
@@ -897,28 +885,60 @@ func (s *Store) appendTweet(author UserID, tw Tweet, forceID TweetID) (Tweet, ui
 // deterministic timeline generated from their behaviour record. max <= 0
 // returns an empty slice.
 func (s *Store) Timeline(id UserID, max int) ([]Tweet, error) {
+	var out []Tweet
+	err := s.VisitTimeline(id, 0, max, max, func(tw Tweet) {
+		if out == nil {
+			// max may be "everything" (1<<20): start at a page, grow by append.
+			out = make([]Tweet, 0, min(max, 200))
+		}
+		out = append(out, tw)
+	})
+	return out, err
+}
+
+// VisitTimeline calls fn with up to count tweets of the account, most
+// recent first, beginning at the newest tweet whose ID is <= maxID (at the
+// newest of all when maxID is 0: per-author tweet IDs fall with age, the
+// real API's max_id pagination) and never going past the depth-th newest
+// tweet of the account. It is the one timeline read: Timeline is a visit
+// appended to a slice, a user_timeline page is a visit printed into the
+// response. The work is the page's, not the timeline's: stored tweets are
+// found by binary search, and synthetic tweets above the page only advance
+// the draw stream — no string of theirs is built.
+//
+// The shard lock is held only to copy the record and the stored tweets'
+// slice header (appends never rewrite a published element); synthesis and
+// fn run after it is released, so a slow consumer never stalls the shard's
+// writers.
+func (s *Store) VisitTimeline(id UserID, maxID TweetID, count, depth int, fn func(Tweet)) error {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	rec, err := s.recordIn(sh, id)
+	recp, err := s.recordIn(sh, id)
 	if err != nil {
-		return nil, err
+		sh.mu.RUnlock()
+		return err
 	}
-	if max <= 0 {
-		return nil, nil
+	rec := *recp
+	var stored []Tweet
+	if td := sh.targetOf(id); td != nil {
+		stored = td.tweets
 	}
-	if td := sh.targetOf(id); td != nil && len(td.tweets) > 0 {
-		n := len(td.tweets)
-		if max > n {
-			max = n
+	sh.mu.RUnlock()
+
+	if n := len(stored); n > 0 {
+		// Stored IDs rise with position: they are handed out, and replayed,
+		// in append order under the author's shard lock.
+		first := 0 // rank (0 = newest) of the first tweet at or below maxID
+		if maxID != 0 {
+			first = n - sort.Search(n, func(i int) bool { return stored[i].ID > maxID })
 		}
-		out := make([]Tweet, max)
-		for i := 0; i < max; i++ {
-			out[i] = td.tweets[n-1-i] // newest first
+		for r, end := first, min(first+count, depth, n); r < end; r++ {
+			fn(stored[n-1-r])
 		}
-		return out, nil
+		return nil
 	}
-	return synthTimeline(id, rec, max), nil
+	visitSynthTimeline(id, &rec, maxID, count, depth, fn)
+	return nil
 }
 
 // SetFriends materialises the friend list of an account (newest first, the

@@ -53,3 +53,21 @@ func decodeCursor(target twitter.UserID, cursor int64) (uint64, error) {
 	}
 	return seq, nil
 }
+
+// followerAnchor turns a followers/ids cursor into the store's page anchor:
+// SeqNewest for CursorFirst, the seq a minted token carries otherwise.
+func followerAnchor(target twitter.UserID, cursor int64) (uint64, error) {
+	if cursor == CursorFirst {
+		return twitter.SeqNewest, nil
+	}
+	return decodeCursor(target, cursor)
+}
+
+// followerCursor is the NextCursor of a page whose next anchor is nextSeq:
+// CursorDone once the page reached the oldest surviving edge.
+func followerCursor(target twitter.UserID, nextSeq uint64) int64 {
+	if nextSeq == 0 {
+		return CursorDone
+	}
+	return encodeCursor(target, nextSeq)
+}

@@ -1,11 +1,10 @@
 package twitterapi
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -15,165 +14,6 @@ import (
 	"fakeproject/internal/simclock"
 	"fakeproject/internal/twitter"
 )
-
-// timeFormat is Twitter's "created_at" wire format (Ruby date).
-const timeFormat = "Mon Jan 02 15:04:05 -0700 2006"
-
-// userJSON is the wire shape of a user object. The last_tweet_at and
-// behavior fields are the extended payload documented in DESIGN.md §5.
-type userJSON struct {
-	ID                  int64         `json:"id"`
-	ScreenName          string        `json:"screen_name"`
-	Name                string        `json:"name"`
-	CreatedAt           string        `json:"created_at"`
-	Description         string        `json:"description"`
-	Location            string        `json:"location"`
-	URL                 string        `json:"url"`
-	FollowersCount      int           `json:"followers_count"`
-	FriendsCount        int           `json:"friends_count"`
-	StatusesCount       int           `json:"statuses_count"`
-	DefaultProfileImage bool          `json:"default_profile_image"`
-	Protected           bool          `json:"protected"`
-	Verified            bool          `json:"verified"`
-	LastTweetAt         string        `json:"last_tweet_at,omitempty"`
-	Behavior            *behaviorJSON `json:"behavior,omitempty"`
-}
-
-type behaviorJSON struct {
-	RetweetRatio   float64 `json:"retweet_ratio"`
-	LinkRatio      float64 `json:"link_ratio"`
-	SpamRatio      float64 `json:"spam_ratio"`
-	DuplicateRatio float64 `json:"duplicate_ratio"`
-}
-
-type tweetJSON struct {
-	ID        int64  `json:"id"`
-	AuthorID  int64  `json:"author_id"`
-	CreatedAt string `json:"created_at"`
-	Text      string `json:"text"`
-	IsRetweet bool   `json:"is_retweet"`
-	HasLink   bool   `json:"has_link"`
-	IsReply   bool   `json:"is_reply"`
-	Mentions  int    `json:"mentions"`
-	Hashtags  int    `json:"hashtags"`
-	Source    string `json:"source"`
-}
-
-type idPageJSON struct {
-	IDs        []int64 `json:"ids"`
-	NextCursor int64   `json:"next_cursor"`
-}
-
-type errorJSON struct {
-	Errors []errorItemJSON `json:"errors"`
-}
-
-type errorItemJSON struct {
-	Code    int    `json:"code"`
-	Message string `json:"message"`
-}
-
-func encodeUser(p twitter.Profile) userJSON {
-	u := userJSON{
-		ID:                  int64(p.ID),
-		ScreenName:          p.ScreenName,
-		Name:                p.Name,
-		CreatedAt:           p.CreatedAt.Format(timeFormat),
-		Description:         p.Bio,
-		Location:            p.Location,
-		URL:                 p.URL,
-		FollowersCount:      p.FollowersCount,
-		FriendsCount:        p.FriendsCount,
-		StatusesCount:       p.StatusesCount,
-		DefaultProfileImage: p.DefaultProfileImage,
-		Protected:           p.Protected,
-		Verified:            p.Verified,
-		Behavior: &behaviorJSON{
-			RetweetRatio:   p.Behavior.RetweetRatio,
-			LinkRatio:      p.Behavior.LinkRatio,
-			SpamRatio:      p.Behavior.SpamRatio,
-			DuplicateRatio: p.Behavior.DuplicateRatio,
-		},
-	}
-	if !p.LastTweetAt.IsZero() {
-		u.LastTweetAt = p.LastTweetAt.Format(timeFormat)
-	}
-	return u
-}
-
-func decodeUser(u userJSON) (twitter.Profile, error) {
-	created, err := time.Parse(timeFormat, u.CreatedAt)
-	if err != nil {
-		return twitter.Profile{}, fmt.Errorf("parsing created_at: %w", err)
-	}
-	p := twitter.Profile{
-		User: twitter.User{
-			ID:                  twitter.UserID(u.ID),
-			ScreenName:          u.ScreenName,
-			Name:                u.Name,
-			CreatedAt:           created,
-			Bio:                 u.Description,
-			Location:            u.Location,
-			URL:                 u.URL,
-			DefaultProfileImage: u.DefaultProfileImage,
-			Protected:           u.Protected,
-			Verified:            u.Verified,
-		},
-		FollowersCount: u.FollowersCount,
-		FriendsCount:   u.FriendsCount,
-		StatusesCount:  u.StatusesCount,
-	}
-	if u.LastTweetAt != "" {
-		last, err := time.Parse(timeFormat, u.LastTweetAt)
-		if err != nil {
-			return twitter.Profile{}, fmt.Errorf("parsing last_tweet_at: %w", err)
-		}
-		p.LastTweetAt = last
-	}
-	if u.Behavior != nil {
-		p.Behavior = twitter.Behavior{
-			RetweetRatio:   u.Behavior.RetweetRatio,
-			LinkRatio:      u.Behavior.LinkRatio,
-			SpamRatio:      u.Behavior.SpamRatio,
-			DuplicateRatio: u.Behavior.DuplicateRatio,
-		}
-	}
-	return p, nil
-}
-
-func encodeTweet(tw twitter.Tweet) tweetJSON {
-	return tweetJSON{
-		ID:        int64(tw.ID),
-		AuthorID:  int64(tw.Author),
-		CreatedAt: tw.CreatedAt.Format(timeFormat),
-		Text:      tw.Text,
-		IsRetweet: tw.IsRetweet,
-		HasLink:   tw.HasLink,
-		IsReply:   tw.IsReply,
-		Mentions:  tw.Mentions,
-		Hashtags:  tw.Hashtags,
-		Source:    tw.Source,
-	}
-}
-
-func decodeTweet(t tweetJSON) (twitter.Tweet, error) {
-	created, err := time.Parse(timeFormat, t.CreatedAt)
-	if err != nil {
-		return twitter.Tweet{}, fmt.Errorf("parsing tweet created_at: %w", err)
-	}
-	return twitter.Tweet{
-		ID:        twitter.TweetID(t.ID),
-		Author:    twitter.UserID(t.AuthorID),
-		CreatedAt: created,
-		Text:      t.Text,
-		IsRetweet: t.IsRetweet,
-		HasLink:   t.HasLink,
-		IsReply:   t.IsReply,
-		Mentions:  t.Mentions,
-		Hashtags:  t.Hashtags,
-		Source:    t.Source,
-	}, nil
-}
 
 // Server serves the API over HTTP with per-token rate limiting, mimicking
 // api.twitter.com/1.1 closely enough that the HTTP client and the in-process
@@ -265,13 +105,17 @@ func tokenOf(r *http.Request) string {
 }
 
 // gate applies the endpoint's rate limit for the request's token. It returns
-// false after writing a 429 if the budget is exhausted.
+// false after writing a 429 if the budget is exhausted. An endpoint without
+// a budget — every endpoint, under a nil table — is not a limiter matter:
+// no key is built for it.
 func (s *Server) gate(w http.ResponseWriter, r *http.Request, endpoint string) bool {
+	lim, limited := s.limits[endpoint]
+	if !limited {
+		return true
+	}
 	key := endpoint + "|" + tokenOf(r)
 	if _, ok := s.limiter.LimitFor(key); !ok {
-		if lim, exists := s.limits[endpoint]; exists {
-			s.limiter.SetLimit(key, lim)
-		}
+		s.limiter.SetLimit(key, lim)
 	}
 	ok, retry := s.limiter.Allow(key)
 	if ok {
@@ -301,26 +145,12 @@ func (s *Server) gate(w http.ResponseWriter, r *http.Request, endpoint string) b
 	return false
 }
 
-func writeError(w http.ResponseWriter, status, code int, msg string) {
-	buf := responseBuffers.Get().(*bytes.Buffer)
-	buf.Reset()
-	_ = json.NewEncoder(buf).Encode(errorJSON{Errors: []errorItemJSON{{Code: code, Message: msg}}})
-	writeBuffered(w, status, buf)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	buf := responseBuffers.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		writeError(w, http.StatusInternalServerError, 131, err.Error())
-		return
-	}
-	writeBuffered(w, http.StatusOK, buf)
-}
+// Each handler reads the request's query once and answers from one pooled
+// buffer: the store's visitors and the append encoders of encode.go fill
+// it, writeBuffered sends it.
 
 // resolveUser supports both user_id and screen_name parameters.
-func (s *Server) resolveUser(r *http.Request) (twitter.UserID, error) {
-	q := r.URL.Query()
+func (s *Server) resolveUser(q url.Values) (twitter.UserID, error) {
 	if raw := q.Get("user_id"); raw != "" {
 		id, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
@@ -334,42 +164,65 @@ func (s *Server) resolveUser(r *http.Request) (twitter.UserID, error) {
 	return 0, fmt.Errorf("user_id or screen_name required")
 }
 
-func (s *Server) handleIDsEndpoint(w http.ResponseWriter, r *http.Request, endpoint string,
-	fetch func(twitter.UserID, int64) (IDPage, error)) {
+// idsRequest gates an ids endpoint and parses its account and cursor. It
+// returns false after answering a request it refuses.
+func (s *Server) idsRequest(w http.ResponseWriter, r *http.Request, endpoint string) (twitter.UserID, int64, bool) {
 	if !s.gate(w, r, endpoint) {
-		return
+		return 0, 0, false
 	}
-	id, err := s.resolveUser(r)
+	q := r.URL.Query()
+	id, err := s.resolveUser(q)
 	if err != nil {
 		writeError(w, http.StatusNotFound, 34, err.Error())
-		return
+		return 0, 0, false
 	}
 	cursor := CursorFirst
-	if raw := r.URL.Query().Get("cursor"); raw != "" {
-		cursor, err = strconv.ParseInt(raw, 10, 64)
-		if err != nil {
+	if raw := q.Get("cursor"); raw != "" {
+		if cursor, err = strconv.ParseInt(raw, 10, 64); err != nil {
 			writeError(w, http.StatusBadRequest, 44, "bad cursor")
-			return
+			return 0, 0, false
 		}
 	}
-	page, err := fetch(id, cursor)
+	return id, cursor, true
+}
+
+// writeIDsError answers a page the service refused.
+func writeIDsError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrBadCursor) {
 		writeError(w, http.StatusBadRequest, 44, err.Error())
 		return
 	}
-	if err != nil {
-		writeError(w, http.StatusNotFound, 34, err.Error())
-		return
-	}
-	writeIDPage(w, page)
+	writeError(w, http.StatusNotFound, 34, err.Error())
 }
 
 func (s *Server) handleFollowerIDs(w http.ResponseWriter, r *http.Request) {
-	s.handleIDsEndpoint(w, r, EndpointFollowerIDs, s.svc.FollowerIDs)
+	id, cursor, ok := s.idsRequest(w, r, EndpointFollowerIDs)
+	if !ok {
+		return
+	}
+	var walk twitter.FollowerWalk
+	if err := s.svc.walkFollowers(&walk, id, cursor); err != nil {
+		writeIDsError(w, err)
+		return
+	}
+	buf := newResponse()
+	buf.b = appendFollowerPage(buf.b, id, &walk)
+	writeBuffered(w, http.StatusOK, buf)
 }
 
 func (s *Server) handleFriendIDs(w http.ResponseWriter, r *http.Request) {
-	s.handleIDsEndpoint(w, r, EndpointFriendIDs, s.svc.FriendIDs)
+	id, cursor, ok := s.idsRequest(w, r, EndpointFriendIDs)
+	if !ok {
+		return
+	}
+	page, err := s.svc.FriendIDs(id, cursor)
+	if err != nil {
+		writeIDsError(w, err)
+		return
+	}
+	buf := newResponse()
+	buf.b = appendIDPage(buf.b, page)
+	writeBuffered(w, http.StatusOK, buf)
 }
 
 func (s *Server) handleUsersLookup(w http.ResponseWriter, r *http.Request) {
@@ -381,13 +234,14 @@ func (s *Server) handleUsersLookup(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, 44, "user_id required")
 		return
 	}
-	parts := strings.Split(raw, ",")
-	if len(parts) > UsersLookupBatchSize {
+	if strings.Count(raw, ",") >= UsersLookupBatchSize {
 		writeError(w, http.StatusBadRequest, 44, "too many ids")
 		return
 	}
-	ids := make([]twitter.UserID, 0, len(parts))
-	for _, part := range parts {
+	ids := make([]twitter.UserID, 0, UsersLookupBatchSize)
+	for rest, more := raw, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
 		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, 44, "bad user_id list")
@@ -400,11 +254,7 @@ func (s *Server) handleUsersLookup(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, 44, err.Error())
 		return
 	}
-	out := make([]userJSON, len(profiles))
-	for i, p := range profiles {
-		out[i] = encodeUser(p)
-	}
-	writeJSON(w, out)
+	writeUsers(w, profiles)
 }
 
 func (s *Server) handleUsersShow(w http.ResponseWriter, r *http.Request) {
@@ -417,20 +267,21 @@ func (s *Server) handleUsersShow(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, 50, "User not found.")
 		return
 	}
-	writeJSON(w, encodeUser(p))
+	writeUser(w, &p)
 }
 
 func (s *Server) handleUserTimeline(w http.ResponseWriter, r *http.Request) {
 	if !s.gate(w, r, EndpointUserTimeline) {
 		return
 	}
-	id, err := s.resolveUser(r)
+	q := r.URL.Query()
+	id, err := s.resolveUser(q)
 	if err != nil {
 		writeError(w, http.StatusNotFound, 34, err.Error())
 		return
 	}
 	count := TimelinePageSize
-	if raw := r.URL.Query().Get("count"); raw != "" {
+	if raw := q.Get("count"); raw != "" {
 		count, err = strconv.Atoi(raw)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, 44, "bad count")
@@ -438,7 +289,7 @@ func (s *Server) handleUserTimeline(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var maxID twitter.TweetID
-	if raw := r.URL.Query().Get("max_id"); raw != "" {
+	if raw := q.Get("max_id"); raw != "" {
 		v, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, 44, "bad max_id")
@@ -446,14 +297,19 @@ func (s *Server) handleUserTimeline(w http.ResponseWriter, r *http.Request) {
 		}
 		maxID = twitter.TweetID(v)
 	}
-	tweets, err := s.svc.UserTimeline(id, count, maxID)
+	buf := newResponse()
+	b := append(buf.b, '[')
+	err = s.svc.visitTimeline(id, count, maxID, func(tw twitter.Tweet) {
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = appendTweet(b, &tw)
+	})
+	buf.b = b
 	if err != nil {
-		writeError(w, http.StatusNotFound, 34, err.Error())
+		replyError(w, buf, http.StatusNotFound, 34, err.Error())
 		return
 	}
-	out := make([]tweetJSON, len(tweets))
-	for i, tw := range tweets {
-		out[i] = encodeTweet(tw)
-	}
-	writeJSON(w, out)
+	buf.b = append(buf.b, "]\n"...)
+	writeBuffered(w, http.StatusOK, buf)
 }

@@ -256,3 +256,119 @@ func (c *HTTPClient) CallsByEndpoint() map[string]int {
 	}
 	return out
 }
+
+// The wire shapes, as this client decodes them. The server writes the same
+// bytes without them (encode.go).
+
+// userJSON is the wire shape of a user object. The last_tweet_at and
+// behavior fields are the extended payload documented in DESIGN.md §5.
+type userJSON struct {
+	ID                  int64         `json:"id"`
+	ScreenName          string        `json:"screen_name"`
+	Name                string        `json:"name"`
+	CreatedAt           string        `json:"created_at"`
+	Description         string        `json:"description"`
+	Location            string        `json:"location"`
+	URL                 string        `json:"url"`
+	FollowersCount      int           `json:"followers_count"`
+	FriendsCount        int           `json:"friends_count"`
+	StatusesCount       int           `json:"statuses_count"`
+	DefaultProfileImage bool          `json:"default_profile_image"`
+	Protected           bool          `json:"protected"`
+	Verified            bool          `json:"verified"`
+	LastTweetAt         string        `json:"last_tweet_at,omitempty"`
+	Behavior            *behaviorJSON `json:"behavior,omitempty"`
+}
+
+type behaviorJSON struct {
+	RetweetRatio   float64 `json:"retweet_ratio"`
+	LinkRatio      float64 `json:"link_ratio"`
+	SpamRatio      float64 `json:"spam_ratio"`
+	DuplicateRatio float64 `json:"duplicate_ratio"`
+}
+
+type tweetJSON struct {
+	ID        int64  `json:"id"`
+	AuthorID  int64  `json:"author_id"`
+	CreatedAt string `json:"created_at"`
+	Text      string `json:"text"`
+	IsRetweet bool   `json:"is_retweet"`
+	HasLink   bool   `json:"has_link"`
+	IsReply   bool   `json:"is_reply"`
+	Mentions  int    `json:"mentions"`
+	Hashtags  int    `json:"hashtags"`
+	Source    string `json:"source"`
+}
+
+type idPageJSON struct {
+	IDs        []int64 `json:"ids"`
+	NextCursor int64   `json:"next_cursor"`
+}
+
+type errorJSON struct {
+	Errors []errorItemJSON `json:"errors"`
+}
+
+type errorItemJSON struct {
+	Code    int    `json:"code"`
+	Message string `json:"message"`
+}
+
+func decodeUser(u userJSON) (twitter.Profile, error) {
+	created, err := time.Parse(timeFormat, u.CreatedAt)
+	if err != nil {
+		return twitter.Profile{}, fmt.Errorf("parsing created_at: %w", err)
+	}
+	p := twitter.Profile{
+		User: twitter.User{
+			ID:                  twitter.UserID(u.ID),
+			ScreenName:          u.ScreenName,
+			Name:                u.Name,
+			CreatedAt:           created,
+			Bio:                 u.Description,
+			Location:            u.Location,
+			URL:                 u.URL,
+			DefaultProfileImage: u.DefaultProfileImage,
+			Protected:           u.Protected,
+			Verified:            u.Verified,
+		},
+		FollowersCount: u.FollowersCount,
+		FriendsCount:   u.FriendsCount,
+		StatusesCount:  u.StatusesCount,
+	}
+	if u.LastTweetAt != "" {
+		last, err := time.Parse(timeFormat, u.LastTweetAt)
+		if err != nil {
+			return twitter.Profile{}, fmt.Errorf("parsing last_tweet_at: %w", err)
+		}
+		p.LastTweetAt = last
+	}
+	if u.Behavior != nil {
+		p.Behavior = twitter.Behavior{
+			RetweetRatio:   u.Behavior.RetweetRatio,
+			LinkRatio:      u.Behavior.LinkRatio,
+			SpamRatio:      u.Behavior.SpamRatio,
+			DuplicateRatio: u.Behavior.DuplicateRatio,
+		}
+	}
+	return p, nil
+}
+
+func decodeTweet(t tweetJSON) (twitter.Tweet, error) {
+	created, err := time.Parse(timeFormat, t.CreatedAt)
+	if err != nil {
+		return twitter.Tweet{}, fmt.Errorf("parsing tweet created_at: %w", err)
+	}
+	return twitter.Tweet{
+		ID:        twitter.TweetID(t.ID),
+		Author:    twitter.UserID(t.AuthorID),
+		CreatedAt: created,
+		Text:      t.Text,
+		IsRetweet: t.IsRetweet,
+		HasLink:   t.HasLink,
+		IsReply:   t.IsReply,
+		Mentions:  t.Mentions,
+		Hashtags:  t.Hashtags,
+		Source:    t.Source,
+	}, nil
+}

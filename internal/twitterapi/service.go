@@ -71,23 +71,27 @@ type IDPage struct {
 // any shard lock — concurrent crawlers of one celebrity target scale with
 // reader parallelism instead of serialising on its shard.
 func (s *Service) FollowerIDs(target twitter.UserID, cursor int64) (IDPage, error) {
-	fromSeq := twitter.SeqNewest
-	if cursor != CursorFirst {
-		seq, err := decodeCursor(target, cursor)
-		if err != nil {
-			return IDPage{}, err
-		}
-		fromSeq = seq
+	fromSeq, err := followerAnchor(target, cursor)
+	if err != nil {
+		return IDPage{}, err
 	}
 	page, err := s.store.FollowersPage(target, fromSeq, FollowerIDsPageSize)
 	if err != nil {
 		return IDPage{}, err
 	}
-	next := CursorDone
-	if page.NextSeq != 0 {
-		next = encodeCursor(target, page.NextSeq)
+	return IDPage{IDs: page.IDs, NextCursor: followerCursor(target, page.NextSeq)}, nil
+}
+
+// walkFollowers stands w at the start of the page FollowerIDs(target,
+// cursor) returns, for a caller that prints the IDs rather than keep them
+// (the followers/ids handler); followerCursor(target, w.NextSeq()) is the
+// page's NextCursor.
+func (s *Service) walkFollowers(w *twitter.FollowerWalk, target twitter.UserID, cursor int64) error {
+	fromSeq, err := followerAnchor(target, cursor)
+	if err != nil {
+		return err
 	}
-	return IDPage{IDs: page.IDs, NextCursor: next}, nil
+	return s.store.WalkFollowers(w, target, fromSeq, FollowerIDsPageSize)
 }
 
 // FriendIDs returns one page of the account's friend list (accounts it
@@ -214,22 +218,27 @@ func (s *Service) UsersShow(screenName string) (twitter.Profile, error) {
 // pagination; per-author tweet IDs decrease with age). Across pages, at most
 // the newest TimelineCap (3,200) tweets are reachable.
 func (s *Service) UserTimeline(id twitter.UserID, count int, maxID twitter.TweetID) ([]twitter.Tweet, error) {
-	if count <= 0 || count > TimelinePageSize {
-		count = TimelinePageSize
-	}
-	all, err := s.store.Timeline(id, TimelineCap)
+	out := make([]twitter.Tweet, 0, timelineCount(count))
+	err := s.visitTimeline(id, count, maxID, func(tw twitter.Tweet) {
+		out = append(out, tw)
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]twitter.Tweet, 0, count)
-	for _, tw := range all {
-		if maxID != 0 && tw.ID > maxID {
-			continue
-		}
-		out = append(out, tw)
-		if len(out) == count {
-			break
-		}
-	}
 	return out, nil
+}
+
+// timelineCount is the page size a requested count stands for.
+func timelineCount(count int) int {
+	if count <= 0 || count > TimelinePageSize {
+		return TimelinePageSize
+	}
+	return count
+}
+
+// visitTimeline calls fn with each tweet of the page UserTimeline(id, count,
+// maxID) returns, in order. The store does a page's work for a page: no
+// tweet outside it is built.
+func (s *Service) visitTimeline(id twitter.UserID, count int, maxID twitter.TweetID, fn func(twitter.Tweet)) error {
+	return s.store.VisitTimeline(id, maxID, timelineCount(count), TimelineCap, fn)
 }
