@@ -1,27 +1,25 @@
 // Command loadd is the end-to-end load generator for the HTTP plane: it
-// assembles the full platform in-process (population, the simulated Twitter
-// API and the audit service, each on its own loopback TCP port) or aims at
-// externally running daemons, then drives one or more workload mixes with
-// an open-loop (fixed-arrival-rate) schedule and reports per-endpoint
-// latency percentiles, throughput and error counts.
+// aims at running daemons — a twitterd or a routerd at -api, optionally an
+// auditd at -audit — drives one or more workload mixes at the -accounts
+// targets with an open-loop (fixed-arrival-rate) schedule, and reports
+// per-endpoint latency percentiles, throughput and error counts.
 //
-//	loadd -mix all -duration 5s                  # the four standard mixes
-//	loadd -mix churn-storm -rate 800 -duration 10s
 //	loadd -mix crawl-heavy -api http://127.0.0.1:8080 -accounts davc
+//	loadd -mix all -api http://127.0.0.1:8080 -audit http://127.0.0.1:8081 \
+//	  -accounts genpop_target -duration 5s
 //
 // Each mix prints one table on stdout, and the exit status is non-zero if
 // any mix saw an unexpected (non-429) error; nothing is written to disk —
 // numbers meant to be compared across commits come from the benchmark
-// (go run ./bench). Mixes: crawl-heavy, audit-heavy, churn-storm,
-// celebrity-hotspot; -duration is per mix. See docs/OPERATIONS.md for the
-// full runbook.
+// (go run ./bench). Mixes: crawl-heavy, audit-heavy (needs -audit),
+// churn-storm, celebrity-hotspot, multinode; -duration is per mix. See
+// docs/OPERATIONS.md for the full runbook.
 //
 // While a mix runs, a status line reports per-endpoint throughput and
 // latency every -progress interval (suppress with -quiet), and -metrics
 // starts an observability sidecar server on -obs-addr serving /metrics,
 // /metrics.json and the live dashboard at /dashboard/ — the same surfaces
-// the daemons expose, fed by both the in-process platform and the
-// generator's own client-side histograms.
+// the daemons expose, fed by the generator's client-side histograms.
 package main
 
 import (
@@ -63,30 +61,23 @@ func run() error {
 		progress   = flag.Duration("progress", 2*time.Second, "live status-line interval (0 disables)")
 		quiet      = flag.Bool("quiet", false, "suppress the live status line")
 
-		// In-process platform shape.
-		seed      = flag.Uint64("seed", 20140301, "population and sampling seed")
-		targets   = flag.Int("targets", 8, "audit targets to build (sizes follow a 1/k series)")
-		followers = flag.Int("followers", 20000, "materialised followers of the largest target")
-		workers   = flag.Int("workers", 4, "auditd worker pool size")
-		tools     = flag.String("tools", "", "comma list of audit tools (default the three commercial engines; add fakeproject-fc to pay training once)")
-		limits    = flag.Bool("table1-limits", false, "apply the paper's Table I budgets on the API server (429s become expected)")
-
-		// External daemons instead of the in-process platform.
-		api      = flag.String("api", "", "drive an external twitterd at this base URL instead of building in-process")
-		audit    = flag.String("audit", "", "external auditd base URL (with -api; enables audit-heavy)")
-		accounts = flag.String("accounts", "", "comma list of target screen names (required with -api)")
-
-		// Durability plane: back the in-process store with a write-ahead log
-		// so the mixes pay the real persistence cost.
-		walDir       = flag.String("wal-dir", "", "back the in-process store with a WAL in this (fresh) directory")
-		walFsync     = flag.String("fsync", "interval", "WAL fsync policy: always, interval, off (with -wal-dir)")
-		compactEvery = flag.Uint64("compact-every", 0, "compact the WAL every N records past the newest snapshot (0 = never; with -wal-dir)")
+		// The daemons under load.
+		api      = flag.String("api", "", "twitterd or routerd base URL to drive (required)")
+		audit    = flag.String("audit", "", "auditd base URL (enables audit-heavy)")
+		accounts = flag.String("accounts", "", "comma list of target screen names (required)")
 	)
 	flag.Parse()
 
 	mixes, err := resolveMixes(*mix)
 	if err != nil {
 		return err
+	}
+	if *api == "" {
+		return fmt.Errorf("-api is required: loadd drives running daemons")
+	}
+	names := splitList(*accounts)
+	if len(names) == 0 {
+		return fmt.Errorf("-accounts is required")
 	}
 
 	obs, err := platform.New(obsSpec)
@@ -102,22 +93,6 @@ func run() error {
 		defer obs.Server.Close()
 	}
 
-	if *walDir != "" && *api != "" {
-		return fmt.Errorf("-wal-dir backs the in-process store and cannot be combined with -api")
-	}
-
-	cfg := loadgen.Config{
-		Seed:            *seed,
-		Targets:         *targets,
-		Followers:       *followers,
-		AuditWorkers:    *workers,
-		AuditTools:      splitList(*tools),
-		TableILimits:    *limits,
-		Metrics:         reg,
-		WALDir:          *walDir,
-		WALFsync:        *walFsync,
-		WALCompactEvery: *compactEvery,
-	}
 	pattern := loadgen.Pattern{
 		Rate:       *rate,
 		BurstRate:  *burstRate,
@@ -128,10 +103,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *walDir != "" {
-		fmt.Fprintf(os.Stderr, "WAL in %s (fsync %s)\n", *walDir, *walFsync)
-	}
-	h, err := buildHarness(*api, *audit, *accounts, cfg)
+	h, err := loadgen.NewRemote(*api, *audit, names)
 	if err != nil {
 		return err
 	}
@@ -230,27 +202,6 @@ func resolveMixes(spec string) ([]string, error) {
 		return nil, fmt.Errorf("no mixes in %q", spec)
 	}
 	return out, nil
-}
-
-func buildHarness(api, audit, accounts string, cfg loadgen.Config) (*loadgen.Harness, error) {
-	if api == "" {
-		if audit != "" || accounts != "" {
-			return nil, fmt.Errorf("-audit/-accounts require -api")
-		}
-		fmt.Fprintf(os.Stderr, "building in-process platform (%d targets, %d followers at the head)...\n",
-			cfg.Targets, cfg.Followers)
-		h, err := loadgen.NewLocal(cfg)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "api on %s, auditd on %s\n", h.APIBase, h.AuditBase)
-		return h, nil
-	}
-	names := splitList(accounts)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("-api requires -accounts")
-	}
-	return loadgen.NewRemote(api, audit, names)
 }
 
 func splitList(list string) []string {

@@ -16,9 +16,11 @@ func DefaultSuite() []*Analyzer {
 			// wraps it behind the Clock interface every daemon consumes.
 			ExemptPackages: []string{ModulePath + "/internal/simclock"},
 			// Legitimate wall-time consumers, allowlisted as packages:
-			// loadgen measures real client-perceived latency, and the WAL
-			// times real fsyncs (durability happens in wall time even when
-			// the simulation does not).
+			// loadgen's Run schedules open-loop arrivals and measures
+			// client-perceived latency on the wall clock (the daemons it
+			// drives serve in real time), and the WAL times real fsyncs
+			// (durability happens in wall time even when the simulation
+			// does not).
 			AllowPackages: []string{
 				ModulePath + "/internal/loadgen",
 				ModulePath + "/internal/wal",
@@ -47,6 +49,15 @@ func DefaultSuite() []*Analyzer {
 					ModulePath + "/internal/metrics",
 					ModulePath + "/internal/simclock",
 				}},
+				// The load harness drives running daemons over HTTP and
+				// nothing else: no platform, auditd, population, wal or
+				// router import, so an in-process platform cannot grow back
+				// inside it. Its tests assemble one, but the rule does not
+				// scan test files.
+				{Package: ModulePath + "/internal/loadgen", OnlyImports: []string{
+					ModulePath + "/internal/drand",
+					ModulePath + "/internal/metrics",
+				}},
 				// Leaf utility packages stay leaves.
 				{Package: ModulePath + "/internal/simclock", OnlyImports: []string{}},
 				{Package: ModulePath + "/internal/drand", OnlyImports: []string{}},
@@ -66,12 +77,10 @@ func DefaultSuite() []*Analyzer {
 				}},
 				// The process assembly sits directly under the binaries:
 				// it imports every plane it wires together (router included,
-				// for the Ring), so nothing but cmd/* and the load harness —
-				// which boots the same processes in process — may import it,
-				// or the DAG would close into a cycle.
+				// for the Ring), so nothing but cmd/* may import it, or the
+				// DAG would close into a cycle.
 				{Package: ModulePath + "/internal/platform", RestrictedTo: []string{
 					ModulePath + "/cmd/*",
-					ModulePath + "/internal/loadgen",
 				}},
 			},
 		}),

@@ -1,9 +1,11 @@
 // Package loadgen is the end-to-end load-generation and latency harness for
-// the HTTP plane: it drives the real twitterd and auditd endpoints — over
-// TCP loopback against an in-process platform, or against external daemons
-// — with composable workload mixes, using an open-loop (fixed-arrival-rate)
-// schedule so that server slowdowns show up as latency instead of silently
-// throttling the generator.
+// the HTTP plane: it drives running twitterd (or routerd) and auditd
+// daemons over HTTP with composable workload mixes, using an open-loop
+// (fixed-arrival-rate) schedule so that server slowdowns show up as latency
+// instead of silently throttling the generator. It never builds a platform
+// of its own: what the daemons do meanwhile (churn, a ring member dying) is
+// the caller's to arrange, which the package's tests do on a deployment
+// they assemble themselves.
 //
 // Per-endpoint latencies land in fixed-bucket log-linear histograms (no
 // per-request allocation), together with throughput, error and throttle
@@ -12,8 +14,9 @@
 // of record: numbers that are compared across commits come from the
 // closed-loop benchmark (go run ./bench, BENCHMARK.json).
 //
-// The four standard mixes (see scenarios.go): crawl-heavy, audit-heavy,
-// churn-storm and celebrity-hotspot. cmd/loadd is the CLI front end.
+// The five standard mixes (see scenarios.go): crawl-heavy, audit-heavy,
+// churn-storm, celebrity-hotspot and multinode. cmd/loadd is the CLI front
+// end.
 package loadgen
 
 import (
@@ -75,10 +78,7 @@ type Result struct {
 	// arrivals dropped because the in-flight cap was reached (overload
 	// protection for the generator itself, reported, never silent).
 	Offered, Shed int
-	// ChurnAdded/ChurnRemoved report the background platform churn that
-	// ran concurrently with the load, when the mix drives any.
-	ChurnAdded, ChurnRemoved int
-	Endpoints                []EndpointStats
+	Endpoints     []EndpointStats
 }
 
 // TotalErrors sums non-429 failures across endpoints.

@@ -8,6 +8,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fakeproject/internal/auditd"
+	"fakeproject/internal/platform"
+	"fakeproject/internal/population"
+	"fakeproject/internal/simclock"
+	"fakeproject/internal/twitter"
+	"fakeproject/internal/twitterapi"
 )
 
 // stubMix issues in-memory ops so the runner can be tested without a
@@ -89,43 +96,205 @@ func TestRunClassifiesErrors(t *testing.T) {
 	}
 }
 
-// testHarness builds one small shared platform for the mix tests; building
-// the population dominates the cost, so every mix runs over the same one.
+// deployment is the platform the mix tests drive, assembled through
+// platform.Spec the way the daemons assemble theirs: an API node over a
+// store the test populates itself (so it can churn it), and an auditd
+// whose engines read that store in process. Ring tests add two
+// range-loading members behind a router (bootRing, multinode_test.go).
+type deployment struct {
+	store *twitter.Store
+	gen   *population.Generator
+	hot   twitter.UserID // load_t0, the largest target: what churn hits
+	names []string       // target screen names, largest first
+
+	api, audit string // base URLs
+}
+
+// The shared deployment: building the population dominates the cost, so
+// every test runs over the same one.
 var (
-	harnessOnce sync.Once
-	harness     *Harness
-	harnessErr  error
+	deployOnce sync.Once
+	deployed   *deployment
+	deployErr  error
 )
 
-func sharedHarness(t *testing.T) *Harness {
+func sharedDeployment(t *testing.T) *deployment {
 	t.Helper()
-	harnessOnce.Do(func() {
-		harness, harnessErr = NewLocal(Config{
-			Seed:         7,
-			Targets:      3,
-			Followers:    6000,
-			Statuses:     250,
-			AuditWorkers: 2,
-			AuditQueue:   64,
-		})
-	})
-	if harnessErr != nil {
-		t.Fatalf("building harness: %v", harnessErr)
+	deployOnce.Do(func() { deployed, deployErr = deploy() })
+	if deployErr != nil {
+		t.Fatalf("assembling deployment: %v", deployErr)
 	}
-	return harness
+	return deployed
+}
+
+// listen binds p and returns its base URL.
+func listen(p *platform.Process) (string, error) {
+	addr, err := p.Start()
+	return "http://" + addr, err
+}
+
+// deploy builds a heavy-tailed target family — target k carries
+// 6000/(k+1) followers, with a healthy share of fakes so purge sweeps have
+// victims — and starts the API node and auditd on loopback ports.
+func deploy() (*deployment, error) {
+	const seed = 7
+	clock := simclock.Real{}
+	api, err := platform.New(platform.Spec{Addr: "127.0.0.1:0", Seed: seed, NoLimits: true})
+	if err != nil {
+		return nil, err
+	}
+	store, err := api.OpenStore(clock)
+	if err != nil {
+		return nil, err
+	}
+	d := &deployment{store: store, gen: population.NewGenerator(store, seed)}
+	layout := population.Layout{{Width: 0, Mix: population.FromPercentages(25, 15, 60)}}
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("load_t%d", i)
+		id, err := d.gen.BuildTarget(population.TargetSpec{
+			ScreenName: name,
+			Followers:  6000 / (i + 1),
+			Layout:     layout,
+			Statuses:   250,
+			FollowSpan: 2 * 365 * 24 * time.Hour,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("building target %s: %w", name, err)
+		}
+		if i == 0 {
+			d.hot = id
+		}
+		d.names = append(d.names, name)
+	}
+	apiSvc := api.ServeAPI(store, clock)
+	if d.api, err = listen(api); err != nil {
+		return nil, err
+	}
+
+	// Engines crawl the store through in-process clients with a wide token
+	// pool: the surface under load is auditd's HTTP plane, not Table I
+	// sleeps.
+	newClient := func(tool string, worker int) twitterapi.Client {
+		return twitterapi.NewDirectClient(apiSvc, clock, twitterapi.ClientConfig{
+			Tokens: 1000,
+			Seed:   seed + uint64(worker)*31,
+		})
+	}
+	factories := auditd.StandardFactories(newClient, auditd.ToolSetConfig{Clock: clock, Seed: seed})
+	order := []string{auditd.ToolTA, auditd.ToolSP, auditd.ToolSB}
+	tools := map[string]auditd.Factory{}
+	for _, tool := range order {
+		tools[tool] = factories[tool]
+	}
+	svc, err := auditd.New(auditd.Config{
+		Workers:   2,
+		QueueCap:  64,
+		CacheTTL:  time.Minute,
+		Clock:     clock,
+		Tools:     tools,
+		ToolOrder: order,
+	})
+	if err != nil {
+		return nil, err
+	}
+	audit, err := platform.New(platform.Spec{Addr: "127.0.0.1:0"})
+	if err != nil {
+		return nil, err
+	}
+	audit.OnStop(svc.Shutdown)
+	audit.Mux.Handle("/", auditd.NewHandler(svc))
+	if d.audit, err = listen(audit); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// harness fronts api (the node or a ring's router) and audit with a remote
+// harness over every target, the path cmd/loadd takes.
+func (d *deployment) harness(t *testing.T, api, audit string) *Harness {
+	t.Helper()
+	h, err := NewRemote(api, audit, d.names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Close)
+	return h
+}
+
+// churn starts a population.Driver goroutine on the hottest target that
+// alternates purchase bursts and purge sweeps every interval — the storm
+// the crawl mixes race. The returned stop ends it and reports the
+// followers it added and removed.
+func (d *deployment) churn(interval time.Duration, burst int, purgeFraction float64) (stop func() (added, removed int, err error)) {
+	driver := population.NewDriver(d.gen, d.hot, population.ChurnScript{})
+	quit := make(chan struct{})
+	type outcome struct {
+		added, removed int
+		err            error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		var o outcome
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for step := 0; o.err == nil; step++ {
+			select {
+			case <-quit:
+				done <- o
+				return
+			case <-ticker.C:
+			}
+			if step%2 == 0 {
+				if o.err = d.gen.BuyFollowers(d.hot, burst); o.err == nil {
+					o.added += burst
+				}
+			} else {
+				var n int
+				n, o.err = driver.PurgeFakes(purgeFraction)
+				o.removed += n
+			}
+		}
+		done <- o
+	}()
+	return func() (int, int, error) {
+		close(quit)
+		o := <-done
+		return o.added, o.removed, o.err
+	}
 }
 
 // TestAllMixesCleanUnderChurn is the acceptance gate: every standard mix
-// runs against the in-process HTTP plane — with background churn racing
-// the reads where the mix calls for it — and completes with zero
-// unexpected (non-429) errors.
+// runs against the deployment over HTTP — with churn racing the reads on
+// the crawl-heavy and churn-storm runs, and multinode through a fresh
+// ring — and completes with zero unexpected (non-429) errors.
 func TestAllMixesCleanUnderChurn(t *testing.T) {
-	h := sharedHarness(t)
+	d := sharedDeployment(t)
 	for _, name := range MixNames() {
 		t.Run(name, func(t *testing.T) {
+			api := d.api
+			if name == MixMultiNode {
+				api = d.bootRing(t).base
+			}
+			h := d.harness(t, api, d.audit)
+			var stopChurn func() (int, int, error)
+			switch name {
+			case MixCrawlHeavy:
+				stopChurn = d.churn(60*time.Millisecond, 150, 0.05)
+			case MixChurnStorm:
+				stopChurn = d.churn(25*time.Millisecond, 400, 0.25)
+			}
 			res, err := h.RunMix(context.Background(), name,
 				Pattern{Rate: 300, BurstRate: 900, BurstEvery: 200 * time.Millisecond, BurstLen: 50 * time.Millisecond},
 				400*time.Millisecond, 128)
+			if stopChurn != nil {
+				added, removed, churnErr := stopChurn()
+				if churnErr != nil {
+					t.Fatalf("background churn: %v", churnErr)
+				}
+				if added == 0 && removed == 0 {
+					t.Error("churn mix ran without any platform churn being applied")
+				}
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,38 +315,34 @@ func TestAllMixesCleanUnderChurn(t *testing.T) {
 					t.Errorf("%s: p99 %v < p50 %v", e.Endpoint, e.P99, e.P50)
 				}
 			}
-			switch name {
-			case MixCrawlHeavy, MixChurnStorm:
-				if res.ChurnAdded == 0 && res.ChurnRemoved == 0 {
-					t.Error("churn mix ran without any platform churn being applied")
-				}
-			}
 		})
 	}
 }
 
-// TestRemoteHarnessResolvesTargets drives NewRemote against the local
-// harness's own API server, the same path an external -api run takes.
+// TestRemoteHarnessResolvesTargets pins what NewRemote learns over the
+// API and which mixes it can run without an audit service.
 func TestRemoteHarnessResolvesTargets(t *testing.T) {
-	local := sharedHarness(t)
-	remote, err := NewRemote(local.APIBase, "", []string{local.Targets[0].Name})
+	d := sharedDeployment(t)
+	remote, err := NewRemote(d.api, "", d.names[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if remote.Targets[0].ID != local.Targets[0].ID {
-		t.Fatalf("resolved id %d, want %d", remote.Targets[0].ID, local.Targets[0].ID)
+	defer remote.Close()
+	if got := remote.Targets[0].ID; got != int64(d.hot) {
+		t.Fatalf("resolved id %d, want %d", got, d.hot)
 	}
-	// Read-only mixes work; platform-mutating and audit mixes refuse.
-	res, err := remote.RunMix(context.Background(), MixCelebrityHotspot,
-		Pattern{Rate: 100}, 150*time.Millisecond, 32)
-	if err != nil {
-		t.Fatal(err)
+	if len(remote.accounts) < 2 {
+		t.Fatalf("probe pool holds %d ids; want the target plus its first follower page", len(remote.accounts))
 	}
-	if res.TotalErrors() != 0 || res.TotalCount() == 0 {
-		t.Fatalf("remote hotspot run: %d reqs, %d errors", res.TotalCount(), res.TotalErrors())
-	}
-	if _, err := remote.RunMix(context.Background(), MixChurnStorm, Pattern{Rate: 10}, 50*time.Millisecond, 8); err == nil {
-		t.Fatal("churn-storm must refuse to run against a remote platform")
+	// Every read mix runs; audit-heavy refuses without an audit service.
+	for _, name := range []string{MixCelebrityHotspot, MixChurnStorm} {
+		res, err := remote.RunMix(context.Background(), name, Pattern{Rate: 100}, 150*time.Millisecond, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TotalErrors() != 0 || res.TotalCount() == 0 {
+			t.Fatalf("remote %s run: %d reqs, %d errors", name, res.TotalCount(), res.TotalErrors())
+		}
 	}
 	if _, err := remote.RunMix(context.Background(), MixAuditHeavy, Pattern{Rate: 10}, 50*time.Millisecond, 8); err == nil {
 		t.Fatal("audit-heavy must refuse without an audit service")

@@ -7,13 +7,158 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"fakeproject/internal/metrics"
+	"fakeproject/internal/platform"
 	"fakeproject/internal/router"
+	"fakeproject/internal/simclock"
+	"fakeproject/internal/twitter"
 )
+
+// ring is a two-member partitioned deployment behind a router, each member
+// range-loaded from a snapshot of the shared store taken at boot. Two
+// nodes is the smallest ring where kill/rejoin is survivable: every range
+// keeps one live holder.
+type ring struct {
+	nodes  []*ringNode
+	router *router.Router
+	reg    *metrics.Registry // the router's, for ejection/readmission checks
+	proc   *platform.Process // the router's listener; its stop path closes router
+	base   string
+}
+
+// ringNode is one member: the spec it is assembled from (its address
+// pinned once bound — a rejoin must come back on it), its partial store,
+// and the live process.
+type ringNode struct {
+	mu    sync.Mutex
+	spec  platform.Spec
+	store *twitter.Store
+	proc  *platform.Process // nil while killed
+}
+
+// bootRing snapshots the deployment's store, boots one range-loading
+// member per ring position from it, then the router in front of them. The
+// ring is torn down when t ends.
+func (d *deployment) bootRing(t *testing.T) *ring {
+	t.Helper()
+	snap := filepath.Join(t.TempDir(), "ring.snap")
+	f, err := os.Create(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = d.store.WriteSnapshot(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatalf("snapshotting the deployment: %v", err)
+	}
+
+	r := &ring{}
+	t.Cleanup(r.close)
+	var bases []string
+	for i := 0; i < 2; i++ {
+		n := &ringNode{spec: platform.Spec{
+			Addr:      "127.0.0.1:0",
+			Load:      snap,
+			RingIndex: i,
+			RingNodes: 2,
+			RingSlots: router.DefaultSlots,
+			NoLimits:  true,
+		}}
+		if err := n.start(); err != nil {
+			t.Fatalf("starting node %d: %v", i, err)
+		}
+		r.nodes = append(r.nodes, n)
+		bases = append(bases, "http://"+n.spec.Addr)
+	}
+
+	p, err := platform.New(platform.Spec{Addr: "127.0.0.1:0", Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := router.New(router.Config{
+		Backends:      bases,
+		Registry:      p.Reg,
+		Clock:         simclock.Real{},
+		ProbeInterval: 50 * time.Millisecond, // readmit quickly: the runs are short
+	})
+	if err != nil {
+		t.Fatalf("building router: %v", err)
+	}
+	p.OnStop(func(context.Context) error { rt.Close(); return nil })
+	p.Mux.Handle("/", rt)
+	r.router, r.reg, r.proc = rt, p.Reg, p
+	if r.base, err = listen(p); err != nil {
+		t.Fatalf("router listener: %v", err)
+	}
+	return r
+}
+
+// start (re)assembles the node's process and binds it. The first call
+// range-loads the store and takes an ephemeral port, which it pins; rejoins
+// reuse both, or the router would never find the node again.
+func (n *ringNode) start() error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	clock := simclock.Real{}
+	p, err := platform.New(n.spec)
+	if err != nil {
+		return err
+	}
+	if n.store == nil {
+		if n.store, err = p.OpenStore(clock); err != nil {
+			return err
+		}
+	}
+	p.ServeAPI(n.store, clock)
+	if n.spec.Addr, err = p.Start(); err != nil {
+		return err
+	}
+	n.proc = p
+	return nil
+}
+
+// kill drops the node hard: listener gone, in-flight connections cut —
+// the closest a test process gets to SIGKILL.
+func (n *ringNode) kill() {
+	n.mu.Lock()
+	p := n.proc
+	n.proc = nil
+	n.mu.Unlock()
+	if p != nil {
+		_ = p.Server.Close()
+	}
+}
+
+// rejoin brings the node back on its original address.
+func (n *ringNode) rejoin() error {
+	n.mu.Lock()
+	running := n.proc != nil
+	n.mu.Unlock()
+	if running {
+		return nil
+	}
+	return n.start()
+}
+
+func (r *ring) close() {
+	if r.proc != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = r.proc.Stop(ctx)
+	}
+	for _, n := range r.nodes {
+		n.kill()
+	}
+}
 
 // idsPage mirrors the wire shape of followers/ids for the cursor walks.
 type idsPage struct {
@@ -101,19 +246,17 @@ func sameIDs(a, b []int64) bool {
 // keep answering 200 off the replica; the router records the ejection and
 // the probe loop records the readmission.
 func TestMultiNodeChaos(t *testing.T) {
-	h := sharedHarness(t)
-	c, err := h.newMultiCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.close()
+	d := sharedDeployment(t)
+	c := d.bootRing(t)
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
 
-	target := h.Targets[0]
-	direct := walkFollowers(t, h.HTTP, h.APIBase, int64(target.ID))
+	target := int64(d.hot)
+	direct := walkFollowers(t, client, d.api, target)
 	if len(direct) == 0 {
 		t.Fatal("target has no followers to walk")
 	}
-	routed := walkFollowers(t, h.HTTP, c.base, int64(target.ID))
+	routed := walkFollowers(t, client, c.base, target)
 	if !sameIDs(direct, routed) {
 		t.Fatalf("routed walk diverged before chaos: %d ids vs %d direct", len(routed), len(direct))
 	}
@@ -121,10 +264,10 @@ func TestMultiNodeChaos(t *testing.T) {
 	// Collect follower ids whose slot node 1 owns: killing node 1 makes
 	// these the interesting requests — their primary is gone, so only the
 	// failover path keeps them invisible to the client.
-	ring := router.NewRing(router.DefaultSlots, 2)
+	owners := router.NewRing(router.DefaultSlots, 2)
 	var owned1 []int64
 	for _, id := range direct {
-		if ring.Owner(ring.Slot(id)) == 1 {
+		if owners.Owner(owners.Slot(id)) == 1 {
 			owned1 = append(owned1, id)
 		}
 	}
@@ -138,7 +281,7 @@ func TestMultiNodeChaos(t *testing.T) {
 	// still 200 off the replica.
 	for i := 0; i < 5; i++ {
 		u := fmt.Sprintf("%s/1.1/friends/ids.json?user_id=%d&cursor=-1", c.base, owned1[i%len(owned1)])
-		resp, err := h.HTTP.Get(u)
+		resp, err := client.Get(u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +302,7 @@ func TestMultiNodeChaos(t *testing.T) {
 	}
 
 	// Mid-kill cursor walk: no duplicate, no skipped follower id.
-	if mid := walkFollowers(t, h.HTTP, c.base, int64(target.ID)); !sameIDs(direct, mid) {
+	if mid := walkFollowers(t, client, c.base, target); !sameIDs(direct, mid) {
 		t.Fatalf("mid-kill walk diverged: %d ids vs %d direct", len(mid), len(direct))
 	}
 
@@ -180,20 +323,34 @@ func TestMultiNodeChaos(t *testing.T) {
 		t.Fatalf("router_backend_healthy{backend=1} = %v after readmission", got)
 	}
 
-	if after := walkFollowers(t, h.HTTP, c.base, int64(target.ID)); !sameIDs(direct, after) {
+	if after := walkFollowers(t, client, c.base, target); !sameIDs(direct, after) {
 		t.Fatalf("post-rejoin walk diverged: %d ids vs %d direct", len(after), len(direct))
 	}
 }
 
-// TestMultiNodeMixRuns exercises the public path the loadd binary takes:
-// RunMix boots the cluster, runs the mix with the kill/rejoin chaos plan
-// racing it, and the run must finish with zero client-visible non-429
-// errors. Long enough that the dead window (middle third) sees real
-// traffic, short enough for the suite.
+// TestMultiNodeMixRuns drives the multinode mix through the router the
+// way cmd/loadd does, while a chaos goroutine kills node 1 a third of the
+// way in and rejoins it at two thirds. Node 1 rather than 0 so the
+// deterministic "first healthy backend" of unrouted requests stays up. The
+// run must finish with zero client-visible non-429 errors: every attempt
+// on the dead node fails over to the range's replica holder. Long enough
+// that the dead window sees real traffic, short enough for the suite.
 func TestMultiNodeMixRuns(t *testing.T) {
-	h := sharedHarness(t)
-	res, err := h.RunMix(context.Background(), MixMultiNode,
-		Pattern{Rate: 250}, 1200*time.Millisecond, 64)
+	d := sharedDeployment(t)
+	c := d.bootRing(t)
+	h := d.harness(t, c.base, "")
+	const run = 1200 * time.Millisecond
+	chaos := make(chan error, 1)
+	go func() {
+		time.Sleep(run / 3)
+		c.nodes[1].kill()
+		time.Sleep(run / 3)
+		chaos <- c.nodes[1].rejoin()
+	}()
+	res, err := h.RunMix(context.Background(), MixMultiNode, Pattern{Rate: 250}, run, 64)
+	if chaosErr := <-chaos; chaosErr != nil {
+		t.Fatalf("rejoin: %v", chaosErr)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,8 @@ import (
 
 // Format writes a human-readable summary of one mix run.
 func (r Result) Format(w io.Writer) {
-	fmt.Fprintf(w, "mix %s: %d requests in %v (%d offered, %d shed",
+	fmt.Fprintf(w, "mix %s: %d requests in %v (%d offered, %d shed)\n",
 		r.Mix, r.TotalCount(), r.Duration.Round(time.Millisecond), r.Offered, r.Shed)
-	if r.ChurnAdded > 0 || r.ChurnRemoved > 0 {
-		fmt.Fprintf(w, "; churn +%d/-%d followers", r.ChurnAdded, r.ChurnRemoved)
-	}
-	fmt.Fprintln(w, ")")
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  endpoint\trps\tp50\tp90\tp99\tp999\tmax\terr\t429")
 	for _, e := range r.Endpoints {

@@ -7,37 +7,37 @@ import (
 	"math/rand"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"fakeproject/internal/drand"
-	"fakeproject/internal/twitter"
-	"fakeproject/internal/twitterapi"
 )
 
-// The standard workload mixes, in canonical order.
+// The standard workload mixes, in canonical order. Each is a read shape;
+// the platform's motion (purchase bursts, purge sweeps, a ring member
+// dying) is whatever the daemons behind the harness are doing meanwhile.
 //
 //   - crawl-heavy: followers/ids page walks (with live cursors) and
-//     friends/ids first pages, while mild churn mutates the hottest list —
-//     the monitord crawl plane under organic platform motion.
+//     friends/ids first pages — the monitord crawl plane.
 //   - audit-heavy: interactive fakecheck submissions with Zipf-skewed
 //     targets plus status polls — the auditd front door, where dedup,
 //     caching and queue backpressure live.
-//   - churn-storm: purchase bursts and purge sweeps hammering the hottest
-//     target while readers page and resolve it — the churn-proof-cursor
-//     contract under fire.
+//   - churn-storm: readers paging and resolving the hottest target — the
+//     churn-proof-cursor contract, under fire when that target is churning.
 //   - celebrity-hotspot: every request aimed at the single hottest account
 //     (profile, pages, timeline), concentrating all load on one store
 //     shard — the worst case for lock striping.
-//   - multinode: the same crawl-shaped traffic through a router fronting a
-//     two-node partitioned ring booted inside the harness, with a chaos
-//     plan that kills and rejoins one node mid-run (see multinode.go).
+//   - multinode: crawl-shaped traffic plus scattered users/lookup batches,
+//     spread profiles and routed timelines — the shape that exercises a
+//     router's split, merge and failover paths in front of a ring.
 const (
 	MixCrawlHeavy       = "crawl-heavy"
 	MixAuditHeavy       = "audit-heavy"
 	MixChurnStorm       = "churn-storm"
 	MixCelebrityHotspot = "celebrity-hotspot"
+	MixMultiNode        = "multinode"
 )
 
 // MixNames lists the standard mixes in canonical order.
@@ -45,74 +45,30 @@ func MixNames() []string {
 	return []string{MixCrawlHeavy, MixAuditHeavy, MixChurnStorm, MixCelebrityHotspot, MixMultiNode}
 }
 
-// churnPlan describes the background platform churn a mix runs under.
-type churnPlan struct {
-	interval      time.Duration
-	burst         int
-	purgeFraction float64
-}
-
-// mixSpec pairs a Mix with its background machinery: platform churn, a
-// chaos plan (the multinode kill/rejoin), and any teardown the mix's
-// private infrastructure needs after the run.
-type mixSpec struct {
-	mix     Mix
-	churn   *churnPlan
-	chaos   func(ctx context.Context, d time.Duration) error
-	cleanup func()
-}
-
-// buildMix assembles the named mix over this harness.
-func (h *Harness) buildMix(name string, seed uint64) (mixSpec, error) {
-	rnd := rand.New(rand.NewSource(int64(seed)))
+// buildMix assembles the named mix over this harness. A mix's sampling
+// stream is seeded from its name alone.
+func (h *Harness) buildMix(name string) (Mix, error) {
+	rnd := rand.New(rand.NewSource(int64(drand.New(0).SeedFor("loadgen/" + name))))
 	switch name {
 	case MixCrawlHeavy:
-		if h.store == nil {
-			return mixSpec{mix: newCrawlMix(h, name, rnd, 32, h.Targets)}, nil
-		}
-		return mixSpec{
-			mix:   newCrawlMix(h, name, rnd, 32, h.Targets),
-			churn: &churnPlan{interval: 60 * time.Millisecond, burst: 150, purgeFraction: 0.05},
-		}, nil
+		return newCrawlMix(h, name, rnd, 32, h.Targets), nil
 	case MixAuditHeavy:
 		if h.AuditBase == "" {
-			return mixSpec{}, fmt.Errorf("mix %s needs an audit service (none configured)", name)
+			return nil, fmt.Errorf("mix %s needs an audit service (none configured)", name)
 		}
-		return mixSpec{mix: newAuditMix(h, rnd)}, nil
+		return newAuditMix(h, rnd), nil
 	case MixChurnStorm:
-		if h.store == nil {
-			return mixSpec{}, fmt.Errorf("mix %s needs an in-process platform to churn", name)
-		}
-		return mixSpec{
-			mix:   newStormMix(h, rnd),
-			churn: &churnPlan{interval: 25 * time.Millisecond, burst: 400, purgeFraction: 0.25},
-		}, nil
+		return newStormMix(h, rnd), nil
 	case MixCelebrityHotspot:
-		mix, err := newHotspotMix(h, rnd)
-		if err != nil {
-			return mixSpec{}, err
-		}
-		return mixSpec{mix: mix}, nil
+		return newHotspotMix(h, rnd), nil
 	case MixMultiNode:
-		if h.store == nil {
-			return mixSpec{}, fmt.Errorf("mix %s needs an in-process platform to partition", name)
-		}
-		cluster, err := h.newMultiCluster(multinodeNodes)
-		if err != nil {
-			return mixSpec{}, err
-		}
-		return mixSpec{
-			mix:     newMultiMix(h, rnd, cluster),
-			chaos:   cluster.chaosPlan,
-			cleanup: cluster.close,
-		}, nil
+		return newMultiMix(h, rnd), nil
 	default:
-		return mixSpec{}, fmt.Errorf("unknown mix %q (have %v)", name, MixNames())
+		return nil, fmt.Errorf("unknown mix %q (have %v)", name, MixNames())
 	}
 }
 
-// RunMix executes one named mix under the pattern, driving any background
-// churn the mix calls for concurrently with the load.
+// RunMix executes one named mix under the pattern.
 func (h *Harness) RunMix(ctx context.Context, name string, p Pattern, d time.Duration, maxInFlight int) (Result, error) {
 	return h.RunMixWith(ctx, name, p, d, maxInFlight, nil)
 }
@@ -121,54 +77,11 @@ func (h *Harness) RunMix(ctx context.Context, name string, p Pattern, d time.Dur
 // a private one) so live progress and metrics publication can observe the
 // run as it happens.
 func (h *Harness) RunMixWith(ctx context.Context, name string, p Pattern, d time.Duration, maxInFlight int, col *Collector) (Result, error) {
-	spec, err := h.buildMix(name, drand.New(h.seed).SeedFor("loadgen/"+name))
+	mix, err := h.buildMix(name)
 	if err != nil {
 		return Result{}, err
 	}
-	if spec.cleanup != nil {
-		defer spec.cleanup()
-	}
-	if col == nil {
-		// Allocate the collector here rather than inside RunWith so the
-		// churn goroutine's write-probe timings land in the same Result.
-		col = NewCollector()
-	}
-
-	churnCtx, stopChurn := context.WithCancel(ctx)
-	defer stopChurn()
-	type churnOutcome struct {
-		added, removed int
-		err            error
-	}
-	churnDone := make(chan churnOutcome, 1)
-	if spec.churn != nil {
-		go func() {
-			a, r, err := h.runChurn(churnCtx, col, spec.churn.interval, spec.churn.burst, spec.churn.purgeFraction)
-			churnDone <- churnOutcome{a, r, err}
-		}()
-	}
-	chaosDone := make(chan error, 1)
-	if spec.chaos != nil {
-		go func() { chaosDone <- spec.chaos(churnCtx, d) }()
-	}
-
-	res := RunWith(ctx, spec.mix, p, d, maxInFlight, col)
-
-	if spec.chaos != nil {
-		stopChurn()
-		if err := <-chaosDone; err != nil {
-			return res, fmt.Errorf("chaos plan: %w", err)
-		}
-	}
-	if spec.churn != nil {
-		stopChurn()
-		outcome := <-churnDone
-		if outcome.err != nil {
-			return res, fmt.Errorf("background churn: %w", outcome.err)
-		}
-		res.ChurnAdded, res.ChurnRemoved = outcome.added, outcome.removed
-	}
-	return res, nil
+	return RunWith(ctx, mix, p, d, maxInFlight, col), nil
 }
 
 // --- crawl-heavy ---
@@ -195,7 +108,7 @@ func newCrawlMix(h *Harness, name string, rnd *rand.Rand, slots int, targets []T
 	for i := 0; i < slots; i++ {
 		m.slots = append(m.slots, &crawlSlot{
 			target: targets[i%len(targets)],
-			cursor: twitterapi.CursorFirst,
+			cursor: cursorFirst,
 			token:  fmt.Sprintf("%s-slot%d", name, i),
 		})
 	}
@@ -211,7 +124,7 @@ func (m *crawlMix) Next(i int) Op {
 		id := m.h.randomUserID(m.rnd)
 		token := fmt.Sprintf("%s-friends%d", m.name, i%8)
 		return Op{Endpoint: "friends/ids", Do: func(ctx context.Context) error {
-			_, err := m.h.get(ctx, m.h.idsURL("/1.1/friends/ids.json", id, twitterapi.CursorFirst), token)
+			_, err := m.h.get(ctx, m.h.idsURL("/1.1/friends/ids.json", id, cursorFirst), token)
 			return err
 		}}
 	}
@@ -235,30 +148,24 @@ func (s *crawlSlot) advance(ctx context.Context, h *Harness) error {
 	if err := json.Unmarshal(body, &page); err != nil {
 		return fmt.Errorf("decoding ids page: %w", err)
 	}
-	if page.NextCursor == twitterapi.CursorDone {
-		s.cursor = twitterapi.CursorFirst
+	if page.NextCursor == cursorDone {
+		s.cursor = cursorFirst
 	} else {
 		s.cursor = page.NextCursor
 	}
 	return nil
 }
 
-// randomUserID picks an account to probe: any platform account locally,
-// a known target remotely.
-func (h *Harness) randomUserID(rnd *rand.Rand) twitter.UserID {
-	if h.store != nil {
-		return twitter.UserID(rnd.Int63n(int64(h.store.UserCount())) + 1)
-	}
-	return h.Targets[rnd.Intn(len(h.Targets))].ID
+// randomUserID picks an account to probe from the resolved pool.
+func (h *Harness) randomUserID(rnd *rand.Rand) int64 {
+	return h.accounts[rnd.Intn(len(h.accounts))]
 }
 
 // --- audit-heavy ---
 
 type auditMix struct {
-	h     *Harness
-	zipf  *rand.Zipf
-	rnd   *rand.Rand
-	tools []string
+	h    *Harness
+	zipf *rand.Zipf
 	// lastJob remembers the most recent submission's id for status polls.
 	lastJob atomic.Value // string
 }
@@ -269,9 +176,7 @@ func newAuditMix(h *Harness, rnd *rand.Rand) *auditMix {
 		// Zipf exponent 1.2 over the target family: the hottest target
 		// draws the bulk of the submissions, so dedup and the result
 		// cache carry realistic skew.
-		zipf:  rand.NewZipf(rnd, 1.2, 1, uint64(len(h.Targets)-1)),
-		rnd:   rnd,
-		tools: h.tools,
+		zipf: rand.NewZipf(rnd, 1.2, 1, uint64(len(h.Targets)-1)),
 	}
 }
 
@@ -293,12 +198,10 @@ func (m *auditMix) Next(i int) Op {
 		}
 		fallthrough
 	default:
-		target := m.h.Targets[m.zipf.Uint64()].Name
-		spec := struct {
-			Target string   `json:"target"`
-			Tools  []string `json:"tools,omitempty"`
-		}{Target: target, Tools: m.tools}
-		body, _ := json.Marshal(spec)
+		// No tool list: the audit service runs its default set.
+		body, _ := json.Marshal(struct {
+			Target string `json:"target"`
+		}{m.h.Targets[m.zipf.Uint64()].Name})
 		return Op{Endpoint: "audits/submit", Do: func(ctx context.Context) error {
 			resp, err := m.h.post(ctx, m.h.AuditBase+"/v1/audits", body)
 			if err != nil {
@@ -320,10 +223,10 @@ func (m *auditMix) Next(i int) Op {
 
 // --- churn-storm ---
 
-// stormMix reads the one target the churn loop is simultaneously growing
-// and purging: continuing page walks (live cursors racing removals below
-// their anchors), fresh first pages, and profile reads whose follower
-// counters move between calls.
+// stormMix reads the hottest target, the one bursts and purges hit:
+// continuing page walks (live cursors racing removals below their
+// anchors), fresh first pages, and profile reads whose follower counters
+// move between calls.
 type stormMix struct {
 	h     *Harness
 	crawl *crawlMix
@@ -352,7 +255,7 @@ func (m *stormMix) Next(i int) Op {
 	case 2:
 		token := fmt.Sprintf("storm-first%d", i%8)
 		return Op{Endpoint: "followers/ids:first", Do: func(ctx context.Context) error {
-			_, err := m.h.get(ctx, m.h.idsURL("/1.1/followers/ids.json", hot.ID, twitterapi.CursorFirst), token)
+			_, err := m.h.get(ctx, m.h.idsURL("/1.1/followers/ids.json", hot.ID, cursorFirst), token)
 			return err
 		}}
 	default:
@@ -376,9 +279,9 @@ type hotspotMix struct {
 	slotSeq int // see stormMix.slotSeq
 }
 
-func newHotspotMix(h *Harness, rnd *rand.Rand) (*hotspotMix, error) {
+func newHotspotMix(h *Harness, rnd *rand.Rand) *hotspotMix {
 	hot := []Target{h.Targets[0]}
-	return &hotspotMix{h: h, crawl: newCrawlMix(h, MixCelebrityHotspot, rnd, 16, hot)}, nil
+	return &hotspotMix{h: h, crawl: newCrawlMix(h, MixCelebrityHotspot, rnd, 16, hot)}
 }
 
 func (m *hotspotMix) Name() string { return MixCelebrityHotspot }
@@ -396,7 +299,7 @@ func (m *hotspotMix) Next(i int) Op {
 		token := fmt.Sprintf("hotspot-tl%d", i%8)
 		return Op{Endpoint: "statuses/user_timeline", Do: func(ctx context.Context) error {
 			u := m.h.APIBase + "/1.1/statuses/user_timeline.json?user_id=" +
-				strconv.FormatInt(int64(hot.ID), 10) + "&count=200"
+				strconv.FormatInt(hot.ID, 10) + "&count=200"
 			_, err := m.h.get(ctx, u, token)
 			return err
 		}}
@@ -406,5 +309,59 @@ func (m *hotspotMix) Next(i int) Op {
 		return Op{Endpoint: "followers/ids", Do: func(ctx context.Context) error {
 			return slot.advance(ctx, m.h)
 		}}
+	}
+}
+
+// --- multinode ---
+
+// multiMix is the traffic a router in front of a ring has to get right:
+// follower page walks and friends first pages (ownership-routed, the
+// failover path when a member dies), scattered users/lookup batches,
+// spread users/show and routed timelines.
+type multiMix struct {
+	h     *Harness
+	crawl *crawlMix
+	rnd   *rand.Rand
+}
+
+func newMultiMix(h *Harness, rnd *rand.Rand) *multiMix {
+	return &multiMix{h: h, crawl: newCrawlMix(h, MixMultiNode, rnd, 32, h.Targets), rnd: rnd}
+}
+
+func (m *multiMix) Name() string { return MixMultiNode }
+
+func (m *multiMix) Next(i int) Op {
+	switch i % 8 {
+	case 5:
+		// A scattered users/lookup: 20 ids drawn from the probe pool span
+		// every ring range with near certainty, so the batch exercises
+		// split + merge.
+		ids := make([]string, 20)
+		for j := range ids {
+			ids[j] = strconv.FormatInt(m.h.randomUserID(m.rnd), 10)
+		}
+		u := m.h.APIBase + "/1.1/users/lookup.json?user_id=" + strings.Join(ids, ",")
+		return Op{Endpoint: "users/lookup", Do: func(ctx context.Context) error {
+			_, err := m.h.get(ctx, u, "multi-lookup")
+			return err
+		}}
+	case 6:
+		name := m.h.Targets[m.rnd.Intn(len(m.h.Targets))].Name
+		return Op{Endpoint: "users/show", Do: func(ctx context.Context) error {
+			params := url.Values{"screen_name": {name}}
+			_, err := m.h.get(ctx, m.h.APIBase+"/1.1/users/show.json?"+params.Encode(), "multi-show")
+			return err
+		}}
+	case 7:
+		id := m.h.Targets[m.rnd.Intn(len(m.h.Targets))].ID
+		u := m.h.APIBase + "/1.1/statuses/user_timeline.json?user_id=" +
+			strconv.FormatInt(id, 10) + "&count=200"
+		token := fmt.Sprintf("multi-tl%d", i%8)
+		return Op{Endpoint: "statuses/user_timeline", Do: func(ctx context.Context) error {
+			_, err := m.h.get(ctx, u, token)
+			return err
+		}}
+	default:
+		return m.crawl.Next(i)
 	}
 }

@@ -6,12 +6,13 @@
 // → stop accepting → bounded drain → closers, newest first, so a WAL-backed
 // process seals its segment after the last request that could append to it.
 //
-// cmd/twitterd, cmd/auditd, cmd/routerd, cmd/loadd and internal/loadgen all
-// build their processes here; each contributes only what is its own (the
-// population it builds, the handler it mounts at "/", the closers of the
-// subsystems it started). Everything in this package runs at assembly or
-// shutdown time: the request path is root mux → the mounted handler, and
-// nothing of platform is on it.
+// cmd/twitterd, cmd/auditd, cmd/routerd and cmd/loadd (its observability
+// sidecar) all build their processes here; each contributes only what is
+// its own (the population it builds, the handler it mounts at "/", the
+// closers of the subsystems it started). Tests assemble deployments from
+// the same Spec. Everything in this package runs at assembly or shutdown
+// time: the request path is root mux → the mounted handler, and nothing of
+// platform is on it.
 package platform
 
 import (
@@ -39,8 +40,8 @@ import (
 // requests and the closers before giving up on a clean exit.
 const DrainTimeout = 30 * time.Second
 
-// Spec describes one serving process. Every field is a value a daemon flag
-// (named in its comment) or a loadgen.Config field already carried.
+// Spec describes one serving process. Every field is the value of a daemon
+// flag, named in its comment.
 type Spec struct {
 	// Addr is the listen address (-addr; loadd's -obs-addr).
 	Addr string
@@ -66,16 +67,13 @@ type Spec struct {
 	RingIndex, RingNodes, RingSlots int
 
 	// NoLimits disables the Table I rate limits on the API plane
-	// (-no-limits; the inverse of loadgen's TableILimits).
+	// (-no-limits).
 	NoLimits bool
-	// Metrics mounts /metrics and /metrics.json on the root mux (-metrics),
-	// Dashboard the embedded ops dashboard at /dashboard/ (-dashboard, needs
-	// Metrics), Pprof net/http/pprof at /debug/pprof/ (-pprof).
+	// Metrics observes the process into a fresh registry and mounts
+	// /metrics and /metrics.json on the root mux (-metrics), Dashboard the
+	// embedded ops dashboard at /dashboard/ (-dashboard, needs Metrics),
+	// Pprof net/http/pprof at /debug/pprof/ (-pprof).
 	Metrics, Dashboard, Pprof bool
-	// Registry, when non-nil, is the registry the process is observed into
-	// (loadgen's Config.Metrics: several processes sharing one registry that
-	// another listener serves). Nil with Metrics set means a fresh one.
-	Registry *metrics.Registry
 }
 
 // ObsFlags declares the observability flags every binary shares on fs.
@@ -127,11 +125,9 @@ func New(spec Spec) (*Process, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Process{Spec: spec, Reg: spec.Registry, Mux: http.NewServeMux(), serveErr: make(chan error, 1)}
+	p := &Process{Spec: spec, Mux: http.NewServeMux(), serveErr: make(chan error, 1)}
 	if spec.Metrics {
-		if p.Reg == nil {
-			p.Reg = metrics.NewRegistry()
-		}
+		p.Reg = metrics.NewRegistry()
 		p.Mux.Handle("GET /metrics", p.Reg)
 		p.Mux.Handle("GET /metrics.json", p.Reg)
 		if spec.Dashboard {

@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # Crash-recovery smoke for the durability plane (CI step; runnable locally).
 #
-# 1. loadd churns a WAL-backed platform (churn-storm mix) and is SIGKILLed
-#    mid-run — a real kill during real writes.
+# 1. genpop builds a population straight into a WAL directory and evolves
+#    it day after day (organic growth, purchase bursts, purge sweeps,
+#    compaction every 3000 records) until it is SIGKILLed — a real kill
+#    during real writes. The kill waits until the directory holds a
+#    snapshot and a later segment, so recovery replays snapshot + tail.
 # 2. twitterd boots on the surviving WAL directory, recovers, and its served
-#    state (users/show + a full follower-page walk) is captured.
+#    state (genpop_target's users/show + a full follower-page walk) is
+#    captured.
 # 3. twitterd itself is hard-killed and re-booted; the capture is repeated.
 # 4. The two captures must be byte-identical: recovery is deterministic and
 #    the hard kill lost nothing the first boot had acknowledged to clients.
@@ -15,8 +19,10 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 work=$(mktemp -d)
+genpop_pid=""
 daemon_pid=""
 cleanup() {
+  [ -n "$genpop_pid" ] && kill -9 "$genpop_pid" 2>/dev/null
   [ -n "$daemon_pid" ] && kill -9 "$daemon_pid" 2>/dev/null
   rm -rf "$work"
   return 0
@@ -25,29 +31,54 @@ trap cleanup EXIT
 waldir="$work/wal"
 addr=127.0.0.1:18099
 
-go build -o "$work/loadd" ./cmd/loadd
+go build -o "$work/genpop" ./cmd/genpop
 go build -o "$work/twitterd" ./cmd/twitterd
 
-echo "==> churning a WAL-backed platform (to be killed mid-run)"
-"$work/loadd" -mix churn-storm -duration 120s -rate 100 -inflight 64 \
-  -targets 2 -followers 2000 -quiet -metrics=false \
-  -wal-dir "$waldir" -fsync interval -compact-every 3000 \
-  >"$work/loadd.log" 2>&1 &
-loadd_pid=$!
-# Wait until the log shows real traffic (the population build plus churn),
-# then strike while writes are in flight.
-for _ in $(seq 1 240); do
-  kill -0 "$loadd_pid" 2>/dev/null || { cat "$work/loadd.log"; echo "loadd exited before the kill"; exit 1; }
-  # The || true keeps set -e/pipefail from aborting before loadd has
-  # created the WAL directory (du fails on a missing path).
-  size=$(du -sb "$waldir" 2>/dev/null | cut -f1 || true)
-  [ "${size:-0}" -gt 300000 ] && break
-  sleep 0.5
+# snapshot_and_tail succeeds when the WAL dir holds a snapshot and a later
+# segment with records past its 20-byte header, so recovery must load the
+# snapshot and replay a tail. Snapshot and segment names carry fixed-width
+# hex LSNs, so they compare as strings.
+snapshot_and_tail() {
+  local snap seg name
+  snap=$(cd "$waldir" 2>/dev/null && ls snap-*.gob 2>/dev/null | sort | tail -1 || true)
+  [ -n "$snap" ] || return 1
+  for seg in "$waldir"/wal-*.log; do
+    name=${seg##*/}
+    if [[ "${name:4:16}" > "${snap:5:16}" ]] && [ "$(wc -c <"$seg")" -gt 20 ]; then
+      return 0
+    fi
+  done
+  return 1
+}
+
+echo "==> evolving a WAL-backed population (to be killed mid-evolution)"
+# -days is far more than the run reaches: genpop is still evolving when
+# the kill lands.
+"$work/genpop" -followers 2000 -wal-dir "$waldir" -fsync interval -compact-every 3000 \
+  -days 100000 -daily-growth 50 -burst 5:400,10:400 -purge 7:0.25,12:0.25 \
+  >"$work/genpop.log" 2>&1 &
+genpop_pid=$!
+# Let the evolution run through several compactions, then strike while
+# writes are in flight. Each check freezes genpop (SIGSTOP) so the files
+# cannot move between the check and the kill: right after a compaction the
+# fresh segment is still empty, and a kill then would replay no tail.
+sleep 4
+killed=""
+for _ in $(seq 1 200); do
+  kill -0 "$genpop_pid" 2>/dev/null || { cat "$work/genpop.log"; echo "genpop exited before the kill"; exit 1; }
+  kill -STOP "$genpop_pid"
+  if snapshot_and_tail; then
+    kill -9 "$genpop_pid"
+    killed=1
+    break
+  fi
+  kill -CONT "$genpop_pid"
+  sleep 0.05
 done
-sleep 2
-kill -9 "$loadd_pid" 2>/dev/null || { cat "$work/loadd.log"; echo "loadd exited before the kill"; exit 1; }
-wait "$loadd_pid" 2>/dev/null || true
-echo "    SIGKILLed loadd; WAL dir: $(ls "$waldir" | tr '\n' ' ')"
+[ -n "$killed" ] || { cat "$work/genpop.log"; ls -l "$waldir"; echo "no snapshot with a later non-empty segment within 10 s; recovery would not replay snapshot + tail"; exit 1; }
+wait "$genpop_pid" 2>/dev/null || true
+genpop_pid=""
+echo "    SIGKILLed genpop; WAL dir: $(ls "$waldir" | tr '\n' ' ')"
 
 capture() { # $1 = output file
   python3 - "http://$addr" "$work/$1" <<'EOF'
@@ -60,7 +91,7 @@ def get(path):
         return json.load(r)
 
 state = {}
-for name in ("load_t0", "load_t1"):
+for name in ("genpop_target",):
     state[name] = {
         "user": get("/1.1/users/show.json?screen_name=" + name),
         "follower_pages": [],
@@ -82,7 +113,7 @@ boot_and_capture() { # $1 = capture file, $2 = boot log
   up=""
   for _ in $(seq 1 150); do
     if curl -sf -H 'Authorization: Bearer probe' \
-        "http://$addr/1.1/users/show.json?screen_name=load_t0" >/dev/null 2>&1; then
+        "http://$addr/1.1/users/show.json?screen_name=genpop_target" >/dev/null 2>&1; then
       up=1; break
     fi
     kill -0 "$daemon_pid" 2>/dev/null || { cat "$work/$2"; echo "twitterd died during boot"; exit 1; }
@@ -135,4 +166,4 @@ if grep -m1 '^wal:' "$work/boot3.log" | grep -q 'torn tail'; then
 fi
 hard_kill
 diff -u "$work/post.json" "$work/term.json"
-echo "crash-smoke OK: users/show and every follower page identical across SIGKILL + recovery and SIGTERM + reboot"
+echo "crash-smoke OK: genpop_target's users/show and every follower page identical across SIGKILL + recovery and SIGTERM + reboot"

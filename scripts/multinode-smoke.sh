@@ -4,9 +4,10 @@
 # 1. genpop writes one canonical snapshot.
 # 2. Two twitterd ring members boot from it (-ring-index 0/1), each holding
 #    its owned + replicated account ranges, rate limits off.
-# 3. routerd fronts them; loadd drives the crawl mix through the router
-#    exactly as it would a single node (the partition must be invisible —
-#    loadd exits non-zero on any non-429 error).
+# 3. routerd fronts them; loadd sweeps every read-only mix through the
+#    router (crawl-heavy, churn-storm, celebrity-hotspot, multinode; 2 s
+#    each) exactly as it would a single node (the partition must be
+#    invisible — loadd exits non-zero on any non-429 error).
 # 4. The router's /metrics is scraped and validated with the repo's own
 #    exposition parser (cmd/checkmetrics): both backends healthy, upstream
 #    traffic recorded, no ejections on a healthy ring.
@@ -64,9 +65,9 @@ wait_ready "$router" routerd.log
 echo "==> sanity: a scattered lookup through the router"
 curl -sf "http://$router/1.1/users/lookup.json?user_id=1,2,3,4,5,6,7,8" >/dev/null
 
-echo "==> driving the crawl mix through the router"
-"$work/loadd" -mix crawl-heavy -duration 4s -rate 200 -inflight 64 \
-  -api "http://$router" -accounts genpop_target -quiet -metrics=false \
+echo "==> sweeping the read-only mixes through the router"
+"$work/loadd" -mix crawl-heavy,churn-storm,celebrity-hotspot,multinode -duration 2s \
+  -rate 200 -inflight 64 -api "http://$router" -accounts genpop_target -quiet -metrics=false \
   || { cat "$work/routerd.log"; exit 1; }
 
 echo "==> validating the router's scrape with the repo's own parser"
@@ -76,4 +77,4 @@ echo "==> validating the router's scrape with the repo's own parser"
   'router_upstream_seconds>0' \
   'http_requests_total>100'
 
-echo "multinode-smoke OK: 2-node ring behind routerd served the crawl mix clean"
+echo "multinode-smoke OK: 2-node ring behind routerd served every read-only mix clean"
