@@ -101,7 +101,11 @@ func newScanPlatform(t *testing.T) scanPlatform {
 	if n, _ := store.FollowerCount(target); n%twitterapi.UsersLookupBatchSize == 0 {
 		t.Fatalf("fixture has %d followers: the last lookup batch must be a partial one", n)
 	}
-	if n, _ := store.RemovedCount(target); n == 0 {
+	removed := 0
+	for _, ev := range driver.Log() {
+		removed += ev.Removed
+	}
+	if removed == 0 {
 		t.Fatal("fixture's target never lost a follower: it is not a churned one")
 	}
 	svc := twitterapi.NewService(store)

@@ -21,6 +21,15 @@ func dynTarget(t *testing.T) (*Generator, *twitter.Store, twitter.UserID, func(t
 	return g, store, target, clock.Advance
 }
 
+// removedIn sums the follow edges a driver log says were removed.
+func removedIn(log []AppliedEvent) int {
+	n := 0
+	for _, ev := range log {
+		n += ev.Removed
+	}
+	return n
+}
+
 func TestDriverOrganicDay(t *testing.T) {
 	g, store, target, advance := dynTarget(t)
 	d := NewDriver(g, target, ChurnScript{DailyGrowth: 100, DailyChurnRate: 0.01})
@@ -42,7 +51,7 @@ func TestDriverOrganicDay(t *testing.T) {
 		t.Fatalf("Day() = %d, want 3", d.Day())
 	}
 	count, _ := store.FollowerCount(target)
-	removed, _ := store.RemovedCount(target)
+	removed := removedIn(d.Log())
 	if count != 4000+300-removed {
 		t.Fatalf("count = %d with %d removed, want balance to hold", count, removed)
 	}
@@ -121,10 +130,10 @@ func TestDriverPurgeRemovesFakes(t *testing.T) {
 	if truthAfter.Fake >= truthBefore.Fake {
 		t.Fatalf("fake share %0.3f did not drop from %0.3f after purge", truthAfter.Fake, truthBefore.Fake)
 	}
-	// Purged edges left the live list and entered the removal log.
-	removed, _ := store.RemovedCount(target)
+	// Purged edges left the live list, and the driver's log counts them.
+	removed := removedIn(d.Log())
 	if removed != applied[0].Removed {
-		t.Fatalf("removal log %d vs applied %d", removed, applied[0].Removed)
+		t.Fatalf("driver log removed %d vs applied %d", removed, applied[0].Removed)
 	}
 	if live, _ := store.FollowerCount(target); live != count || live != 5000-removed {
 		t.Fatalf("live count %d, want %d", live, 5000-removed)

@@ -33,7 +33,7 @@ import (
 )
 
 // buildCanonicalSnapshot replays a difftest op stream into a store and
-// returns its canonical v5 snapshot bytes.
+// returns its canonical snapshot bytes.
 func buildCanonicalSnapshot(t *testing.T, seed uint64, nops int) []byte {
 	t.Helper()
 	applier := difftest.NewStoreApplier(seed)

@@ -2,6 +2,7 @@ package twitter
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -206,19 +207,46 @@ func TestRemoveFollowers(t *testing.T) {
 	if p.FollowersCount != 5 {
 		t.Fatalf("profile followers = %d, want 5", p.FollowersCount)
 	}
-	// The removal log retains ground truth.
-	removed, _ := s.RemovedEdges(target)
-	if len(removed) != 3 {
-		t.Fatalf("removal log has %d entries, want 3", len(removed))
+}
+
+// TestChurnRetainsNoRemovalHistory: a store keeps no per-removal state, so
+// a target churned through 100 rounds of a 4096-follower purchase and its
+// purge (409,600 removals, ~16 MB at 40 bytes an entry if each were kept)
+// holds no more heap than it did before the first round.
+func TestChurnRetainsNoRemovalHistory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation-heavy churn; heap figures under -race measure the detector")
 	}
-	for _, r := range removed {
-		if !r.At.Equal(now) {
-			t.Fatalf("removal at %v, want %v", r.At, now)
+	const rounds, batch = 100, 4096
+	s, target, followers := churnStore(t, batch)
+	if _, err := s.RemoveFollowers(target, followers, s.Now()); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	at := s.Now()
+	for r := 0; r < rounds; r++ {
+		at = at.Add(time.Second)
+		for _, f := range followers {
+			if err := s.AddFollower(target, f, at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n, err := s.RemoveFollowers(target, followers, at); err != nil || n != batch {
+			t.Fatalf("round %d purged %d: %v", r, n, err)
 		}
 	}
-	rc, _ := s.RemovedCount(target)
-	if rc != 3 {
-		t.Fatalf("RemovedCount = %d, want 3", rc)
+	after := heap()
+	runtime.KeepAlive(s)
+	const bound = 4 << 20
+	if after > before+bound {
+		t.Fatalf("heap grew %.1f MB over %d churn rounds, bound is %d MB",
+			float64(after-before)/(1<<20), rounds, bound>>20)
 	}
 }
 

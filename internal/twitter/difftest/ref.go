@@ -56,7 +56,6 @@ type refUser struct {
 
 type refTarget struct {
 	follows []twitter.Follow
-	removed []twitter.Follow
 	tweets  []twitter.Tweet
 	// friends is the materialised friend list; friendsSet records that
 	// SetFriends ran at all (an empty materialised list still overrides the
@@ -64,14 +63,13 @@ type refTarget struct {
 	friends    []twitter.UserID
 	friendsSet bool
 	seq        uint64
-}
-
-// everFollowed reports whether any follow edge was ever accepted — live
-// now or since removed. Only then does the materialised edge state
-// override the synthetic follower counter; a target created by tweets or
-// friend lists alone keeps its create-time count.
-func (td *refTarget) everFollowed() bool {
-	return td != nil && (len(td.follows) > 0 || len(td.removed) > 0)
+	// everFollowed records that a follow edge was ever accepted — live now
+	// or since removed. Only then does the materialised edge state override
+	// the synthetic follower counter; a target created by tweets or friend
+	// lists alone keeps its create-time count.
+	everFollowed bool
+	// lastRemoval is the time of the newest removal (zero = none yet).
+	lastRemoval time.Time
 }
 
 // NewRef returns an empty reference model on the given clock.
@@ -181,6 +179,7 @@ func (r *Ref) AddFollower(target, follower twitter.UserID, at time.Time) error {
 	}
 	td.seq++
 	td.follows = append(td.follows, twitter.Follow{Follower: follower, At: at, Seq: td.seq})
+	td.everFollowed = true
 	return nil
 }
 
@@ -195,8 +194,10 @@ func (r *Ref) RemoveFollowers(target twitter.UserID, followers []twitter.UserID,
 	if td == nil || len(td.follows) == 0 || len(followers) == 0 {
 		return 0, nil
 	}
-	if n := len(td.removed); n > 0 && at.Before(td.removed[n-1].At) {
-		return 0, fmt.Errorf("%w: removal at %v before %v", twitter.ErrNotMonotonic, at, td.removed[n-1].At)
+	// Removal times are compared at second resolution, like follows: the
+	// precision snapshots and the write-ahead log keep.
+	if !td.lastRemoval.IsZero() && at.Unix() < td.lastRemoval.Unix() {
+		return 0, fmt.Errorf("%w: removal at %v before %v", twitter.ErrNotMonotonic, at, td.lastRemoval)
 	}
 	drop := make(map[twitter.UserID]bool, len(followers))
 	for _, f := range followers {
@@ -208,13 +209,15 @@ func (r *Ref) RemoveFollowers(target twitter.UserID, followers []twitter.UserID,
 		if drop[edge.Follower] {
 			// At most one edge per distinct follower is removed.
 			delete(drop, edge.Follower)
-			td.removed = append(td.removed, twitter.Follow{Follower: edge.Follower, At: at, Seq: edge.Seq})
 			removed++
 			continue
 		}
 		kept = append(kept, edge)
 	}
 	td.follows = kept
+	if removed > 0 {
+		td.lastRemoval = at
+	}
 	return removed, nil
 }
 
@@ -231,7 +234,7 @@ func (r *Ref) AppendTweet(author twitter.UserID, tw twitter.Tweet) (twitter.Twee
 		return twitter.Tweet{}, err
 	}
 	td := u.ensureTarget()
-	if n := len(td.tweets); n > 0 && tw.CreatedAt.Before(td.tweets[n-1].CreatedAt) {
+	if n := len(td.tweets); n > 0 && tw.CreatedAt.Unix() < td.tweets[n-1].CreatedAt.Unix() {
 		return twitter.Tweet{}, fmt.Errorf("%w: tweet at %v before %v", twitter.ErrNotMonotonic, tw.CreatedAt, td.tweets[n-1].CreatedAt)
 	}
 	r.tweetSeq++
@@ -283,23 +286,10 @@ func (r *Ref) FollowerCount(id twitter.UserID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if u.td.everFollowed() {
+	if u.td != nil && u.td.everFollowed {
 		return len(u.td.follows), nil
 	}
 	return int(u.followers), nil
-}
-
-func (r *Ref) RemovedCount(id twitter.UserID) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	u, err := r.user(id)
-	if err != nil {
-		return 0, err
-	}
-	if u.td == nil {
-		return 0, nil
-	}
-	return len(u.td.removed), nil
 }
 
 func (r *Ref) FollowEdges(id twitter.UserID) ([]twitter.Follow, error) {
@@ -313,19 +303,6 @@ func (r *Ref) FollowEdges(id twitter.UserID) ([]twitter.Follow, error) {
 		return nil, nil
 	}
 	return append([]twitter.Follow(nil), u.td.follows...), nil
-}
-
-func (r *Ref) RemovedEdges(id twitter.UserID) ([]twitter.Follow, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	u, err := r.user(id)
-	if err != nil {
-		return nil, err
-	}
-	if u.td == nil {
-		return nil, nil
-	}
-	return append([]twitter.Follow(nil), u.td.removed...), nil
 }
 
 // SetFriends materialises id's friend list, replacing any previous one.
@@ -400,7 +377,7 @@ func (r *Ref) profileLocked(id twitter.UserID) (twitter.Profile, error) {
 		return twitter.Profile{}, err
 	}
 	followers := int(u.followers)
-	if u.td.everFollowed() {
+	if u.td != nil && u.td.everFollowed {
 		followers = len(u.td.follows)
 	}
 	friends := int(u.friends)

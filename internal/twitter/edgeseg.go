@@ -77,7 +77,7 @@ type edgeView struct {
 	// (live now, or alive once and since removed). Targets promoted by
 	// SetFriends/AppendTweet alone have ever == false, and their synthetic
 	// follower counter stays authoritative — the follower-count-zeroing
-	// bugfix.
+	// bugfix. Snapshots persist it as is (persistTarget.Ever).
 	ever bool
 }
 
@@ -433,7 +433,7 @@ func readSegEdge(data []byte, prev segEdge) (segEdge, int, bool) {
 var errEdgeStream = errors.New("twitter: malformed edge stream")
 
 // appendEdgeStream encodes the view's live edges as one chained delta
-// stream — the snapshot v5 wire form. The stream restarts its delta chain
+// stream — the snapshot wire form. The stream restarts its delta chain
 // from the zero edge, so it is self-contained and byte-identical for equal
 // logical state regardless of how blocks happen to be cut in memory.
 func appendEdgeStream(dst []byte, v *edgeView) []byte {
@@ -443,18 +443,6 @@ func appendEdgeStream(dst []byte, v *edgeView) []byte {
 		prev = e
 		return true
 	})
-	return dst
-}
-
-// appendFollowStream encodes a []Follow (removal logs) in the same chained
-// delta form.
-func appendFollowStream(dst []byte, edges []Follow) []byte {
-	prev := segEdge{}
-	for _, f := range edges {
-		e := segEdge{follower: int64(f.Follower), at: f.At.Unix(), seq: f.Seq}
-		dst = appendSegEdge(dst, prev, e)
-		prev = e
-	}
 	return dst
 }
 

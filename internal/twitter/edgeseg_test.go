@@ -175,8 +175,7 @@ func TestEdgeSealerMatchesAppendPath(t *testing.T) {
 	}
 }
 
-// TestEdgeStreamRoundTrip covers the snapshot v5 wire form, including the
-// removal-log variant whose seqs are not increasing.
+// TestEdgeStreamRoundTrip covers the snapshot wire form of a live edge list.
 func TestEdgeStreamRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	edges := randEdges(rng, edgeBlockLen+57)
@@ -203,26 +202,6 @@ func TestEdgeStreamRoundTrip(t *testing.T) {
 	}
 	if err := decodeEdgeStream(data, len(edges)-1, func(segEdge) error { return nil }); err == nil {
 		t.Fatal("trailing bytes accepted")
-	}
-
-	// Removal logs: seqs jump backward (edges are purged out of order), so
-	// the seq delta must be signed.
-	removed := []Follow{
-		{Follower: 9, At: unixUTC(1000), Seq: 40},
-		{Follower: 3, At: unixUTC(1000), Seq: 7},
-		{Follower: 800, At: unixUTC(2000), Seq: 12},
-	}
-	rdata := appendFollowStream(nil, removed)
-	i := 0
-	if err := decodeEdgeStream(rdata, len(removed), func(e segEdge) error {
-		want := removed[i]
-		if UserID(e.follower) != want.Follower || e.at != want.At.Unix() || e.seq != want.Seq {
-			t.Fatalf("removal %d = %+v, want %+v", i, e, want)
-		}
-		i++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -24,10 +24,10 @@ func unixUTC(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 // streamed, segment-framed, canonical encoding. The stream opens with a
 // header value (the snapshot struct: seeds, clock position, explicit names
 // sorted by ID, and the framing counts), followed by records in fixed-size
-// chunks and then one value per target in ascending ID order; edges and
-// removal logs ride as delta-varint byte streams (EdgeStream/RemovedStream,
-// see edgeseg.go for the codec). Writer and reader hold one chunk/target in
-// memory at a time, so a 10M-account snapshot costs bounded memory beyond
+// chunks and then one value per target in ascending ID order; live edges
+// ride as a delta-varint byte stream (EdgeStream, see edgeseg.go for the
+// codec). Writer and reader hold one chunk/target in memory at a time,
+// so a 10M-account snapshot costs bounded memory beyond
 // the store itself. Nothing is emitted in shard or map order and the chunk
 // cuts are fixed, so two stores holding the same logical state produce
 // byte-identical snapshots regardless of their shard counts — the property
@@ -37,7 +37,7 @@ func unixUTC(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 // A header carrying any other version — older or newer — is rejected as
 // ErrBadSnapshot: populations are regenerated bit for bit by genpop -seed,
 // so no reader for a format no writer emits is kept.
-const snapshotVersion = 5
+const snapshotVersion = 6
 
 // recordChunkLen is the fixed record-chunk size of the stream. Fixed so the
 // chunk cuts — and therefore the bytes — never depend on anything but the
@@ -93,9 +93,14 @@ type persistTarget struct {
 	// stream (see edgeseg.go for the codec).
 	EdgeN      int64
 	EdgeStream []byte
-	// RemovedN/RemovedStream carry the churn removal log in the same form.
-	RemovedN      int64
-	RemovedStream []byte
+	// Ever marks a target that ever held an edge, live now or since
+	// removed: its materialised follower count is authoritative even at
+	// zero, where a target promoted by tweets or friends alone keeps its
+	// synthetic counter.
+	Ever bool
+	// RemovedAt is the unix second of the newest removal (0 = none), the
+	// floor later removals are checked against.
+	RemovedAt int64
 }
 
 // persistName is one explicit screen-name registration.
@@ -150,7 +155,7 @@ func (s *Store) WriteSnapshotWith(w io.Writer, atCut func() error) error {
 // writeSnapshot is the shared writer behind WriteSnapshotWith and
 // WriteSnapshotRange: keep, when non-nil, filters which targets' heavy
 // state is emitted (records and names always cover the full account space,
-// so the stream stays a loadable v5 snapshot).
+// so the stream stays a loadable snapshot).
 func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID) bool) error {
 	s.createMu.Lock()
 	defer s.createMu.Unlock()
@@ -234,7 +239,7 @@ func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID)
 		id := UserID(tid)
 		td := s.shardOf(id).targetOf(id)
 		v := td.edges.view()
-		pt := persistTarget{ID: tid, SeqCounter: td.seq, EdgeN: int64(v.total)}
+		pt := persistTarget{ID: tid, SeqCounter: td.seq, EdgeN: int64(v.total), Ever: v.ever, RemovedAt: td.removedAt}
 		if v.total > 0 {
 			pt.EdgeStream = appendEdgeStream(make([]byte, 0, v.memBytes()), v)
 		}
@@ -258,10 +263,6 @@ func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID)
 			for i, f := range *fl {
 				pt.Friends[i] = int64(f)
 			}
-		}
-		if len(td.removed) > 0 {
-			pt.RemovedN = int64(len(td.removed))
-			pt.RemovedStream = appendFollowStream(nil, td.removed)
 		}
 		//fp:allow lockhold per-target values stream out under the same consistent-cut locks as the header
 		if err := enc.Encode(pt); err != nil {
@@ -433,8 +434,11 @@ func installTarget(store *Store, pt *persistTarget, n int) error {
 	var sealer edgeSealer
 	var prevAt int64
 	var prevSeq uint64
-	if pt.EdgeN < 0 || pt.RemovedN < 0 {
-		return fmt.Errorf("%w: negative edge counts for target %d", ErrBadSnapshot, pt.ID)
+	if pt.EdgeN < 0 {
+		return fmt.Errorf("%w: negative edge count for target %d", ErrBadSnapshot, pt.ID)
+	}
+	if pt.EdgeN > 0 && !pt.Ever {
+		return fmt.Errorf("%w: target %d holds edges but is not marked as ever followed", ErrBadSnapshot, pt.ID)
 	}
 	err := decodeEdgeStream(pt.EdgeStream, int(pt.EdgeN), func(e segEdge) error {
 		if e.follower < 1 || int64(e.follower) > int64(n) {
@@ -486,33 +490,12 @@ func installTarget(store *Store, pt *persistTarget, n int) error {
 		}
 		td.friends.Store(&fl)
 	}
-	var prevRemoved int64
-	td.removed = make([]Follow, 0, min(int(pt.RemovedN), recordChunkLen))
-	err = decodeEdgeStream(pt.RemovedStream, int(pt.RemovedN), func(e segEdge) error {
-		if e.follower < 1 || int64(e.follower) > int64(n) {
-			return fmt.Errorf("%w: removed follower %d out of range", ErrBadSnapshot, e.follower)
-		}
-		if e.at < prevRemoved {
-			return fmt.Errorf("%w: removal times not monotonic for target %d", ErrBadSnapshot, pt.ID)
-		}
-		prevRemoved = e.at
-		if e.seq > td.seq {
-			td.seq = e.seq
-		}
-		td.removed = append(td.removed, Follow{Follower: UserID(e.follower), At: unixUTC(e.at), Seq: e.seq})
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, errEdgeStream) {
-			return fmt.Errorf("%w: removal stream of target %d: %v", ErrBadSnapshot, pt.ID, err)
-		}
-		return err
-	}
-	// A target that ever held an edge (live now or since removed) keeps the
-	// materialised count authoritative; one promoted by tweets/friends alone
-	// keeps its synthetic counter.
-	if ever := sealer.total > 0 || len(td.removed) > 0; ever {
-		td.edges.v.Store(sealer.finish(ever))
+	td.removedAt = pt.RemovedAt
+	// A target that ever held an edge keeps the materialised count
+	// authoritative; one promoted by tweets/friends alone keeps its
+	// synthetic counter.
+	if pt.Ever {
+		td.edges.v.Store(sealer.finish(true))
 	}
 	sh := store.shardOf(UserID(pt.ID))
 	if sh.targetOf(UserID(pt.ID)) != nil {

@@ -8,13 +8,13 @@ import (
 )
 
 // Range snapshots: the partitioned multi-node deployment splits one
-// canonical v5 snapshot across a ring of nodes. Every node loads the full
+// canonical snapshot across a ring of nodes. Every node loads the full
 // record and name space (a record is ~40 bytes, so even a 10M-account
 // universe costs a few hundred MB everywhere, and profiles, name lookups
 // and the synthetic-friends permutation stay globally consistent), but the
 // heavy per-target state — edge segments, explicit tweets, materialised
-// friend lists, removal logs — is installed only for the accounts the node
-// owns or replicates.
+// friend lists — is installed only for the accounts the node owns or
+// replicates.
 //
 // The one observable that would leak a target's absence is its profile:
 // profiles override the record's synthetic followers/friends counters with
@@ -28,7 +28,7 @@ import (
 
 // WriteSnapshotRange serialises the store with all records and names but
 // only the targets keep selects — the ownership-transfer stream a node
-// exports for a range it holds. The output is a loadable v5 snapshot and
+// exports for a range it holds. The output is a loadable snapshot and
 // is canonical: two stores holding the same records and the same kept
 // targets produce identical bytes, regardless of what other targets each
 // happens to hold.
@@ -74,7 +74,7 @@ func foldTargetCounts(store *Store, pt *persistTarget, n int) error {
 	}
 	id := UserID(pt.ID)
 	rec := &store.shardOf(id).recs[store.slotFor(id)]
-	if pt.EdgeN > 0 || pt.RemovedN > 0 {
+	if pt.Ever {
 		rec.followers = int32(pt.EdgeN)
 	}
 	if pt.FriendsSet || pt.Friends != nil {

@@ -167,7 +167,7 @@ func TestWriteSnapshotRangeCanonical(t *testing.T) {
 		t.Fatal("range export differs between holders of the same range")
 	}
 
-	// And the export is itself a loadable v5 snapshot.
+	// And the export is itself a loadable snapshot.
 	reloaded, err := ReadSnapshotRange(bytes.NewReader(exports[0]), simclock.NewVirtualAtEpoch(), nil)
 	if err != nil {
 		t.Fatalf("range export not loadable: %v", err)

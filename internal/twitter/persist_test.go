@@ -127,12 +127,22 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripWithChurn: removal logs survive the round trip alongside the compacted live edge list.
+// TestSnapshotRoundTripWithChurn: the compacted live edge list survives the
+// round trip, and so do the two facts removals leave behind — a fully
+// purged target counts 0 followers, not its synthetic counter, and a
+// removal older than the newest one is still rejected.
 func TestSnapshotRoundTripWithChurn(t *testing.T) {
 	store, target := buildRichStore(t)
 	chrono, _ := store.FollowersChronological(target)
 	gone := []UserID{chrono[3], chrono[7], chrono[100]}
 	if _, err := store.RemoveFollowers(target, gone, store.Now()); err != nil {
+		t.Fatal(err)
+	}
+	emptied := store.MustCreateUser(UserParams{Followers: 123})
+	if err := store.AddFollower(emptied, chrono[0], store.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Unfollow(emptied, chrono[0], store.Now()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -150,15 +160,12 @@ func TestSnapshotRoundTripWithChurn(t *testing.T) {
 	if len(a) != len(b) || len(b) != 497 {
 		t.Fatalf("follower counts: %d vs %d, want 497", len(a), len(b))
 	}
-	ra, _ := store.RemovedEdges(target)
-	rb, _ := loaded.RemovedEdges(target)
-	if len(ra) != len(rb) || len(rb) != 3 {
-		t.Fatalf("removal logs: %d vs %d, want 3", len(ra), len(rb))
+	if n, _ := loaded.FollowerCount(emptied); n != 0 {
+		t.Fatalf("fully purged target counts %d followers after reload, want 0", n)
 	}
-	for i := range ra {
-		if ra[i].Follower != rb[i].Follower || !ra[i].At.Equal(rb[i].At) {
-			t.Fatalf("removal log differs at %d: %+v vs %+v", i, ra[i], rb[i])
-		}
+	stale := store.Now().Add(-time.Hour)
+	if _, err := loaded.RemoveFollowers(target, b[:1], stale); !errors.Is(err, ErrNotMonotonic) {
+		t.Fatalf("stale removal after reload err = %v, want ErrNotMonotonic", err)
 	}
 	// The loaded store keeps churning.
 	if _, err := loaded.RemoveFollowers(target, b[:1], loaded.Now()); err != nil {
@@ -203,9 +210,9 @@ func TestSnapshotResumesClock(t *testing.T) {
 }
 
 // TestSnapshotPreservesSeqAnchors: edge sequence numbers — the anchors in-flight pagination cursors point at —
-// survive the round trip exactly, for live and removed edges alike, and
-// the per-target counter resumes above everything ever assigned so
-// post-load follows cannot mint duplicate anchors.
+// survive the round trip exactly, and the per-target counter resumes above
+// everything ever assigned so post-load follows cannot mint duplicate
+// anchors.
 func TestSnapshotPreservesSeqAnchors(t *testing.T) {
 	store, target := buildRichStore(t)
 	chrono, _ := store.FollowersChronological(target)
@@ -239,13 +246,6 @@ func TestSnapshotPreservesSeqAnchors(t *testing.T) {
 	if b[len(b)-1].Seq != 501 { // 500 original follows + 1 refollow
 		t.Fatalf("refollow seq = %d, want 501", b[len(b)-1].Seq)
 	}
-	ra, _ := store.RemovedEdges(target)
-	rb, _ := loaded.RemovedEdges(target)
-	for i := range ra {
-		if ra[i].Seq != rb[i].Seq {
-			t.Fatalf("removed edge %d seq %d vs %d", i, ra[i].Seq, rb[i].Seq)
-		}
-	}
 	// An in-flight cursor (anchor seq) resolves to the same edge on the
 	// loaded store.
 	pa, err1 := store.FollowersPage(target, 250, 1)
@@ -265,7 +265,7 @@ func TestSnapshotPreservesSeqAnchors(t *testing.T) {
 }
 
 // TestSnapshotRejectsFutureVersion: the reader accepts exactly the version
-// the writer emits. A header from any other build — the retired v1–v4
+// the writer emits. A header from any other build — the retired v1–v5
 // layouts or a newer one — fails loudly with the operator message (version
 // found, version wanted, the regeneration tool) instead of loading
 // half-understood state.
@@ -279,7 +279,7 @@ func TestSnapshotRejectsFutureVersion(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{1, 2, 3, 4, 6} {
+	for _, v := range []int{1, 2, 3, 4, 5, 7} {
 		snap.Version = v
 		var other bytes.Buffer
 		if err := gob.NewEncoder(&other).Encode(snap); err != nil {
@@ -289,7 +289,7 @@ func TestSnapshotRejectsFutureVersion(t *testing.T) {
 		if !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("v%d: err = %v, want ErrBadSnapshot", v, err)
 		}
-		for _, want := range []string{fmt.Sprintf("version %d", v), "version 5", "genpop"} {
+		for _, want := range []string{fmt.Sprintf("version %d", v), "version 6", "genpop"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("v%d: message %q does not mention %q", v, err, want)
 			}
@@ -341,7 +341,7 @@ func TestSnapshotEmptyStore(t *testing.T) {
 }
 
 // buildRichStoreSharded is buildRichStore with an explicit shard count,
-// including churn so removal logs are covered.
+// including churn so removal state is covered.
 func buildRichStoreSharded(t *testing.T, shards int) (*Store, UserID) {
 	t.Helper()
 	clock := simclock.NewVirtualAtEpoch()

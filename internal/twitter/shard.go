@@ -11,7 +11,7 @@ import (
 
 // Lock striping. All platform state that belongs to a single account — its
 // compact record, its explicit screen name, and (for targets) its follower
-// edges, tweets, friend list and removal log — lives in exactly one shard,
+// edges, tweets and friend list — lives in exactly one shard,
 // chosen by ID. Every single-account operation therefore takes exactly one
 // shard lock, so auditd's worker pool and monitord's re-audit crawls only
 // contend when they touch the *same* account, not whenever they touch the

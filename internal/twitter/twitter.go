@@ -147,8 +147,7 @@ type Follow struct {
 	// Seq is the edge's per-target sequence number, assigned monotonically
 	// at append time and never reused. It anchors pagination: a crawl
 	// resumed at a seq lands on the same edge no matter how many followers
-	// joined or were purged in between. Removal-log entries keep the seq
-	// the edge had while alive (0 for edges loaded from pre-seq snapshots).
+	// joined or were purged in between.
 	Seq uint64
 }
 
@@ -198,11 +197,10 @@ type targetData struct {
 	// frozen slice so the Feistel friends path reads it lock-free. nil until
 	// SetFriends runs; a pointer to a nil slice records "set to empty".
 	friends atomic.Pointer[[]UserID]
-	// removed logs unfollow/purge events in removal order (the ground truth
-	// the monitoring subsystem replays against), at full time resolution.
-	// The live follower list is always the survivors: removals rewrite the
-	// edge segments.
-	removed []Follow
+	// removedAt is the unix second of the newest removal (0 = none yet),
+	// the floor later removals are checked against. Removals keep no other
+	// trace: they rewrite the edge segments to the survivors.
+	removedAt int64
 	// seq is the last edge sequence number handed out for this target.
 	// Removals never decrement it, so seqs are unique for a target's
 	// lifetime and the segments stay sorted by Seq.
@@ -237,8 +235,10 @@ var ErrUnknownUser = errors.New("twitter: unknown user")
 // ErrUnknownName reports a screen-name lookup miss.
 var ErrUnknownName = errors.New("twitter: unknown screen name")
 
-// ErrNotMonotonic reports a follow edge older than the current newest edge.
-var ErrNotMonotonic = errors.New("twitter: follow time must be monotonically non-decreasing")
+// ErrNotMonotonic reports a follow, removal or tweet older than the newest
+// one of its kind on the same account. Times are compared at unix-second
+// resolution, the resolution snapshots and the write-ahead log keep.
+var ErrNotMonotonic = errors.New("twitter: event time must be monotonically non-decreasing")
 
 // ErrDuplicateName reports a screen name registered twice.
 var ErrDuplicateName = errors.New("twitter: duplicate screen name")
@@ -657,13 +657,14 @@ func (s *Store) FollowersPage(target UserID, fromSeq uint64, limit int) (Followe
 }
 
 // RemoveFollowers deletes the follow edges of the given followers from
-// target's list, preserving the chronological order of the survivors, and
-// logs each removal at time at (the unfollow instant). Followers not present
-// in the list are ignored. It returns how many edges were removed.
+// target's list at time at (the unfollow instant), preserving the
+// chronological order of the survivors. Followers not present in the list
+// are ignored. It returns how many edges were removed.
 //
 // This is the platform mutation behind churn: organic unfollows, fake-
 // follower purges, suspension sweeps. Removal times must be monotonically
-// non-decreasing across calls, mirroring the follow-side invariant.
+// non-decreasing across calls at second resolution, mirroring the
+// follow-side invariant.
 func (s *Store) RemoveFollowers(target UserID, followers []UserID, at time.Time) (int, error) {
 	n, lsn, err := s.removeFollowers(target, followers, at, false)
 	if err != nil {
@@ -687,8 +688,9 @@ func (s *Store) removeFollowers(target UserID, followers []UserID, at time.Time,
 	if v.total == 0 {
 		return 0, 0, nil
 	}
-	if n := len(td.removed); n > 0 && at.Before(td.removed[n-1].At) {
-		return 0, 0, fmt.Errorf("%w: removal at %v before %v", ErrNotMonotonic, at, td.removed[n-1].At)
+	atUnix := at.Unix()
+	if td.removedAt != 0 && atUnix < td.removedAt {
+		return 0, 0, fmt.Errorf("%w: removal at %v before %v", ErrNotMonotonic, at, unixUTC(td.removedAt))
 	}
 	// Logged before the scan, so a removal that matches nothing still costs
 	// a record; replaying it is the same no-op, so determinism holds.
@@ -717,7 +719,6 @@ func (s *Store) removeFollowers(target UserID, followers []UserID, at time.Time,
 			// Each follower is removed at most once (edge lists hold one
 			// edge per follower); further matches are genuine duplicates.
 			delete(drop, UserID(e.follower))
-			td.removed = append(td.removed, Follow{Follower: UserID(e.follower), At: at, Seq: e.seq})
 			removed++
 			return true
 		}
@@ -726,6 +727,7 @@ func (s *Store) removeFollowers(target UserID, followers []UserID, at time.Time,
 	})
 	if removed > 0 {
 		td.edges.v.Store(sealer.finish(true))
+		td.removedAt = atUnix
 	}
 	return removed, lsn, nil
 }
@@ -738,37 +740,6 @@ func (s *Store) Unfollow(target, follower UserID, at time.Time) (bool, error) {
 		return n > 0, err
 	}
 	return n > 0, s.opSync(lsn)
-}
-
-// RemovedEdges returns a copy of target's removal log (unfollow events in
-// removal order). Evaluation/monitoring only; the API layer never exposes it.
-func (s *Store) RemovedEdges(target UserID) ([]Follow, error) {
-	sh := s.shardFor(target)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if _, err := s.recordIn(sh, target); err != nil {
-		return nil, err
-	}
-	td := sh.targetOf(target)
-	if td == nil {
-		return nil, nil
-	}
-	return append([]Follow(nil), td.removed...), nil
-}
-
-// RemovedCount returns how many follow edges target has lost to churn.
-func (s *Store) RemovedCount(target UserID) (int, error) {
-	sh := s.shardFor(target)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if _, err := s.recordIn(sh, target); err != nil {
-		return 0, err
-	}
-	td := sh.targetOf(target)
-	if td == nil {
-		return 0, nil
-	}
-	return len(td.removed), nil
 }
 
 // FollowEdges returns a copy of the raw follow edges of target, oldest
@@ -812,7 +783,8 @@ func (s *Store) EdgeMemoryStats(target UserID) (edges, bytes int) {
 }
 
 // AppendTweet records an explicit tweet for a target account and updates its
-// counters. Tweets must be appended in chronological order.
+// counters. Tweets must be appended in chronological order at second
+// resolution.
 func (s *Store) AppendTweet(author UserID, tw Tweet) (Tweet, error) {
 	out, lsn, err := s.appendTweet(author, tw, 0)
 	if err != nil {
@@ -847,7 +819,7 @@ func (s *Store) appendTweet(author UserID, tw Tweet, forceID TweetID) (Tweet, ui
 		return Tweet{}, 0, err
 	}
 	td := sh.target(author)
-	if n := len(td.tweets); n > 0 && tw.CreatedAt.Before(td.tweets[n-1].CreatedAt) {
+	if n := len(td.tweets); n > 0 && tw.CreatedAt.Unix() < td.tweets[n-1].CreatedAt.Unix() {
 		return Tweet{}, 0, fmt.Errorf("%w: tweet at %v before %v", ErrNotMonotonic, tw.CreatedAt, td.tweets[n-1].CreatedAt)
 	}
 	if forceID != 0 {
