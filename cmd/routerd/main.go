@@ -3,6 +3,12 @@
 // scatter-gathered users/lookup, per-backend health ejection with probe
 // readmission, and hedged reads against each range's replica holder.
 //
+// Its only settings are the listen address, the backends in ring order and
+// the observability flags every binary shares. The ring's slot count, the
+// ejection threshold, the probe period and the hedge-delay clamps are
+// constants of internal/router, so routerd and its twitterd members cannot
+// disagree on them.
+//
 // A two-node ring on one machine (see docs/OPERATIONS.md for the full
 // runbook):
 //
@@ -23,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"fakeproject/internal/platform"
 	"fakeproject/internal/router"
@@ -40,17 +45,7 @@ func main() {
 func run() error {
 	var spec platform.Spec
 	flag.StringVar(&spec.Addr, "addr", "127.0.0.1:8080", "listen address")
-	flag.IntVar(&spec.RingSlots, "ring-slots", router.DefaultSlots, "ring slot count (must match the backends' -ring-slots)")
-	var (
-		backends = flag.String("backends", "", "comma-separated twitterd base URLs in ring order (required)")
-
-		hedgeDelay = flag.Duration("hedge-delay", 0, "fixed hedge delay; 0 = adaptive (upstream p99), negative = hedging off")
-		hedgeMin   = flag.Duration("hedge-min", 2*time.Millisecond, "lower clamp of the adaptive hedge delay")
-		hedgeMax   = flag.Duration("hedge-max", 100*time.Millisecond, "upper clamp of the adaptive hedge delay")
-
-		failThreshold = flag.Int("fail-threshold", 3, "consecutive hard failures that eject a backend")
-		probeInterval = flag.Duration("probe-interval", time.Second, "readmission probe period for ejected backends")
-	)
+	backends := flag.String("backends", "", "comma-separated twitterd base URLs in ring order (required)")
 	spec.ObsFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -68,17 +63,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rt, err := router.New(router.Config{
-		Backends:      bases,
-		Slots:         spec.RingSlots,
-		Clock:         simclock.Real{},
-		Registry:      p.Reg,
-		HedgeDelay:    *hedgeDelay,
-		HedgeMin:      *hedgeMin,
-		HedgeMax:      *hedgeMax,
-		FailThreshold: *failThreshold,
-		ProbeInterval: *probeInterval,
-	})
+	rt, err := router.New(router.Config{Backends: bases, Clock: simclock.Real{}, Registry: p.Reg})
 	if err != nil {
 		return err
 	}

@@ -20,12 +20,13 @@
 // restart recovers the population from the newest snapshot plus the log
 // tail. -load seeds a fresh WAL directory from a genpop snapshot.
 //
-// Multi-node: -ring-index/-ring-nodes/-ring-slots boot the daemon as one
-// member of a partitioned ring behind routerd (see docs/OPERATIONS.md).
-// The node loads every record and name from the -load snapshot but
-// materialises heavy target state only for the slot ranges it owns or
-// replicates; /healthz answers readiness probes and /admin/snapshot
-// streams a canonical range snapshot for ownership transfer.
+// Multi-node: -ring-index/-ring-nodes boot the daemon as one member of a
+// partitioned ring behind routerd (see docs/OPERATIONS.md). The slot count
+// is router.DefaultSlots on every member and in routerd alike. The node
+// loads every record and name from the -load snapshot but materialises
+// heavy target state only for the slot ranges it owns or replicates;
+// /healthz answers readiness probes and /admin/snapshot streams a
+// canonical range snapshot for ownership transfer.
 package main
 
 import (
@@ -39,7 +40,6 @@ import (
 	"fakeproject/internal/core"
 	"fakeproject/internal/platform"
 	"fakeproject/internal/population"
-	"fakeproject/internal/router"
 	"fakeproject/internal/simclock"
 	"fakeproject/internal/twitter"
 )
@@ -67,7 +67,6 @@ func run() error {
 
 	flag.IntVar(&spec.RingIndex, "ring-index", -1, "multi-node: this node's ring position (requires -ring-nodes and -load)")
 	flag.IntVar(&spec.RingNodes, "ring-nodes", 0, "multi-node: total nodes in the ring")
-	flag.IntVar(&spec.RingSlots, "ring-slots", router.DefaultSlots, "multi-node: ring slot count (must match routerd's)")
 	flag.BoolVar(&spec.NoLimits, "no-limits", false, "disable the Table I rate limits (load and smoke runs)")
 	flag.Parse()
 

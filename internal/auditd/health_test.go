@@ -100,7 +100,7 @@ func TestHealthQueueAtCapacity(t *testing.T) {
 }
 
 // TestHealthStalledWorkers: jobs queued with no pool progress for longer
-// than StallAfter is a stall, not a backlog — degraded with the idle time in
+// than stallAfter is a stall, not a backlog — degraded with the idle time in
 // the detail. Virtual clock, so "no progress for 10 minutes" takes no time.
 func TestHealthStalledWorkers(t *testing.T) {
 	vc := simclock.NewVirtualAtEpoch()
@@ -110,11 +110,10 @@ func TestHealthStalledWorkers(t *testing.T) {
 		release: make(chan struct{}),
 	}
 	svc := stubService(t, Config{
-		Workers:    1,
-		CacheTTL:   -1,
-		Clock:      vc,
-		StallAfter: time.Minute,
-		Tools:      map[string]Factory{"alpha": func(int) (core.Auditor, error) { return gate, nil }},
+		Workers:  1,
+		CacheTTL: -1,
+		Clock:    vc,
+		Tools:    map[string]Factory{"alpha": func(int) (core.Auditor, error) { return gate, nil }},
 	})
 
 	head, err := svc.Submit(JobSpec{Target: "head"})
@@ -128,9 +127,9 @@ func TestHealthStalledWorkers(t *testing.T) {
 	}
 
 	// A short lull is a backlog, not a stall.
-	vc.Advance(30 * time.Second)
+	vc.Advance(stallAfter / 2)
 	if h := svc.Health(); h.Status != "ok" {
-		t.Fatalf("30s backlog reported %+v", h)
+		t.Fatalf("%v backlog reported %+v", stallAfter/2, h)
 	}
 
 	vc.Advance(10 * time.Minute)

@@ -27,21 +27,24 @@ type Config struct {
 	// CacheTTL is the result cache expiry: 0 means entries never expire
 	// (Twitteraudit-style), negative disables the cache entirely.
 	CacheTTL time.Duration
-	// RetainJobs bounds how many terminal jobs stay queryable (default
-	// 1024); the oldest are evicted first.
-	RetainJobs int
 	// Clock drives timestamps and cache expiry (default the real clock).
 	Clock simclock.Clock
-	// StallAfter is how long the pool may go without making progress (a
-	// job starting or finishing) while jobs are queued before Health
-	// reports degraded (default 30s).
-	StallAfter time.Duration
 	// Tools maps tool name → per-worker engine factory. Required.
 	Tools map[string]Factory
 	// ToolOrder is the canonical order used when a job requests "all
 	// tools" (default: sorted tool names).
 	ToolOrder []string
 }
+
+const (
+	// retainJobs bounds how many terminal jobs stay queryable; the oldest
+	// are evicted first.
+	retainJobs = 1024
+	// stallAfter is how long the pool may go without making progress (a
+	// job starting or finishing) while jobs are queued before Health
+	// reports degraded.
+	stallAfter = 30 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -50,14 +53,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256
 	}
-	if c.RetainJobs <= 0 {
-		c.RetainJobs = 1024
-	}
 	if c.Clock == nil {
 		c.Clock = simclock.Real{}
-	}
-	if c.StallAfter <= 0 {
-		c.StallAfter = 30 * time.Second
 	}
 	return c
 }
@@ -103,7 +100,7 @@ type Service struct {
 
 	// progressNs is the clock instant (UnixNano) of the pool's last sign of
 	// life — a job starting or finishing. Health compares it against
-	// StallAfter when jobs are queued.
+	// stallAfter when jobs are queued.
 	progressNs atomic.Int64
 
 	// flightMu guards flights, the per-(tool,target) singleflight map that
@@ -254,7 +251,7 @@ func (s *Service) tryCacheOnly(spec JobSpec) (map[string]ToolResult, bool) {
 func (s *Service) recordLocked(j *job) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	excess := len(s.order) - s.cfg.RetainJobs
+	excess := len(s.order) - retainJobs
 	// Jobs mostly finish in submission order, so the oldest terminal job is
 	// usually the head: drop it without touching the rest of the table.
 	for excess > 0 && s.jobs[s.order[0]].state.Terminal() {
@@ -368,7 +365,7 @@ type Health struct {
 
 // Health assesses readiness: degraded when the job queue is at capacity
 // (submissions are bouncing) or when jobs are queued but the worker pool
-// has shown no sign of life for StallAfter.
+// has shown no sign of life for stallAfter.
 func (s *Service) Health() Health {
 	h := Health{
 		Status:     "ok",
@@ -381,7 +378,7 @@ func (s *Service) Health() Health {
 		h.Status = "degraded"
 		h.Detail = fmt.Sprintf("job queue at capacity (%d/%d): submissions are being rejected",
 			h.QueueDepth, h.QueueCap)
-	case h.QueueDepth > 0 && idle > s.cfg.StallAfter:
+	case h.QueueDepth > 0 && idle > stallAfter:
 		h.Status = "degraded"
 		h.Detail = fmt.Sprintf("workers stalled: %d jobs queued, no progress for %s",
 			h.QueueDepth, idle.Round(time.Second))

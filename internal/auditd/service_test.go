@@ -279,12 +279,11 @@ func TestDedupCoalescing(t *testing.T) {
 // never one that already finished (a coalesced re-audit would replay the
 // previous round's verdict). Identical specs against a zero-work stub with
 // the cache off keep the dedup window and the workers as tight against
-// Submit as they get; RetainJobs covers every submission so nothing is
+// Submit as they get; the rounds fit the retention bound so nothing is
 // evicted.
 func TestSubmittedIDResolvesAtOnce(t *testing.T) {
-	const submitters, rounds = 8, 500
-	svc := stubService(t, Config{Workers: 2, QueueCap: submitters, CacheTTL: -1,
-		RetainJobs: submitters * rounds}, newStub("alpha", 0))
+	const submitters, rounds = 8, retainJobs / 8
+	svc := stubService(t, Config{Workers: 2, QueueCap: submitters, CacheTTL: -1}, newStub("alpha", 0))
 	var wg sync.WaitGroup
 	for g := 0; g < submitters; g++ {
 		wg.Add(1)
@@ -567,9 +566,9 @@ func TestAwaitContextCancellation(t *testing.T) {
 
 func TestJobRetentionEviction(t *testing.T) {
 	alpha := newStub("alpha", 0)
-	svc := stubService(t, Config{Workers: 1, RetainJobs: 4, CacheTTL: -1}, alpha)
-	var last JobID
-	for i := 0; i < 12; i++ {
+	svc := stubService(t, Config{Workers: 1, CacheTTL: -1}, alpha)
+	var first, last JobID
+	for i := 0; i < retainJobs+8; i++ {
 		snap, err := svc.Submit(JobSpec{Target: fmt.Sprintf("t%d", i)})
 		if err != nil {
 			t.Fatal(err)
@@ -577,10 +576,16 @@ func TestJobRetentionEviction(t *testing.T) {
 		if _, err := svc.Await(context.Background(), snap.ID); err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			first = snap.ID
+		}
 		last = snap.ID
 	}
-	if got := len(svc.List()); got > 5 { // retention bound plus one in flight
-		t.Fatalf("retained %d jobs, want <= 5", got)
+	if _, err := svc.Get(first); err == nil {
+		t.Fatal("oldest job survived past the retention bound")
+	}
+	if got := len(svc.List()); got > retainJobs+1 { // retention bound plus one in flight
+		t.Fatalf("retained %d jobs, want <= %d", got, retainJobs+1)
 	}
 	if _, err := svc.Get(last); err != nil {
 		t.Fatal("most recent job evicted")

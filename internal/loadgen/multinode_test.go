@@ -70,7 +70,6 @@ func (d *deployment) bootRing(t *testing.T) *ring {
 			Load:      snap,
 			RingIndex: i,
 			RingNodes: 2,
-			RingSlots: router.DefaultSlots,
 			NoLimits:  true,
 		}}
 		if err := n.start(); err != nil {

@@ -43,9 +43,15 @@ var (
 	ErrClosed = errors.New("monitord: monitor closed")
 )
 
-// DefaultBackgroundPriority is the auditd priority of re-audit jobs: any
-// interactive submission (priority 0 and above) runs first.
-const DefaultBackgroundPriority = -10
+const (
+	// backgroundPriority is the auditd priority of re-audit jobs: any
+	// interactive submission (priority 0 and above) runs first.
+	backgroundPriority = -10
+	// seriesCap bounds each (target, tool) ring buffer.
+	seriesCap = 256
+	// alertCap bounds the retained alerts, oldest dropped.
+	alertCap = 1024
+)
 
 // Config configures a Monitor.
 type Config struct {
@@ -53,18 +59,6 @@ type Config struct {
 	Service *auditd.Service
 	// Clock drives cadences and point timestamps (default: real clock).
 	Clock simclock.Clock
-	// SeriesCap bounds each (target, tool) ring buffer (default 256).
-	SeriesCap int
-	// AlertCap bounds the retained alerts (default 1024, oldest dropped).
-	AlertCap int
-	// BackgroundPriority is the job priority of re-audits (default -10).
-	// It must be negative so interactive submissions preempt the watch.
-	BackgroundPriority int
-	// ReuseCached leaves the service's result cache alone. By default the
-	// monitor invalidates a target's cached results before each re-audit
-	// round, so cadences shorter than the cache TTL still observe the live
-	// platform rather than replaying a stale verdict.
-	ReuseCached bool
 	// BeforeRound, when set, is called before a round's jobs are submitted
 	// — the hook platform dynamics ride on (churn applied here is what the
 	// round's audits observe, consistently across tools).
@@ -78,15 +72,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = simclock.Real{}
-	}
-	if c.SeriesCap <= 0 {
-		c.SeriesCap = 256
-	}
-	if c.AlertCap <= 0 {
-		c.AlertCap = 1024
-	}
-	if c.BackgroundPriority >= 0 {
-		c.BackgroundPriority = DefaultBackgroundPriority
 	}
 	return c
 }
@@ -169,7 +154,7 @@ func New(cfg Config) (*Monitor, error) {
 		svc:         cfg.Service,
 		clock:       cfg.Clock,
 		watches:     make(map[string]*watch),
-		alerts:      newRing[Alert](cfg.AlertCap),
+		alerts:      newRing[Alert](alertCap),
 		wake:        make(chan struct{}, 1),
 		alertCounts: make(map[AlertKind]uint64),
 	}, nil
@@ -229,7 +214,7 @@ func (m *Monitor) Watch(spec WatchSpec) error {
 	}
 	for _, tool := range spec.Tools {
 		if w.series[tool] == nil {
-			w.series[tool] = newRing[Point](m.cfg.SeriesCap)
+			w.series[tool] = newRing[Point](seriesCap)
 		}
 	}
 	m.watches[spec.Target] = w
@@ -354,9 +339,10 @@ func (m *Monitor) runRound(ctx context.Context, w *watch) error {
 	if m.cfg.BeforeRound != nil {
 		m.cfg.BeforeRound(target)
 	}
-	if !m.cfg.ReuseCached {
-		m.svc.Invalidate(target, w.spec.Tools...)
-	}
+	// Invalidate the target's cached results first, so cadences shorter
+	// than the cache TTL still observe the live platform rather than
+	// replaying a stale verdict.
+	m.svc.Invalidate(target, w.spec.Tools...)
 
 	// One job per tool: finer preemption granularity (an interactive audit
 	// slots in between two background tool runs rather than behind all of
@@ -370,7 +356,7 @@ func (m *Monitor) runRound(ctx context.Context, w *watch) error {
 		snap, err := m.svc.Submit(auditd.JobSpec{
 			Target:   target,
 			Tools:    []string{tool},
-			Priority: m.cfg.BackgroundPriority,
+			Priority: backgroundPriority,
 		})
 		if err != nil {
 			// Backpressure or shutdown: skip the rest of this round and
@@ -397,7 +383,7 @@ func (m *Monitor) runRound(ctx context.Context, w *watch) error {
 		if err != nil {
 			return fmt.Errorf("monitord: awaiting %s/%s: %w", target, j.tool, err)
 		}
-		if j.deduped && !m.cfg.ReuseCached {
+		if j.deduped {
 			// The submission coalesced onto an analysis that started before
 			// this round's state (e.g. an in-flight interactive audit from
 			// before the churn hook ran). Its verdict is honest but stale;
@@ -426,7 +412,7 @@ func (m *Monitor) resubmit(ctx context.Context, target, tool string) (auditd.Job
 	snap, err := m.svc.Submit(auditd.JobSpec{
 		Target:   target,
 		Tools:    []string{tool},
-		Priority: m.cfg.BackgroundPriority,
+		Priority: backgroundPriority,
 	})
 	if err != nil {
 		return auditd.JobSnapshot{}, false

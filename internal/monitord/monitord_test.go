@@ -183,26 +183,6 @@ func TestFreshObservationsDespiteEternalCache(t *testing.T) {
 	}
 }
 
-func TestReuseCachedKeepsStaleVerdicts(t *testing.T) {
-	alpha := &scriptedAuditor{name: "alpha", frames: []frame{
-		{fakePct: 5, followers: 1000},
-		{fakePct: 50, followers: 5000},
-	}}
-	mon, _, clock := harness(t, Config{ReuseCached: true}, alpha)
-	mustWatch(t, mon, WatchSpec{Target: "davc", Cadence: 24 * time.Hour})
-	mustTick(t, mon)
-	clock.Advance(24 * time.Hour)
-	mustTick(t, mon)
-	series, _ := mon.Series("davc")
-	points := series["alpha"]
-	if len(points) != 2 || points[1].FakePct != 5 || !points[1].Cached {
-		t.Fatalf("points = %+v; want the second to replay the cached 5%%", points)
-	}
-	if alpha.callCount() != 1 {
-		t.Fatalf("engine ran %d times, want 1 (cache reuse)", alpha.callCount())
-	}
-}
-
 func TestAlertRules(t *testing.T) {
 	alpha := &scriptedAuditor{name: "alpha", frames: []frame{
 		{fakePct: 8, followers: 10000},  // baseline
@@ -248,31 +228,32 @@ func TestAlertRules(t *testing.T) {
 }
 
 func TestSeriesRingBounded(t *testing.T) {
-	frames := make([]frame, 0, 12)
-	for i := 0; i < 12; i++ {
+	const rounds = seriesCap + 8
+	frames := make([]frame, 0, rounds)
+	for i := 0; i < rounds; i++ {
 		frames = append(frames, frame{fakePct: float64(i), followers: 1000 + i})
 	}
 	alpha := &scriptedAuditor{name: "alpha", frames: frames}
-	mon, _, clock := harness(t, Config{SeriesCap: 4}, alpha)
+	mon, _, clock := harness(t, Config{}, alpha)
 	mustWatch(t, mon, WatchSpec{Target: "davc", Cadence: time.Hour, Rules: Rules{
 		FakeThresholdPct: -1, SpikePct: -1, FollowRatePerDay: -1,
 	}})
-	for i := 0; i < 12; i++ {
+	for i := 0; i < rounds; i++ {
 		mustTick(t, mon)
 		clock.Advance(time.Hour)
 	}
 	series, _ := mon.Series("davc")
 	points := series["alpha"]
-	if len(points) != 4 {
-		t.Fatalf("ring holds %d points, want 4", len(points))
+	if len(points) != seriesCap {
+		t.Fatalf("ring holds %d points, want %d", len(points), seriesCap)
 	}
 	for i, p := range points {
 		if want := float64(8 + i); p.FakePct != want {
 			t.Fatalf("ring[%d] fake = %.0f, want %.0f (oldest evicted first)", i, p.FakePct, want)
 		}
 	}
-	if points[3].Round != 12 {
-		t.Fatalf("newest round = %d, want 12", points[3].Round)
+	if got := points[seriesCap-1].Round; got != rounds {
+		t.Fatalf("newest round = %d, want %d", got, rounds)
 	}
 }
 

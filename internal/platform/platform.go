@@ -13,6 +13,10 @@
 // the same Spec. Everything in this package runs at assembly or shutdown
 // time: the request path is root mux → the mounted handler, and nothing of
 // platform is on it.
+//
+// A ring member's ranges, and the ranges /admin/snapshot exports, are cut
+// over router.DefaultSlots, the same constant routerd routes by: no Spec
+// field or flag can make a member and its router disagree on them.
 package platform
 
 import (
@@ -61,10 +65,10 @@ type Spec struct {
 	Fsync        string
 	CompactEvery uint64
 	// RingNodes > 0 boots the process as member RingIndex of a partitioned
-	// ring of that many nodes over RingSlots slots (-ring-nodes,
-	// -ring-index, -ring-slots): it materialises heavy target state only
-	// for the slot ranges it owns or replicates.
-	RingIndex, RingNodes, RingSlots int
+	// ring of that many nodes over router.DefaultSlots slots (-ring-nodes,
+	// -ring-index): it materialises heavy target state only for the slot
+	// ranges it owns or replicates.
+	RingIndex, RingNodes int
 
 	// NoLimits disables the Table I rate limits on the API plane
 	// (-no-limits).
@@ -90,6 +94,9 @@ func (s Spec) Validate() error {
 	}
 	if s.RingIndex < 0 || s.RingIndex >= s.RingNodes {
 		return fmt.Errorf("-ring-index %d needs -ring-nodes > it (got %d)", s.RingIndex, s.RingNodes)
+	}
+	if s.RingNodes > router.DefaultSlots {
+		return fmt.Errorf("-ring-nodes %d exceeds the %d ring slots", s.RingNodes, router.DefaultSlots)
 	}
 	if s.Load == "" {
 		return fmt.Errorf("-ring-index requires -load (ring members boot from a canonical snapshot)")
@@ -155,7 +162,7 @@ func (p *Process) OpenStore(clock simclock.Clock) (*twitter.Store, error) {
 	s := p.Spec
 	switch {
 	case s.RingNodes > 0:
-		ring := router.NewRing(s.RingSlots, s.RingNodes)
+		ring := router.NewRing(router.DefaultSlots, s.RingNodes)
 		store, err := twitter.LoadSnapshotRangeFile(s.Load, clock, func(id twitter.UserID) bool {
 			return ring.Keep(s.RingIndex, int64(id))
 		})
@@ -240,35 +247,26 @@ func (p *Process) Healthz() {
 
 // handleSnapshotExport streams a canonical range snapshot: by default the
 // ranges this node holds (everything, for a non-ring process), or — with
-// ?node=i&nodes=N[&slots=S] — the held set of an arbitrary ring position,
-// which is how a joining node pulls its ranges from a current holder.
-// Exports are canonical: any two holders of a range stream identical bytes
-// for it, so ownership transfer is verifiable with a plain byte compare.
+// ?node=i&nodes=N — the held set of an arbitrary ring position, which is
+// how a joining node pulls its ranges from a current holder. A position
+// that cannot exist (N above the ring's slot count) is refused rather than
+// wrapped onto another node's ranges. Exports are canonical: any two
+// holders of a range stream identical bytes for it, so ownership transfer
+// is verifiable with a plain byte compare.
 func (p *Process) handleSnapshotExport(w http.ResponseWriter, r *http.Request, store *twitter.Store) {
-	node, nodes, slots := p.Spec.RingIndex, p.Spec.RingNodes, p.Spec.RingSlots
-	if nodes <= 0 {
-		slots = router.DefaultSlots
-	}
-	if q := r.URL.Query(); q.Get("node") != "" {
+	node, nodes := p.Spec.RingIndex, p.Spec.RingNodes
+	if q := r.URL.Query(); q.Has("node") || q.Has("nodes") {
 		var err1, err2 error
 		node, err1 = strconv.Atoi(q.Get("node"))
 		nodes, err2 = strconv.Atoi(q.Get("nodes"))
-		if err1 != nil || err2 != nil || node < 0 || node >= nodes {
-			http.Error(w, "need node=i&nodes=N with 0 <= i < N", http.StatusBadRequest)
+		if err1 != nil || err2 != nil || node < 0 || node >= nodes || nodes > router.DefaultSlots {
+			http.Error(w, fmt.Sprintf("need node=i&nodes=N with 0 <= i < N <= %d", router.DefaultSlots), http.StatusBadRequest)
 			return
-		}
-		if raw := q.Get("slots"); raw != "" {
-			v, err := strconv.Atoi(raw)
-			if err != nil || v < 1 {
-				http.Error(w, "bad slots", http.StatusBadRequest)
-				return
-			}
-			slots = v
 		}
 	}
 	var keep func(twitter.UserID) bool // nil: full snapshot
 	if nodes > 0 {
-		ring := router.NewRing(slots, nodes)
+		ring := router.NewRing(router.DefaultSlots, nodes)
 		keep = func(id twitter.UserID) bool { return ring.Keep(node, int64(id)) }
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

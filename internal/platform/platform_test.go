@@ -1,13 +1,18 @@
 package platform
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"fakeproject/internal/router"
 	"fakeproject/internal/simclock"
 	"fakeproject/internal/twitter"
 	"fakeproject/internal/twitterapi"
@@ -32,6 +37,8 @@ func TestSpecValidation(t *testing.T) {
 			"-ring-index 2 needs -ring-nodes > it (got 2)"},
 		{"nodes without index", Spec{Load: "pop.gob", RingIndex: -1, RingNodes: 2},
 			"-ring-index -1 needs -ring-nodes > it (got 2)"},
+		{"more nodes than slots", Spec{Load: "pop.gob", RingIndex: 0, RingNodes: router.DefaultSlots + 1},
+			"-ring-nodes 65 exceeds the 64 ring slots"},
 	} {
 		err := tc.spec.Validate()
 		if got := errString(err); got != tc.want {
@@ -127,6 +134,137 @@ func TestStopSealsWAL(t *testing.T) {
 		again.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		if rec.Body.String() != served[i] {
 			t.Errorf("GET %s after reopen:\n%s\nserved before the stop:\n%s", path, rec.Body.String(), served[i])
+		}
+	}
+}
+
+// ringFixture writes a snapshot whose targets sit one at the low end of
+// each node's owned range in a ring of nodes, and returns its path, the
+// store it was taken from and the target IDs in node order.
+func ringFixture(t *testing.T, nodes int) (string, *twitter.Store, []twitter.UserID) {
+	t.Helper()
+	clock := simclock.NewVirtualAtEpoch()
+	store := twitter.NewStore(clock, 5)
+	for i := 0; i < router.DefaultSlots+8; i++ {
+		store.MustCreateUser(twitter.UserParams{CreatedAt: clock.Now().AddDate(-2, 0, 0)})
+	}
+	ring := router.NewRing(router.DefaultSlots, nodes)
+	var targets []twitter.UserID
+	for node := 0; node < nodes; node++ {
+		lo, _ := ring.OwnedRange(node)
+		target := twitter.UserID(lo + 1) // slot (id-1) mod slots
+		for f := twitter.UserID(router.DefaultSlots + 1); f <= router.DefaultSlots+4; f++ {
+			if err := store.AddFollower(target, f, clock.Now()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		targets = append(targets, target)
+	}
+	path := filepath.Join(t.TempDir(), "ring.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = store.WriteSnapshot(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, store, targets
+}
+
+// TestRingMemberHoldsItsRanges assembles member 0 of a 3-node ring from a
+// Spec and checks it installed exactly the targets of the range it owns
+// and the range it replicates — not the third range, which it neither
+// owns nor replicates.
+func TestRingMemberHoldsItsRanges(t *testing.T) {
+	snap, _, targets := ringFixture(t, 3)
+	p, err := New(Spec{Load: snap, RingIndex: 0, RingNodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := p.OpenStore(simclock.NewVirtualAtEpoch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 0 owns range 0 and replicates its successor's, range 1.
+	for node, want := range []bool{true, true, false} {
+		if got := store.IsTarget(targets[node]); got != want {
+			t.Errorf("target %d of range %d: IsTarget = %v, want %v", targets[node], node, got, want)
+		}
+	}
+}
+
+// TestSnapshotExport is the /admin/snapshot contract: with no query a
+// plain node streams its whole store and a ring member the ranges it
+// holds; ?node=i&nodes=N streams the held set of that ring position; a
+// malformed or impossible position is refused.
+func TestSnapshotExport(t *testing.T) {
+	snapPath, full, _ := ringFixture(t, 4)
+	get := func(p *Process, query string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		p.Mux.ServeHTTP(rec, httptest.NewRequest("GET", "/admin/snapshot"+query, nil))
+		return rec
+	}
+	serve := func(spec Spec) (*Process, *twitter.Store) {
+		t.Helper()
+		p, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock := simclock.NewVirtualAtEpoch()
+		store, err := p.OpenStore(clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.ServeAPI(store, clock)
+		return p, store
+	}
+	rangeOf := func(store *twitter.Store, node, nodes int) []byte {
+		t.Helper()
+		ring := router.NewRing(router.DefaultSlots, nodes)
+		var buf bytes.Buffer
+		if err := store.WriteSnapshotRange(&buf, func(id twitter.UserID) bool { return ring.Keep(node, int64(id)) }); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	plain, _ := serve(Spec{Load: snapPath})
+	var whole bytes.Buffer
+	if err := full.WriteSnapshot(&whole); err != nil {
+		t.Fatal(err)
+	}
+	if rec := get(plain, ""); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), whole.Bytes()) {
+		t.Errorf("plain node: HTTP %d, %d bytes; want WriteSnapshot's %d", rec.Code, rec.Body.Len(), whole.Len())
+	}
+	for _, pos := range [][2]int{{0, 1}, {1, 3}, {3, 4}, {63, 64}} {
+		query := fmt.Sprintf("?node=%d&nodes=%d", pos[0], pos[1])
+		want := rangeOf(full, pos[0], pos[1])
+		if rec := get(plain, query); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("%s: HTTP %d, %d bytes; want the position's %d-byte range", query, rec.Code, rec.Body.Len(), len(want))
+		}
+	}
+
+	member, held := serve(Spec{Load: snapPath, RingIndex: 2, RingNodes: 4})
+	if rec := get(member, ""); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), rangeOf(held, 2, 4)) {
+		t.Errorf("ring member: HTTP %d; want the ranges it holds", rec.Code)
+	}
+
+	for _, query := range []string{
+		"?node=70&nodes=100", // more nodes than slots: would wrap onto node 6
+		"?node=0&nodes=65",
+		"?node=3&nodes=3",
+		"?node=-1&nodes=2",
+		"?node=x&nodes=2",
+		"?node=1",
+		"?nodes=2",
+		"?node=&nodes=",
+	} {
+		if rec := get(plain, query); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", query, rec.Code)
 		}
 	}
 }

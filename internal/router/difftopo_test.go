@@ -97,15 +97,12 @@ func bootTopology(t *testing.T, snap []byte, nodes int) *topology {
 		tp.nodes = append(tp.nodes, srv)
 		bases = append(bases, srv.URL)
 	}
-	rt, err := New(Config{
-		Backends:      bases,
-		HedgeDelay:    -1, // determinism: no duplicate requests
-		ProbeInterval: -1,
-	})
+	rt, err := New(Config{Backends: bases, ProbeInterval: -1})
 	if err != nil {
 		tp.close()
 		t.Fatal(err)
 	}
+	rt.noHedge = true // determinism: no duplicate requests
 	tp.rt = rt
 	tp.front = httptest.NewServer(rt)
 	return tp

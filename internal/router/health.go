@@ -3,38 +3,28 @@ package router
 import (
 	"context"
 	"net/http"
-	"sync/atomic"
 )
 
-// Backend health: a backend is routable until it fails FailThreshold
+// Backend health: a backend is routable until it fails failThreshold
 // attempts in a row, where a failure is a transport error or a 5xx — a 429
 // or any other 4xx is the backend doing its job and never counts. Ejected
 // backends are readmitted by the probe loop the moment a GET /healthz
 // succeeds; ejection only steers new attempts, it never cancels in-flight
 // ones, so a blip costs at most the attempts already racing.
 
-// boolFlag and intCounter are thin atomics named for what they mean here.
-type boolFlag struct{ v atomic.Bool }
-
-func (f *boolFlag) get() bool        { return f.v.Load() }
-func (f *boolFlag) set(b bool)       { f.v.Store(b) }
-func (f *boolFlag) swap(b bool) bool { return f.v.Swap(b) }
-
-type intCounter struct{ v atomic.Int32 }
-
-func (c *intCounter) add() int32 { return c.v.Add(1) }
-func (c *intCounter) reset()     { c.v.Store(0) }
+// failThreshold is how many consecutive failures eject a backend.
+const failThreshold = 3
 
 // onResult feeds one upstream attempt's outcome into b's health state.
 func (rt *Router) onResult(b *backend, status int, err error) {
 	if err == nil && status < http.StatusInternalServerError {
-		b.fails.reset()
+		b.fails.Store(0)
 		return
 	}
-	if int(b.fails.add()) < rt.cfg.FailThreshold {
+	if b.fails.Add(1) < failThreshold {
 		return
 	}
-	if b.healthy.swap(false) {
+	if b.healthy.Swap(false) {
 		// First observer of the threshold crossing records the ejection.
 		if rt.m.ejections != nil {
 			rt.m.ejections[b.index].Inc()
@@ -50,7 +40,7 @@ func (rt *Router) onResult(b *backend, status int, err error) {
 // readmission without a running probe loop.
 func (rt *Router) probeOnce(ctx context.Context) {
 	for _, b := range rt.backends {
-		if b.healthy.get() {
+		if b.healthy.Load() {
 			continue
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/healthz", nil)
@@ -65,8 +55,8 @@ func (rt *Router) probeOnce(ctx context.Context) {
 		if resp.StatusCode != http.StatusOK {
 			continue
 		}
-		b.fails.reset()
-		if !b.healthy.swap(true) {
+		b.fails.Store(0)
+		if !b.healthy.Swap(true) {
 			if rt.m.readmissions != nil {
 				rt.m.readmissions[b.index].Inc()
 			}

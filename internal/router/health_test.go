@@ -44,14 +44,13 @@ func TestEjectionFailoverReadmission(t *testing.T) {
 	rt, err := New(Config{
 		Backends:      []string{primary.URL, good.URL},
 		Registry:      metrics.NewRegistry(),
-		HedgeDelay:    -1, // isolate the failover path
 		ProbeInterval: -1, // probes driven by hand below
-		FailThreshold: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	rt.noHedge = true // isolate the failover path
 	front := httptest.NewServer(rt)
 	defer front.Close()
 
@@ -73,7 +72,7 @@ func TestEjectionFailoverReadmission(t *testing.T) {
 		get()
 	}
 	if got := rt.Healthy(); got != 1 {
-		t.Fatalf("Healthy() = %d after %d consecutive failures, want ejection", got, 3)
+		t.Fatalf("Healthy() = %d after %d consecutive failures, want ejection", got, failThreshold)
 	}
 	if got := rt.m.ejections[0].Value(); got != 1 {
 		t.Errorf("router_ejections_total{backend=0} = %d, want 1", got)
@@ -119,18 +118,17 @@ func TestRateLimit429IsNotAFailure(t *testing.T) {
 	rt, err := New(Config{
 		Backends:      []string{limited.URL, limited.URL},
 		Registry:      metrics.NewRegistry(),
-		HedgeDelay:    -1,
 		ProbeInterval: -1,
-		FailThreshold: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	rt.noHedge = true
 	front := httptest.NewServer(rt)
 	defer front.Close()
 
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 2*failThreshold; i++ {
 		resp, err := front.Client().Get(front.URL + "/1.1/followers/ids.json?user_id=1&cursor=-1")
 		if err != nil {
 			t.Fatal(err)

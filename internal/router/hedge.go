@@ -20,9 +20,9 @@ import (
 //   - pass-through otherwise — a 2xx/3xx/4xx (429 included) is the backend
 //     speaking and is relayed verbatim.
 //
-// The hedge delay tracks the fleet: with no explicit override it is the
-// observed p99 of upstream attempts, clamped to [HedgeMin, HedgeMax], so
-// roughly 1% of reads hedge — the classic tail-at-scale dial.
+// The hedge delay tracks the fleet: it is the observed p99 of upstream
+// attempts, clamped to [hedgeMin, hedgeMax], so roughly 1% of reads hedge —
+// the classic tail-at-scale dial.
 
 // upstreamResponse is one backend's buffered answer. Bodies are small
 // (bounded pages) so buffering is what makes racing two attempts safe: the
@@ -33,12 +33,16 @@ type upstreamResponse struct {
 	body   []byte
 }
 
-// hedgeDefault is the hedge delay used before enough samples accumulate.
-const hedgeDefault = 10 * time.Millisecond
-
-// hedgeWarmup is how many upstream samples the p99 needs before it drives
-// the hedge delay.
-const hedgeWarmup = 100
+const (
+	// hedgeDefault is the hedge delay used before enough samples accumulate.
+	hedgeDefault = 10 * time.Millisecond
+	// hedgeWarmup is how many upstream samples the p99 needs before it
+	// drives the hedge delay.
+	hedgeWarmup = 100
+	// hedgeMin and hedgeMax clamp the p99-derived hedge delay.
+	hedgeMin = 2 * time.Millisecond
+	hedgeMax = 100 * time.Millisecond
+)
 
 // do executes orig against primary, failing over and (when canHedge)
 // hedging to secondary. It returns the winning upstream response; a nil
@@ -74,7 +78,7 @@ func (rt *Router) do(ctx context.Context, orig *http.Request, primary, secondary
 	triedSecondary := secondary == nil
 
 	var hedgeCh chan struct{}
-	if canHedge && !triedSecondary && rt.cfg.HedgeDelay >= 0 {
+	if canHedge && !triedSecondary && !rt.noHedge {
 		hedgeCh = make(chan struct{}, 1)
 		delay := rt.hedgeDelay()
 		rt.inflight.Add(1)
@@ -92,7 +96,7 @@ func (rt *Router) do(ctx context.Context, orig *http.Request, primary, secondary
 		select {
 		case <-hedgeCh:
 			hedgeCh = nil
-			if !triedSecondary && secondary.healthy.get() {
+			if !triedSecondary && secondary.healthy.Load() {
 				triedSecondary, hedged = true, true
 				incr(rt.m.hedges)
 				launch(secondary)
@@ -164,28 +168,14 @@ func (rt *Router) attempt(ctx context.Context, orig *http.Request, b *backend, b
 	return &upstreamResponse{status: resp.StatusCode, header: resp.Header, body: rb}, nil
 }
 
-// hedgeDelay picks the current hedge delay: the configured override when
-// set, else the upstream p99 clamped to [HedgeMin, HedgeMax] once enough
-// samples exist, else a conservative default.
+// hedgeDelay picks the current hedge delay: the upstream p99 clamped to
+// [hedgeMin, hedgeMax] once enough samples exist, else hedgeDefault.
 func (rt *Router) hedgeDelay() time.Duration {
-	if d := rt.cfg.HedgeDelay; d > 0 {
-		return d
-	}
 	h := rt.m.upstream
 	if h.Count() < hedgeWarmup {
-		return clampDur(hedgeDefault, rt.cfg.HedgeMin, rt.cfg.HedgeMax)
+		return hedgeDefault
 	}
-	return clampDur(h.Quantile(0.99), rt.cfg.HedgeMin, rt.cfg.HedgeMax)
-}
-
-func clampDur(d, lo, hi time.Duration) time.Duration {
-	if d < lo {
-		return lo
-	}
-	if d > hi {
-		return hi
-	}
-	return d
+	return min(max(h.Quantile(0.99), hedgeMin), hedgeMax)
 }
 
 // incr bumps a counter that may be nil (no registry configured).

@@ -14,7 +14,7 @@ import (
 const fastPage = `{"ids":[7],"next_cursor":0,"next_cursor_str":"0","previous_cursor":0,"previous_cursor_str":"0"}` + "\n"
 
 // TestHedgedReadStalledPrimary is the hedged-read regression on a virtual
-// clock: the primary holder stalls, so after the configured delay exactly
+// clock: the primary holder stalls, so after the cold hedge delay exactly
 // one hedge fires at the replica, the replica's answer wins and is relayed
 // byte-for-byte, and the stalled loser is torn down without being charged
 // a health failure. Close afterwards proves the bookkeeping goroutines all
@@ -41,7 +41,6 @@ func TestHedgedReadStalledPrimary(t *testing.T) {
 		Backends:      []string{stalled.URL, fast.URL},
 		Clock:         vclock,
 		Registry:      reg,
-		HedgeDelay:    5 * time.Millisecond,
 		ProbeInterval: -1, // a virtual clock would spin the probe loop
 	})
 	if err != nil {
@@ -70,12 +69,12 @@ func TestHedgedReadStalledPrimary(t *testing.T) {
 		t.Errorf("router_hedge_wins_total = %d, want 1", got)
 	}
 	// The hedge timer is the only Sleep in the request path: it must have
-	// waited the configured delay, once.
+	// waited the cold (pre-warmup) delay, once.
 	if got := vclock.Sleeps(); got != 1 {
 		t.Errorf("clock saw %d sleeps, want 1 (the hedge timer)", got)
 	}
-	if got := vclock.Slept(); got != 5*time.Millisecond {
-		t.Errorf("clock slept %v, want the configured 5ms hedge delay", got)
+	if got := vclock.Slept(); got != hedgeDefault {
+		t.Errorf("clock slept %v, want the cold hedge delay %v", got, hedgeDefault)
 	}
 	// Losing a hedge is not a health failure: the stalled backend was
 	// cancelled by us, not broken.
@@ -86,13 +85,14 @@ func TestHedgedReadStalledPrimary(t *testing.T) {
 	// Close waits out the inflight WaitGroup: if the loser's goroutine or
 	// the timer leaked, this hangs and the test times out.
 	rt.Close()
-	if got := rt.backends[0].fails.v.Load(); got != 0 {
+	if got := rt.backends[0].fails.Load(); got != 0 {
 		t.Errorf("stalled backend charged %d failures for losing a hedge", got)
 	}
 }
 
-// TestHedgeDisabled: a negative HedgeDelay must never arm the timer.
-func TestHedgeDisabled(t *testing.T) {
+// TestSingleNodeRingNeverHedges: a one-node ring has no second holder, so
+// the hedge timer must never arm.
+func TestSingleNodeRingNeverHedges(t *testing.T) {
 	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.WriteString(w, fastPage)
 	}))
@@ -100,9 +100,8 @@ func TestHedgeDisabled(t *testing.T) {
 
 	vclock := simclock.NewVirtualAtEpoch()
 	rt, err := New(Config{
-		Backends:      []string{fast.URL, fast.URL},
+		Backends:      []string{fast.URL},
 		Clock:         vclock,
-		HedgeDelay:    -1,
 		ProbeInterval: -1,
 	})
 	if err != nil {
@@ -112,23 +111,27 @@ func TestHedgeDisabled(t *testing.T) {
 	front := httptest.NewServer(rt)
 	defer front.Close()
 
-	resp, err := front.Client().Get(front.URL + "/1.1/followers/ids.json?user_id=1&cursor=-1")
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{
+		"/1.1/followers/ids.json?user_id=1&cursor=-1",
+		"/1.1/users/show.json?screen_name=davc",
+		"/1.1/users/lookup.json?user_id=1,40",
+	} {
+		resp, err := front.Client().Get(front.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
 	}
-	resp.Body.Close()
 	if vclock.Sleeps() != 0 {
-		t.Errorf("hedging disabled but the timer slept %d times", vclock.Sleeps())
+		t.Errorf("one-node ring armed the hedge timer %d times", vclock.Sleeps())
 	}
 }
 
 // TestAdaptiveHedgeDelay: the delay follows the upstream p99 once warm,
-// clamped into [HedgeMin, HedgeMax].
+// clamped into [hedgeMin, hedgeMax].
 func TestAdaptiveHedgeDelay(t *testing.T) {
 	rt, err := New(Config{
 		Backends:      []string{"http://127.0.0.1:0"},
-		HedgeMin:      2 * time.Millisecond,
-		HedgeMax:      50 * time.Millisecond,
 		ProbeInterval: -1,
 	})
 	if err != nil {
@@ -143,7 +146,7 @@ func TestAdaptiveHedgeDelay(t *testing.T) {
 		rt.m.upstream.Record(20 * time.Millisecond)
 	}
 	got := rt.hedgeDelay()
-	if got < 2*time.Millisecond || got > 50*time.Millisecond {
+	if got < hedgeMin || got > hedgeMax {
 		t.Errorf("warm hedge delay %v escaped the clamp", got)
 	}
 	if got < 15*time.Millisecond {
@@ -152,7 +155,7 @@ func TestAdaptiveHedgeDelay(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		rt.m.upstream.Record(500 * time.Millisecond)
 	}
-	if got := rt.hedgeDelay(); got != 50*time.Millisecond {
-		t.Errorf("slow-fleet hedge delay %v, want clamped to HedgeMax", got)
+	if got := rt.hedgeDelay(); got != hedgeMax {
+		t.Errorf("slow-fleet hedge delay %v, want clamped to hedgeMax", got)
 	}
 }

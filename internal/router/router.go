@@ -31,6 +31,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fakeproject/internal/metrics"
@@ -48,34 +49,21 @@ const (
 	pathUserTimeline = "/1.1/statuses/user_timeline.json"
 )
 
-// Config shapes a Router.
+// Config shapes a Router. The ring's geometry (DefaultSlots) and its
+// health and hedging dials (failThreshold, hedgeMin, hedgeMax) are
+// constants, so a router and its backends cannot disagree on them.
 type Config struct {
 	// Backends are the twitterd base URLs in ring order ("http://host:port",
 	// no trailing slash required). Backend i owns ring range i.
 	Backends []string
-	// Slots is the ring slot count (default DefaultSlots). It must match
-	// the -ring-slots the backends were brought up with.
-	Slots int
 	// Clock drives hedge timers, probe pacing and latency measurement
 	// (default the real clock).
 	Clock simclock.Clock
 	// Registry, when non-nil, receives the router metric families.
 	Registry *metrics.Registry
-	// HedgeDelay fixes the hedge delay; 0 derives it from the observed
-	// backend p99 (clamped to [HedgeMin, HedgeMax]); negative disables
-	// hedging entirely (failover on hard failure still applies).
-	HedgeDelay time.Duration
-	// HedgeMin/HedgeMax clamp the adaptive hedge delay (defaults 2ms and
-	// 100ms).
-	HedgeMin, HedgeMax time.Duration
-	// FailThreshold is how many consecutive failures eject a backend
-	// (default 3).
-	FailThreshold int
 	// ProbeInterval paces the readmission probe loop (default 1s; negative
 	// disables the loop — tests drive probes directly).
 	ProbeInterval time.Duration
-	// Transport overrides the upstream transport (tests).
-	Transport http.RoundTripper
 }
 
 // backend is one ring member and its health state.
@@ -83,8 +71,8 @@ type backend struct {
 	index int
 	base  string // normalised base URL, no trailing slash
 
-	healthy  boolFlag
-	fails    intCounter
+	healthy  atomic.Bool
+	fails    atomic.Int32
 	healthyG *metrics.IntGauge
 }
 
@@ -97,6 +85,9 @@ type Router struct {
 	client   *http.Client
 	clock    simclock.Clock
 	handler  http.Handler
+	// noHedge keeps hedged reads out of tests that count upstream attempts
+	// or need them deterministic; production routers always hedge.
+	noHedge bool
 
 	// names caches screen-name resolutions. Names are immutable and
 	// accounts are never deleted, so positive entries never go stale; the
@@ -131,38 +122,23 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("router: no backends configured")
 	}
-	if cfg.Slots <= 0 {
-		cfg.Slots = DefaultSlots
-	}
-	if cfg.Slots < len(cfg.Backends) {
-		return nil, fmt.Errorf("router: %d backends need at least as many ring slots (have %d)", len(cfg.Backends), cfg.Slots)
+	if len(cfg.Backends) > DefaultSlots {
+		return nil, fmt.Errorf("router: %d backends exceed the %d ring slots", len(cfg.Backends), DefaultSlots)
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
 	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
-	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = 2 * time.Millisecond
-	}
-	if cfg.HedgeMax <= 0 {
-		cfg.HedgeMax = 100 * time.Millisecond
-	}
-	transport := cfg.Transport
-	if transport == nil {
-		transport = &http.Transport{
-			MaxIdleConns:        512,
-			MaxIdleConnsPerHost: 256,
-			IdleConnTimeout:     90 * time.Second,
-		}
+	transport := &http.Transport{
+		MaxIdleConns:        512,
+		MaxIdleConnsPerHost: 256,
+		IdleConnTimeout:     90 * time.Second,
 	}
 	rt := &Router{
 		cfg:    cfg,
-		ring:   NewRing(cfg.Slots, len(cfg.Backends)),
+		ring:   NewRing(DefaultSlots, len(cfg.Backends)),
 		client: &http.Client{Transport: transport},
 		clock:  cfg.Clock,
 		names:  make(map[string]int64),
@@ -176,7 +152,7 @@ func New(cfg Config) (*Router, error) {
 			base = base[:len(base)-1]
 		}
 		b := &backend{index: i, base: base}
-		b.healthy.set(true)
+		b.healthy.Store(true)
 		rt.backends = append(rt.backends, b)
 	}
 	rt.observe(cfg.Registry)
@@ -270,56 +246,53 @@ func (rt *Router) Close() {
 func (rt *Router) Healthy() int {
 	n := 0
 	for _, b := range rt.backends {
-		if b.healthy.get() {
+		if b.healthy.Load() {
 			n++
 		}
 	}
 	return n
 }
 
-// Ring exposes the router's slot math (twitterd bring-up shares it).
-func (rt *Router) Ring() Ring { return rt.ring }
+// noSlot is route's slot for a request that names no account.
+const noSlot = -1
 
-// holders returns the primary and secondary holder of a slot, with the
-// secondary nil when the ring has a single node (nothing to hedge or fail
-// over to).
-func (rt *Router) holders(slot int) (primary, secondary *backend) {
-	primary = rt.backends[rt.ring.Owner(slot)]
-	if s := rt.ring.Secondary(slot); s != primary.index {
-		secondary = rt.backends[s]
+// route is the ring's one routing policy: it returns the attempt pair of a
+// request — the backend to try first and the one to hedge or fail over to
+// (nil when there is no other). The candidates, in order, are the slot's
+// owner and its replica, then, when anyNode (a request every node answers
+// identically), the remaining backends in index order; noSlot leaves index
+// order alone. Healthy candidates come first: an ejected backend is tried
+// only after every healthy one, a last resort that beats a synthesised
+// error (it may have just recovered).
+func (rt *Router) route(slot int, anyNode bool) (first, second *backend) {
+	var buf [DefaultSlots + 2]*backend
+	cands := buf[:0]
+	if slot != noSlot {
+		cands = append(cands, rt.backends[rt.ring.Owner(slot)], rt.backends[rt.ring.Secondary(slot)])
 	}
-	return primary, secondary
-}
-
-// pickAny returns the lowest-indexed healthy backend, or the lowest-indexed
-// backend when all are ejected (a last-resort attempt beats a synthesised
-// error: the backend may have just recovered).
-func (rt *Router) pickAny() *backend {
-	for _, b := range rt.backends {
-		if b.healthy.get() {
-			return b
+	if anyNode {
+		cands = append(cands, rt.backends...)
+	}
+	for _, healthy := range [2]bool{true, false} {
+		for _, b := range cands {
+			if b == first || b.healthy.Load() != healthy {
+				continue
+			}
+			if first != nil {
+				return first, b
+			}
+			first = b
 		}
 	}
-	return rt.backends[0]
-}
-
-// pickAnyExcept is pickAny skipping one backend; it returns nil when no
-// other healthy backend exists.
-func (rt *Router) pickAnyExcept(not *backend) *backend {
-	for _, b := range rt.backends {
-		if b != not && b.healthy.get() {
-			return b
-		}
-	}
-	return nil
+	return first, nil
 }
 
 // serveAny forwards the request unmodified to a deterministic healthy
 // backend — the path for requests whose response is identical on every
 // node (malformed parameters, unknown paths).
 func (rt *Router) serveAny(w http.ResponseWriter, r *http.Request) {
-	b := rt.pickAny()
-	resp, err := rt.do(r.Context(), r, b, rt.pickAnyExcept(b), false)
+	first, second := rt.route(noSlot, true)
+	resp, err := rt.do(r.Context(), r, first, second, false)
 	rt.reply(w, resp, err)
 }
 
@@ -357,19 +330,11 @@ func (rt *Router) serveOwned(w http.ResponseWriter, r *http.Request) {
 	rt.serveAny(w, r)
 }
 
-// forwardOwned sends the request to a slot's primary with failover and
-// hedging against the secondary holder.
+// forwardOwned sends the request to a slot's holders with failover and
+// hedging between them.
 func (rt *Router) forwardOwned(w http.ResponseWriter, r *http.Request, slot int) {
-	primary, secondary := rt.holders(slot)
-	if !primary.healthy.get() {
-		if secondary != nil && secondary.healthy.get() {
-			primary, secondary = secondary, nil
-		} else if secondary == nil {
-			// Single-node ring: the primary is all there is — try it.
-			secondary = nil
-		}
-	}
-	resp, err := rt.do(r.Context(), r, primary, secondary, true)
+	first, second := rt.route(slot, false)
+	resp, err := rt.do(r.Context(), r, first, second, true)
 	rt.reply(w, resp, err)
 }
 
@@ -383,15 +348,8 @@ func (rt *Router) serveShow(w http.ResponseWriter, r *http.Request) {
 		rt.serveAny(w, r)
 		return
 	}
-	primary, secondary := rt.holders(rt.nameSlot(name))
-	if !primary.healthy.get() {
-		if alt := rt.pickAnyExcept(primary); alt != nil {
-			primary, secondary = alt, nil
-		}
-	} else if secondary == nil || !secondary.healthy.get() {
-		secondary = rt.pickAnyExcept(primary)
-	}
-	resp, err := rt.do(r.Context(), r, primary, secondary, true)
+	first, second := rt.route(rt.nameSlot(name), true)
+	resp, err := rt.do(r.Context(), r, first, second, true)
 	rt.reply(w, resp, err)
 }
 
@@ -432,13 +390,8 @@ func (rt *Router) resolveName(ctx context.Context, orig *http.Request, name stri
 	if auth := orig.Header.Get("Authorization"); auth != "" {
 		req.Header.Set("Authorization", auth)
 	}
-	primary, secondary := rt.holders(rt.nameSlot(name))
-	if !primary.healthy.get() {
-		if alt := rt.pickAnyExcept(primary); alt != nil {
-			primary, secondary = alt, nil
-		}
-	}
-	resp, err := rt.do(ctx, req, primary, secondary, true)
+	first, second := rt.route(rt.nameSlot(name), true)
+	resp, err := rt.do(ctx, req, first, second, true)
 	if err != nil || resp == nil {
 		return 0, resolveFailed
 	}

@@ -35,24 +35,27 @@ func (rt *Router) serveLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Group positions by owning backend, first-appearance order.
+	// Group positions by owning backend, first-appearance order; a group
+	// routes by the slot of its first ID (every slot of a group has the same
+	// owner, so the same holders).
 	groupOf := make([]int, len(ids))
-	var owners []int
+	var slots []int
 	ownerGroup := make(map[int]int, len(rt.backends))
 	for i, id := range ids {
-		o := rt.ring.Owner(rt.ring.Slot(id))
+		s := rt.ring.Slot(id)
+		o := rt.ring.Owner(s)
 		g, seen := ownerGroup[o]
 		if !seen {
-			g = len(owners)
+			g = len(slots)
 			ownerGroup[o] = g
-			owners = append(owners, o)
+			slots = append(slots, s)
 		}
 		groupOf[i] = g
 	}
 
-	if len(owners) == 1 {
-		primary, secondary := rt.holders(rt.ring.Slot(ids[0]))
-		resp, err := rt.do(r.Context(), r, primary, secondary, true)
+	if len(slots) == 1 {
+		first, second := rt.route(slots[0], false)
+		resp, err := rt.do(r.Context(), r, first, second, true)
 		rt.reply(w, resp, err)
 		return
 	}
@@ -61,7 +64,7 @@ func (rt *Router) serveLookup(w http.ResponseWriter, r *http.Request) {
 	// Build one sub-request per owner carrying its subset of the ID list
 	// (subset order = input order, duplicates kept — the backend's own
 	// order/duplicate handling then lines up with the merge).
-	subIDs := make([][]string, len(owners))
+	subIDs := make([][]string, len(slots))
 	for i, id := range ids {
 		subIDs[groupOf[i]] = append(subIDs[groupOf[i]], strconv.FormatInt(id, 10))
 	}
@@ -69,9 +72,9 @@ func (rt *Router) serveLookup(w http.ResponseWriter, r *http.Request) {
 		resp *upstreamResponse
 		err  error
 	}
-	parts := make([]part, len(owners))
+	parts := make([]part, len(slots))
 	var wg sync.WaitGroup
-	for g, owner := range owners {
+	for g, slot := range slots {
 		q := r.URL.Query()
 		q.Set("user_id", strings.Join(subIDs[g], ","))
 		sub, err := http.NewRequestWithContext(r.Context(), http.MethodGet,
@@ -81,21 +84,17 @@ func (rt *Router) serveLookup(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		sub.Header = r.Header.Clone()
-		primary := rt.backends[owner]
-		var secondary *backend
-		if s := (owner + len(rt.backends) - 1) % len(rt.backends); s != owner {
-			secondary = rt.backends[s]
-		}
+		first, second := rt.route(slot, false)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			resp, err := rt.do(sub.Context(), sub, primary, secondary, true)
+			resp, err := rt.do(sub.Context(), sub, first, second, true)
 			parts[g] = part{resp, err}
 		}(g)
 	}
 	wg.Wait()
 
-	bodies := make([][]byte, len(owners))
+	bodies := make([][]byte, len(slots))
 	for g := range parts {
 		if parts[g].err != nil || parts[g].resp == nil {
 			rt.overCapacity(w)
