@@ -45,11 +45,7 @@ func NewHandlerObserved(svc *Service, reg *metrics.Registry) *Handler {
 		svc.Observe(reg)
 	}
 	for _, rt := range h.routes() {
-		route := http.Handler(rt.handler)
-		if reg != nil {
-			route = plane.WrapFunc(rt.endpoint, rt.handler)
-		}
-		h.mux.Handle(rt.pattern, route)
+		h.mux.Handle(rt.pattern, plane.Wrap(rt.endpoint, rt.handler))
 	}
 	return h
 }

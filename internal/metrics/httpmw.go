@@ -57,8 +57,11 @@ type endpointSeries struct {
 }
 
 // Wrap instruments h as the named endpoint. Call once per route at mux
-// assembly time.
+// assembly time. A nil plane — an unobserved surface — returns h unchanged.
 func (p *HTTPPlane) Wrap(endpoint string, h http.Handler) http.Handler {
+	if p == nil {
+		return h
+	}
 	es := &endpointSeries{
 		hist: p.reg.Histogram("http_request_duration_seconds",
 			"Time to serve a request, by plane and endpoint.",
@@ -85,11 +88,6 @@ func (p *HTTPPlane) Wrap(endpoint string, h http.Handler) http.Handler {
 		}
 		es.classes[class].Inc()
 	})
-}
-
-// WrapFunc is Wrap for a HandlerFunc.
-func (p *HTTPPlane) WrapFunc(endpoint string, h http.HandlerFunc) http.Handler {
-	return p.Wrap(endpoint, h)
 }
 
 // statusWriter captures the response status code. Pooled: one Get/Put pair

@@ -39,11 +39,7 @@ func NewHandlerObserved(mon *Monitor, reg *metrics.Registry) *Handler {
 		mon.Observe(reg)
 	}
 	for _, rt := range h.routes() {
-		route := http.Handler(rt.handler)
-		if reg != nil {
-			route = plane.WrapFunc(rt.endpoint, rt.handler)
-		}
-		h.mux.Handle(rt.pattern, route)
+		h.mux.Handle(rt.pattern, plane.Wrap(rt.endpoint, rt.handler))
 	}
 	return h
 }

@@ -89,7 +89,7 @@ func (s *Spec) ObsFlags(fs *flag.FlagSet) {
 
 // Validate reports a Spec whose parts cannot be combined.
 func (s Spec) Validate() error {
-	if s.RingNodes <= 0 {
+	if s.RingNodes <= 0 && s.RingIndex <= 0 {
 		return nil
 	}
 	if s.RingIndex < 0 || s.RingIndex >= s.RingNodes {

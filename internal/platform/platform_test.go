@@ -37,6 +37,8 @@ func TestSpecValidation(t *testing.T) {
 			"-ring-index 2 needs -ring-nodes > it (got 2)"},
 		{"nodes without index", Spec{Load: "pop.gob", RingIndex: -1, RingNodes: 2},
 			"-ring-index -1 needs -ring-nodes > it (got 2)"},
+		{"index without nodes", Spec{Load: "pop.gob", RingIndex: 2},
+			"-ring-index 2 needs -ring-nodes > it (got 0)"},
 		{"more nodes than slots", Spec{Load: "pop.gob", RingIndex: 0, RingNodes: router.DefaultSlots + 1},
 			"-ring-nodes 65 exceeds the 64 ring slots"},
 	} {

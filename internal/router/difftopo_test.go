@@ -1,4 +1,4 @@
-package router
+package router_test
 
 // The cross-topology differential test: the router's contract is to be
 // byte-invisible. One canonical population (a difftest op stream applied
@@ -14,6 +14,7 @@ package router
 //
 // These are test-only imports of the store and API packages; the router's
 // non-test sources stay a stdlib+metrics+simclock leaf (fpvet layering).
+// The test is an external package because difftest imports the router.
 
 import (
 	"bytes"
@@ -26,6 +27,7 @@ import (
 	"strings"
 	"testing"
 
+	"fakeproject/internal/router"
 	"fakeproject/internal/simclock"
 	"fakeproject/internal/twitter"
 	"fakeproject/internal/twitter/difftest"
@@ -36,11 +38,7 @@ import (
 // returns its canonical snapshot bytes.
 func buildCanonicalSnapshot(t *testing.T, seed uint64, nops int) []byte {
 	t.Helper()
-	applier := difftest.NewStoreApplier(seed)
-	for _, op := range difftest.Generate(seed, nops) {
-		difftest.Apply(applier, op)
-	}
-	snap, err := applier.Snapshot()
+	snap, err := difftest.Replay(seed, difftest.Generate(seed, nops)).Snapshot()
 	if err != nil {
 		t.Fatalf("snapshotting canonical state: %v", err)
 	}
@@ -62,7 +60,7 @@ type topology struct {
 	stores []*twitter.Store
 	nodes  []*httptest.Server
 	front  *httptest.Server
-	rt     *Router
+	rt     *router.Router
 }
 
 func (tp *topology) close() {
@@ -81,7 +79,7 @@ func (tp *topology) close() {
 // fronts them with a router.
 func bootTopology(t *testing.T, snap []byte, nodes int) *topology {
 	t.Helper()
-	ring := NewRing(DefaultSlots, nodes)
+	ring := router.NewRing(router.DefaultSlots, nodes)
 	tp := &topology{}
 	var bases []string
 	for i := 0; i < nodes; i++ {
@@ -97,12 +95,12 @@ func bootTopology(t *testing.T, snap []byte, nodes int) *topology {
 		tp.nodes = append(tp.nodes, srv)
 		bases = append(bases, srv.URL)
 	}
-	rt, err := New(Config{Backends: bases, ProbeInterval: -1})
+	rt, err := router.New(router.Config{Backends: bases, ProbeInterval: -1})
 	if err != nil {
 		tp.close()
 		t.Fatal(err)
 	}
-	rt.noHedge = true // determinism: no duplicate requests
+	rt.DisableHedging() // determinism: no duplicate requests
 	tp.rt = rt
 	tp.front = httptest.NewServer(rt)
 	return tp
@@ -337,7 +335,7 @@ func checkRangeExports(t *testing.T, snap []byte, tp *topology, nodes int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := NewRing(DefaultSlots, nodes)
+	ring := router.NewRing(router.DefaultSlots, nodes)
 	export := func(s *twitter.Store, owner int) []byte {
 		lo, hi := ring.OwnedRange(owner)
 		var buf bytes.Buffer

@@ -212,19 +212,11 @@ func (rt *Router) buildHandler(reg *metrics.Registry) http.Handler {
 		plane = metrics.NewHTTPPlane(reg, "router", rt.clock)
 	}
 	for _, r := range routes {
-		if plane != nil {
-			mux.Handle(r.path, plane.WrapFunc(r.endpoint, r.h))
-		} else {
-			mux.HandleFunc(r.path, r.h)
-		}
+		mux.Handle(r.path, plane.Wrap(r.endpoint, r.h))
 	}
 	// Everything else — unknown paths included — forwards to a
 	// deterministic healthy backend so the router stays invisible.
-	if plane != nil {
-		mux.Handle("/", plane.WrapFunc("other", rt.serveAny))
-	} else {
-		mux.HandleFunc("/", rt.serveAny)
-	}
+	mux.Handle("/", plane.Wrap("other", http.HandlerFunc(rt.serveAny)))
 	return mux
 }
 

@@ -170,7 +170,7 @@ func buildMixedStore(tb testing.TB, shards, targets, accounts, seedEdges int) *S
 // where striping can only help the bystanders. The shards=1 variants ARE
 // the pre-striping store (one RWMutex for everything) and serve as the
 // baseline the striped variants are compared against.
-func benchmarkParallelMixed(b *testing.B, shards, workers int, hot bool) {
+func benchmarkParallelMixed(b *testing.B, shards, workers int, leg string) {
 	const (
 		targets   = 64
 		accounts  = 8192
@@ -190,11 +190,20 @@ func benchmarkParallelMixed(b *testing.B, shards, workers int, hot bool) {
 		go func(w, n int) {
 			defer wg.Done()
 			rng := uint64(w)*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3
+			ids := make([]UserID, 100)
 			for i := 0; i < n; i++ {
 				rng = rng*6364136223846793005 + 1442695040888963407
 				r := rng >> 33
+				if leg == "scan=100" { // read-only users/lookup batch
+					for j := range ids {
+						rng = rng*6364136223846793005 + 1442695040888963407
+						ids[j] = UserID(1 + (rng>>33)%accounts)
+					}
+					store.ScanProfiles(ids, func(ProfileView) {})
+					continue
+				}
 				target := UserID(1 + r%targets)
-				if hot && r%10 < 9 {
+				if leg == "skew=hot" && r%10 < 9 {
 					target = 1
 				}
 				switch op := (r >> 8) % 10; {
@@ -228,15 +237,16 @@ func benchmarkParallelMixed(b *testing.B, shards, workers int, hot bool) {
 
 // BenchmarkParallelMixed is the striping contention suite. Compare
 // shards=1 (the pre-shard global-lock store) against shards=16 at the same
-// goroutine count:
+// goroutine count, on the 20 %-write mix (uniform or hot-target skew) and
+// on read-only 100-id ScanProfiles batches:
 //
 //	go test ./internal/twitter -bench ParallelMixed -cpu 8
 func BenchmarkParallelMixed(b *testing.B) {
 	for _, shards := range []int{1, DefaultShards} {
-		for _, skew := range []string{"uniform", "hot"} {
+		for _, leg := range []string{"skew=uniform", "skew=hot", "scan=100"} {
 			for _, workers := range []int{1, 4, 8} {
-				b.Run(fmt.Sprintf("shards=%d/skew=%s/goroutines=%d", shards, skew, workers), func(b *testing.B) {
-					benchmarkParallelMixed(b, shards, workers, skew == "hot")
+				b.Run(fmt.Sprintf("shards=%d/%s/goroutines=%d", shards, leg, workers), func(b *testing.B) {
+					benchmarkParallelMixed(b, shards, workers, leg)
 				})
 			}
 		}

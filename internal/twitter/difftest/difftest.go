@@ -1,38 +1,27 @@
-// Package difftest is a differential test harness for the platform store.
-//
-// It generates seeded, randomized streams over the full Store op vocabulary
-// (create / follow / unfollow / purge / tweet / setfriends / page /
-// snapshot-roundtrip),
-// replays each stream against two implementations of the same observable
-// contract, and asserts that every op result and every periodic observation
-// of full platform state is identical. On divergence the failing stream is
-// shrunk (delta debugging) to a minimal reproduction before reporting.
-//
-// Two pairings matter:
-//
-//   - sharded store vs Ref, the trivially-correct single-lock reference
-//     model (ref.go): proves the lock-striped store's op semantics against
-//     an implementation that shares no code with it. Observations are
-//     compared in logical normal form (synthesised strings reduced to
-//     presence markers), since the reference deliberately has no synthesis
-//     machinery.
-//   - sharded store vs sharded store with a different shard count: proves
-//     shard-count transparency on *every* observable — synthesised screen
-//     names, bios, synthetic timelines, and byte-identical snapshots.
-//
-// The package is reusable from any test: build op streams with Generate (or
-// by hand), appliers with NewStoreApplier / NewRef, and drive them with
-// RunDiff.
+// Package difftest is the store's differential oracle. Check replays one
+// seeded, randomized op stream (create / follow / unfollow / purge / tweet
+// / setfriends / page / snapshot) against every Deployment — a way of
+// running the store and of bringing it back — each in lockstep with its own
+// Ref, the trivially-correct reference model (ref.go) that shares no code
+// with the store. Every op result and every periodic observation must
+// match, in logical normal form (synthesised strings reduced to presence
+// markers: the reference has no synthesis machinery), and each OpSnapshot
+// sends a deployment down its own path back. Full deployments must also
+// agree with each other byte for byte, and observe-only ring members must
+// serve what the live store serves. A divergence is shrunk (delta
+// debugging) to a minimal stream that names the deployment.
 package difftest
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"time"
 
+	"fakeproject/internal/router"
 	"fakeproject/internal/simclock"
 	"fakeproject/internal/twitter"
 )
@@ -141,12 +130,15 @@ var _ System = (*Ref)(nil)
 // and snapshot byte capture.
 type Applier interface {
 	System
-	// Roundtrip serialises and reloads the full state in place (identity
-	// for systems without a serialised form).
+	// Roundtrip brings the full state back in place through the system's
+	// path back (identity for systems without a serialised form).
 	Roundtrip() error
 	// Snapshot returns the canonical snapshot bytes, or nil for systems
 	// without a serialised form.
 	Snapshot() ([]byte, error)
+	// Now is the clock zero-time creates are stamped with; a path back may
+	// advance it.
+	Now() time.Time
 }
 
 // StoreApplier wraps *twitter.Store as an Applier; Roundtrip swaps the
@@ -156,6 +148,7 @@ type StoreApplier struct {
 	System
 	clock *simclock.Virtual
 	opts  []twitter.Option
+	buf   bytes.Buffer // reused across round trips
 }
 
 // NewStoreApplier builds a fresh store on a virtual clock at the epoch.
@@ -171,20 +164,16 @@ func NewStoreApplier(seed uint64, opts ...twitter.Option) *StoreApplier {
 // Store returns the current underlying store (it changes across Roundtrip).
 func (a *StoreApplier) Store() *twitter.Store { return a.System.(*twitter.Store) }
 
-func (a *StoreApplier) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := a.Store().WriteSnapshot(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func (a *StoreApplier) Snapshot() ([]byte, error) { return snapshotOf(a.Store()) }
+
+func (a *StoreApplier) Now() time.Time { return a.Store().Now() }
 
 func (a *StoreApplier) Roundtrip() error {
-	raw, err := a.Snapshot()
-	if err != nil {
+	a.buf.Reset()
+	if err := a.Store().WriteSnapshot(&a.buf); err != nil {
 		return err
 	}
-	loaded, err := twitter.ReadSnapshot(bytes.NewReader(raw), a.clock, a.opts...)
+	loaded, err := twitter.ReadSnapshot(bytes.NewReader(a.buf.Bytes()), a.clock, a.opts...)
 	if err != nil {
 		return err
 	}
@@ -192,10 +181,9 @@ func (a *StoreApplier) Roundtrip() error {
 	return nil
 }
 
-// wrappedStore adapts an externally constructed store — e.g. one recovered
-// from a write-ahead log — as an Applier, so Observe and Apply can drive
-// it. Roundtrip is unsupported: op streams applied through a wrapped store
-// must not contain OpSnapshot (the WAL harnesses filter it out).
+// wrappedStore adapts an externally constructed store as an Applier, so
+// Observe can probe it. Roundtrip is unsupported: a store that has a path
+// back is a Deployment.
 type wrappedStore struct{ *twitter.Store }
 
 // WrapStore adapts st as an Applier.
@@ -205,9 +193,11 @@ func (w wrappedStore) Roundtrip() error {
 	return errors.New("difftest: wrapped store does not support snapshot roundtrip")
 }
 
-func (w wrappedStore) Snapshot() ([]byte, error) {
+func (w wrappedStore) Snapshot() ([]byte, error) { return snapshotOf(w.Store) }
+
+func snapshotOf(st *twitter.Store) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := w.Store.WriteSnapshot(&buf); err != nil {
+	if err := st.WriteSnapshot(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -326,6 +316,16 @@ func Apply(sys Applier, op Op) Result {
 		panic(fmt.Sprintf("difftest: unknown op kind %d", op.Kind))
 	}
 	return res
+}
+
+// Replay applies ops to a fresh in-memory store built on seed, for tests
+// that need a generated population rather than a differential run.
+func Replay(seed uint64, ops []Op) *StoreApplier {
+	a := NewStoreApplier(seed)
+	for _, op := range ops {
+		Apply(a, op)
+	}
+	return a
 }
 
 // Generate produces a deterministic op stream of length n from seed,
@@ -492,6 +492,11 @@ type ObserveConfig struct {
 	TweetUsers []twitter.UserID
 	// Names are explicit screen names to probe through LookupName.
 	Names []string
+	// Holds, when set, observes a ring member: per-account heavy state —
+	// edges, friends, pagination walks and timelines — only for the
+	// accounts it selects, and no snapshot bytes. Profiles, counts, classes
+	// and names are observed for every account, as every member serves them.
+	Holds func(twitter.UserID) bool
 }
 
 // Observation is a canonicalised dump of all observable platform state.
@@ -555,6 +560,8 @@ type targetObs struct {
 	WalkTotals []int
 }
 
+func (cfg ObserveConfig) holds(id twitter.UserID) bool { return cfg.Holds == nil || cfg.Holds(id) }
+
 // Observe captures a full canonicalised observation of sys.
 func Observe(sys Applier, cfg ObserveConfig) (Observation, error) {
 	limit := cfg.PageLimit
@@ -587,7 +594,7 @@ func Observe(sys Applier, cfg ObserveConfig) (Observation, error) {
 			return obs, err
 		}
 		obs.FollowerCount = append(obs.FollowerCount, fc)
-		if !sys.IsTarget(id) {
+		if !cfg.holds(id) || !sys.IsTarget(id) {
 			continue
 		}
 		edges, err := sys.FollowEdges(id)
@@ -615,29 +622,27 @@ func Observe(sys Applier, cfg ObserveConfig) (Observation, error) {
 		}
 		obs.Targets[id] = tobs
 	}
-	for _, id := range cfg.TweetUsers {
-		tl, err := sys.Timeline(id, 1<<20)
-		if err != nil {
-			return obs, fmt.Errorf("timeline %d: %w", id, err)
+	timeline := func(id twitter.UserID, max int) error {
+		if _, seen := obs.Timelines[id]; seen || !cfg.holds(id) {
+			return nil
 		}
+		tl, err := sys.Timeline(id, max)
 		canon := make([]obsTweet, len(tl))
 		for i, tw := range tl {
 			canon[i] = canonTweet(tw)
 		}
 		obs.Timelines[id] = canon
+		return err
 	}
-	if cfg.Full {
-		// Synthetic timelines: a deterministic sample of every 7th account.
-		for id := twitter.UserID(1); int(id) <= n; id += 7 {
-			tl, err := sys.Timeline(id, 25)
-			if err != nil {
-				return obs, err
-			}
-			canon := make([]obsTweet, len(tl))
-			for i, tw := range tl {
-				canon[i] = canonTweet(tw)
-			}
-			obs.Timelines[id] = canon
+	for _, id := range cfg.TweetUsers {
+		if err := timeline(id, 1<<20); err != nil {
+			return obs, fmt.Errorf("timeline %d: %w", id, err)
+		}
+	}
+	// Full: synthetic timelines, a deterministic sample of every 7th account.
+	for id := twitter.UserID(1); cfg.Full && int(id) <= n; id += 7 {
+		if err := timeline(id, 25); err != nil {
+			return obs, err
 		}
 	}
 	for _, name := range append(append([]string(nil), cfg.Names...), "zz-no-such-name") {
@@ -658,7 +663,7 @@ func Observe(sys Applier, cfg ObserveConfig) (Observation, error) {
 		obs.BatchProfiles = append(obs.BatchProfiles, canonProfile(p))
 	}
 	obs.ClassCounts = sys.ClassCounts(probe)
-	if cfg.Full {
+	if cfg.Full && cfg.Holds == nil {
 		snap, err := sys.Snapshot()
 		if err != nil {
 			return obs, err
@@ -666,6 +671,41 @@ func Observe(sys Applier, cfg ObserveConfig) (Observation, error) {
 		obs.SnapshotBytes = snap
 	}
 	return obs, nil
+}
+
+// logical returns a copy of a full observation without what the logical
+// vocabulary lacks: synthetic timelines (those of accounts outside
+// tweetUsers) and snapshot bytes. Normalize finishes the reduction.
+func (obs Observation) logical(tweetUsers []twitter.UserID) Observation {
+	out := obs
+	out.Profiles = append([]obsProfile(nil), obs.Profiles...)
+	out.BatchProfiles = append([]obsProfile(nil), obs.BatchProfiles...)
+	out.Timelines = make(map[twitter.UserID][]obsTweet, len(tweetUsers))
+	for _, id := range tweetUsers {
+		out.Timelines[id] = obs.Timelines[id]
+	}
+	out.SnapshotBytes = nil
+	return out
+}
+
+// heldBy narrows a full observation to what Observe reports with Holds
+// set to holds: heavy state of held accounts only, and no snapshot bytes.
+func (obs Observation) heldBy(holds func(twitter.UserID) bool) Observation {
+	out := obs
+	out.Targets = make(map[twitter.UserID]targetObs)
+	for id, t := range obs.Targets {
+		if holds(id) {
+			out.Targets[id] = t
+		}
+	}
+	out.Timelines = make(map[twitter.UserID][]obsTweet)
+	for id, tl := range obs.Timelines {
+		if holds(id) {
+			out.Timelines[id] = tl
+		}
+	}
+	out.SnapshotBytes = nil
+	return out
 }
 
 // Normalize reduces an observation to logical normal form: synthesised
@@ -753,87 +793,279 @@ func DiffObservations(a, b Observation) string {
 	return ""
 }
 
-// Mismatch describes the first divergence of a differential run.
+// StoreSeed is the synthesis seed every deployment's store is built on, so
+// full observations compare across deployments.
+const StoreSeed = 42
+
+// Deployment is one way of running the store and bringing it back: New
+// builds a fresh Applier whose Roundtrip takes that way back. A deployment
+// without New is the observe-only ring: at every check, each member of 1-,
+// 2- and 4-node rings is range-loaded from the live snapshot (the first
+// Full deployment's) and must serve what the live store serves for the
+// accounts it holds.
+type Deployment struct {
+	Name string
+	New  func(tb TB) Applier
+	// Full deployments must also agree with each other on full
+	// observations: synthesised strings, synthetic timelines and snapshot
+	// bytes. Only deployments whose stores share a seed and a clock qualify.
+	Full bool
+}
+
+// InMemory returns the in-memory deployments: the store at 1, 2, 7 and 16
+// shards, each coming back through a snapshot write and read, and the
+// members of 1-, 2- and 4-node rings range-loaded from the first of them.
+func InMemory() []Deployment {
+	var deps []Deployment
+	for _, shards := range []int{1, 2, 7, 16} {
+		deps = append(deps, Deployment{
+			Name: fmt.Sprintf("store/shards=%d", shards),
+			New:  func(TB) Applier { return NewStoreApplier(StoreSeed, twitter.WithShards(shards)) },
+			Full: true,
+		})
+	}
+	return append(deps, Deployment{Name: "range"})
+}
+
+// TB is the subset of *testing.T the oracle reports through.
+type TB interface {
+	Helper()
+	Fatalf(format string, args ...any)
+	Logf(format string, args ...any)
+	TempDir() string
+}
+
+// CheckConfig configures one Check.
+type CheckConfig struct {
+	Seed uint64
+	// Ops is a preset stream; nil generates N ops from Seed.
+	Ops []Op
+	N   int
+	// Prefix holds ops every deployment's New has already applied; only
+	// the Refs replay them, before the stream.
+	Prefix      []Op
+	Deployments []Deployment
+	CheckEvery  int // observation cadence in ops; 0 = 1000
+}
+
+// Mismatch describes the first divergence of a run.
 type Mismatch struct {
-	Index  int // op index the divergence surfaced at
-	Op     Op
-	Detail string
+	Deployment string
+	Index      int // op index the divergence surfaced at
+	Op         Op
+	Detail     string
+	// Ops is the stream the divergence was found on (shrunk, from find).
+	Ops  []Op
+	deps []Deployment
 }
 
 func (m *Mismatch) String() string {
-	return fmt.Sprintf("op %d (%s): %s", m.Index, m.Op, m.Detail)
+	return fmt.Sprintf("deployment %s, op %d (%s): %s", m.Deployment, m.Index, m.Op, m.Detail)
 }
 
-// RunConfig configures one differential run.
-type RunConfig struct {
-	Seed       uint64
-	Ops        []Op
-	MakeA      func() Applier
-	MakeB      func() Applier
-	Logical    bool // normalise observations (required when one side is Ref)
-	CheckEvery int  // full-observation cadence in ops; 0 = 1000
-	PageLimit  int
+// lane is one writing deployment in lockstep with its own reference model,
+// whose clock follows the deployment's across every path back.
+type lane struct {
+	dep   Deployment
+	app   Applier
+	clock *simclock.Virtual
+	ref   *Ref
 }
 
-// RunOnce replays the stream against fresh instances of both systems and
-// returns the first divergence, or nil.
-func RunOnce(cfg RunConfig) *Mismatch {
-	a, b := cfg.MakeA(), cfg.MakeB()
-	checkEvery := cfg.CheckEvery
-	if checkEvery <= 0 {
-		checkEvery = 1000
+// Check replays cfg's stream against every deployment, each in lockstep
+// with its own Ref, and fails t with a shrunk reproduction naming the
+// deployment on the first divergence.
+func Check(t TB, cfg CheckConfig) {
+	t.Helper()
+	m := cfg.find(t)
+	if m == nil {
+		return
 	}
-	explicit := make(map[twitter.UserID]string)
-	var names []string
-	var tweetUsers []twitter.UserID
-	tweeted := make(map[twitter.UserID]bool)
-	check := func(i int, op Op) *Mismatch {
-		ocfg := ObserveConfig{
-			Full:       !cfg.Logical,
-			PageLimit:  cfg.PageLimit,
-			TweetUsers: tweetUsers,
-			Names:      names,
+	var buf bytes.Buffer
+	for i, op := range m.Ops {
+		if i >= 50 {
+			fmt.Fprintf(&buf, "  ... %d more ops\n", len(m.Ops)-i)
+			break
 		}
-		oa, errA := Observe(a, ocfg)
-		ob, errB := Observe(b, ocfg)
-		if errA != nil || errB != nil {
-			return &Mismatch{Index: i, Op: op, Detail: fmt.Sprintf("observation errors: %v vs %v", errA, errB)}
-		}
-		if cfg.Logical {
-			Normalize(&oa, explicit)
-			Normalize(&ob, explicit)
-		}
-		if d := DiffObservations(oa, ob); d != "" {
-			return &Mismatch{Index: i, Op: op, Detail: "observation: " + d}
-		}
+		fmt.Fprintf(&buf, "  %3d: %s\n", i, op)
+	}
+	stream := fmt.Sprintf("seed %d", cfg.Seed)
+	if cfg.Ops != nil {
+		stream = "preset stream"
+	}
+	t.Fatalf("differential mismatch (%s) shrunk to %d ops:\n%s%s", stream, len(m.Ops), buf.String(), m)
+}
+
+// find runs the stream and, on a divergence, shrinks it against the
+// deployments involved and returns the mismatch of the shrunk stream.
+func (cfg CheckConfig) find(t TB) *Mismatch {
+	ops := cfg.Ops
+	if ops == nil {
+		ops = Generate(cfg.Seed, cfg.N)
+	}
+	m := cfg.run(t, ops)
+	if m == nil {
 		return nil
 	}
-	for i, op := range cfg.Ops {
-		ra := Apply(a, op)
-		rb := Apply(b, op)
-		if !reflect.DeepEqual(ra, rb) {
-			return &Mismatch{Index: i, Op: op, Detail: fmt.Sprintf("result: %+v vs %+v", ra, rb)}
+	t.Logf("divergence on the full stream of %d ops: %s", len(ops), m)
+	sub := cfg
+	sub.Deployments = m.deps
+	shrunk := Shrink(ops, func(ops []Op) bool { return sub.run(t, ops) != nil })
+	if final := sub.run(t, shrunk); final != nil {
+		final.Ops = shrunk
+		return final
+	}
+	m.Ops = ops
+	return m
+}
+
+// run replays ops against fresh instances of every deployment and returns
+// the first divergence, or nil.
+func (cfg CheckConfig) run(t TB, ops []Op) *Mismatch {
+	var lanes []*lane
+	var observers []Deployment
+	defer func() {
+		for _, l := range lanes {
+			if c, ok := l.app.(io.Closer); ok {
+				c.Close()
+			}
 		}
-		if op.Kind == OpCreate && ra.Err == "" && op.Params.ScreenName != "" {
-			explicit[ra.ID] = op.Params.ScreenName
-			names = append(names, op.Params.ScreenName)
+	}()
+	for _, d := range cfg.Deployments {
+		if d.New == nil {
+			observers = append(observers, d)
+			continue
 		}
-		if op.Kind == OpTweet && ra.Err == "" && !tweeted[op.Target] {
-			tweeted[op.Target] = true
-			tweetUsers = append(tweetUsers, op.Target)
+		clock := simclock.NewVirtualAtEpoch()
+		lanes = append(lanes, &lane{dep: d, app: d.New(t), clock: clock, ref: NewRef(clock)})
+	}
+	book := bookkeeping{explicit: make(map[twitter.UserID]string), tweeted: make(map[twitter.UserID]bool)}
+	for _, op := range cfg.Prefix {
+		for i, l := range lanes {
+			if res := Apply(l.ref, op); i == 0 {
+				book.note(op, res)
+			}
 		}
-		if (i+1)%checkEvery == 0 {
-			if m := check(i, op); m != nil {
+	}
+	every := cfg.CheckEvery
+	if every <= 0 {
+		every = 1000
+	}
+	for i, op := range ops {
+		for j, l := range lanes {
+			got, want := Apply(l.app, op), Apply(l.ref, op)
+			if !reflect.DeepEqual(got, want) {
+				return &Mismatch{Deployment: l.dep.Name, Index: i, Op: op, deps: []Deployment{l.dep},
+					Detail: fmt.Sprintf("result: %+v, reference %+v", got, want)}
+			}
+			if now := l.app.Now(); op.Kind == OpSnapshot && now.After(l.clock.Now()) {
+				l.clock.SetNow(now)
+			}
+			if j == 0 {
+				book.note(op, want)
+			}
+		}
+		if (i+1)%every == 0 {
+			if m := cfg.check(lanes, observers, &book); m != nil {
+				m.Index, m.Op = i, op
 				return m
 			}
 		}
 	}
-	last := len(cfg.Ops) - 1
-	var lastOp Op
-	if last >= 0 {
-		lastOp = cfg.Ops[last]
+	m := cfg.check(lanes, observers, &book)
+	if m != nil && len(ops) > 0 {
+		m.Index, m.Op = len(ops)-1, ops[len(ops)-1]
 	}
-	return check(last, lastOp)
+	return m
+}
+
+// bookkeeping tracks what observations probe beyond the account range: the
+// explicit screen names created and the accounts with explicit tweets.
+type bookkeeping struct {
+	explicit   map[twitter.UserID]string
+	names      []string
+	tweetUsers []twitter.UserID
+	tweeted    map[twitter.UserID]bool
+}
+
+func (b *bookkeeping) note(op Op, res Result) {
+	if res.Err != "" {
+		return
+	}
+	if op.Kind == OpCreate && op.Params.ScreenName != "" {
+		b.explicit[res.ID] = op.Params.ScreenName
+		b.names = append(b.names, op.Params.ScreenName)
+	}
+	if op.Kind == OpTweet && !b.tweeted[op.Target] {
+		b.tweeted[op.Target] = true
+		b.tweetUsers = append(b.tweetUsers, op.Target)
+	}
+}
+
+// check compares every lane with its reference in logical normal form, the
+// Full lanes with each other on full observations, and every observer's
+// ring members with the first Full lane.
+func (cfg CheckConfig) check(lanes []*lane, observers []Deployment, book *bookkeeping) *Mismatch {
+	ocfg := ObserveConfig{TweetUsers: book.tweetUsers, Names: book.names}
+	fail := func(detail string, deps ...Deployment) *Mismatch {
+		names := deps[0].Name
+		if len(deps) > 1 {
+			names = deps[1].Name + " vs " + deps[0].Name
+		}
+		return &Mismatch{Deployment: names, Detail: detail, deps: deps}
+	}
+	var live *lane
+	var liveObs Observation
+	for _, l := range lanes {
+		fcfg := ocfg
+		fcfg.Full = l.dep.Full
+		full, errA := Observe(l.app, fcfg)
+		want, errB := Observe(l.ref, ocfg)
+		if errA != nil || errB != nil {
+			return fail(fmt.Sprintf("observation errors: %v, reference %v", errA, errB), l.dep)
+		}
+		got := full.logical(book.tweetUsers)
+		Normalize(&got, book.explicit)
+		Normalize(&want, book.explicit)
+		if d := DiffObservations(got, want); d != "" {
+			return fail("observation vs reference: "+d, l.dep)
+		}
+		if !l.dep.Full {
+			continue
+		}
+		if live == nil {
+			live, liveObs = l, full
+			continue
+		}
+		if d := DiffObservations(liveObs, full); d != "" {
+			return fail("full observation: "+d, live.dep, l.dep)
+		}
+	}
+	for _, d := range observers {
+		if live == nil {
+			return fail("no Full deployment to range-load from", d)
+		}
+		for _, nodes := range []int{1, 2, 4} {
+			ring := router.NewRing(router.DefaultSlots, nodes)
+			for i := 0; i < nodes; i++ {
+				mcfg := ocfg
+				mcfg.Full = true
+				mcfg.Holds = func(id twitter.UserID) bool { return ring.Keep(i, int64(id)) }
+				member, err := twitter.ReadSnapshotRange(bytes.NewReader(liveObs.SnapshotBytes), simclock.NewVirtualAtEpoch(), mcfg.Holds)
+				if err != nil {
+					return fail(fmt.Sprintf("range load of node %d/%d: %v", i, nodes, err), live.dep, d)
+				}
+				got, err := Observe(WrapStore(member), mcfg)
+				if err != nil {
+					return fail(fmt.Sprintf("node %d/%d observation: %v", i, nodes, err), live.dep, d)
+				}
+				if diff := DiffObservations(liveObs.heldBy(mcfg.Holds), got); diff != "" {
+					return fail(fmt.Sprintf("node %d/%d: %s", i, nodes, diff), live.dep, d)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Shrink reduces a failing op stream to a (locally) minimal one that still
@@ -861,43 +1093,4 @@ func Shrink(ops []Op, failing func([]Op) bool) []Op {
 		}
 	}
 	return cur
-}
-
-// TB is the subset of *testing.T the harness reports through.
-type TB interface {
-	Helper()
-	Fatalf(format string, args ...any)
-	Logf(format string, args ...any)
-}
-
-// RunDiff generates a stream from cfg.Seed (unless cfg.Ops is preset),
-// replays it differentially, and fails t with a shrunk minimal
-// reproduction on any divergence.
-func RunDiff(t TB, cfg RunConfig, n int) {
-	t.Helper()
-	if cfg.Ops == nil {
-		cfg.Ops = Generate(cfg.Seed, n)
-	}
-	mis := RunOnce(cfg)
-	if mis == nil {
-		return
-	}
-	shrunk := Shrink(cfg.Ops, func(ops []Op) bool {
-		c := cfg
-		c.Ops = ops
-		return RunOnce(c) != nil
-	})
-	c := cfg
-	c.Ops = shrunk
-	final := RunOnce(c)
-	var buf bytes.Buffer
-	for i, op := range shrunk {
-		if i >= 50 {
-			fmt.Fprintf(&buf, "  ... %d more ops\n", len(shrunk)-i)
-			break
-		}
-		fmt.Fprintf(&buf, "  %3d: %s\n", i, op)
-	}
-	t.Fatalf("differential mismatch (seed %d): %s\nshrunk to %d ops (from %d):\n%son shrunk stream: %s",
-		cfg.Seed, mis, len(shrunk), len(cfg.Ops), buf.String(), final)
 }

@@ -4,80 +4,37 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"fakeproject/internal/simclock"
 	"fakeproject/internal/twitter"
+	"fakeproject/internal/wal"
 )
 
-// TestShardedStoreMatchesReference is the core differential proof: randomized
-// op streams replayed against the lock-striped store and the single-lock
-// reference model must agree on every op result and every observation. Each
-// fixed seed pairs with a different shard count so striping itself varies.
+// TestShardedStoreMatchesReference is the core differential proof: every
+// in-memory deployment — the store at 1, 2, 7 and 16 shards, and the ring
+// members range-loaded from it — replays randomized op streams in lockstep
+// with the reference model, and the shard counts agree with each other on
+// full observations, snapshot bytes included. Short mode (the CI race job)
+// shortens the streams, not the deployment list, and runs the seeds one at
+// a time so the timing-sensitive tests of packages beside it keep a CPU.
 func TestShardedStoreMatchesReference(t *testing.T) {
-	cases := []struct {
-		seed   uint64
-		shards int
-	}{
-		{seed: 1, shards: 1},
-		{seed: 2, shards: 2},
-		{seed: 3, shards: 8},
-		{seed: 4, shards: 16},
-		{seed: 5, shards: 7}, // non-power-of-two
-	}
+	n := 10_000
 	if testing.Short() {
-		// The CI race job runs short mode; three seeds at full stream
-		// length keep the 10k-ops-per-seed guarantee within its budget.
-		cases = cases[:3]
+		n = 3_000
 	}
-	const n = 10_000
-	for _, tc := range cases {
-		tc := tc
-		t.Run(fmt.Sprintf("seed=%d/shards=%d", tc.seed, tc.shards), func(t *testing.T) {
-			RunDiff(t, RunConfig{
-				Seed: tc.seed,
-				MakeA: func() Applier {
-					return NewStoreApplier(99, twitter.WithShards(tc.shards))
-				},
-				MakeB: func() Applier {
-					return NewRef(simclock.NewVirtualAtEpoch())
-				},
-				Logical: true,
-			}, n)
-		})
-	}
-}
-
-// TestShardCountTransparency replays the same streams against two sharded
-// stores with different shard counts and compares FULL observations:
-// synthesised screen names, bios, synthetic timelines — and snapshot bytes,
-// which must be identical regardless of shard layout (the v4 canonical-
-// encoding guarantee).
-func TestShardCountTransparency(t *testing.T) {
-	cases := []struct {
-		seed uint64
-		a, b int
-	}{
-		{seed: 11, a: 1, b: 16},
-		{seed: 12, a: 2, b: 5},
-		{seed: 13, a: 8, b: 3},
-	}
-	if testing.Short() {
-		cases = cases[:2]
-	}
-	const n = 10_000
-	for _, tc := range cases {
-		tc := tc
-		t.Run(fmt.Sprintf("seed=%d/%dv%d", tc.seed, tc.a, tc.b), func(t *testing.T) {
-			RunDiff(t, RunConfig{
-				Seed: tc.seed,
-				// Identical store seed on both sides: synthesis must match.
-				MakeA: func() Applier { return NewStoreApplier(42, twitter.WithShards(tc.a)) },
-				MakeB: func() Applier { return NewStoreApplier(42, twitter.WithShards(tc.b)) },
-			}, n)
+	for seed := uint64(1); seed <= 5; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			if !testing.Short() {
+				t.Parallel()
+			}
+			Check(t, CheckConfig{Seed: seed, N: n, Deployments: InMemory()})
 		})
 	}
 }
@@ -96,34 +53,73 @@ func (b buggyPager) FollowersPage(target twitter.UserID, fromSeq uint64, limit i
 	return page, err
 }
 
+// droppingWAL is a write-ahead-logged store whose reopen loses the newest
+// acknowledged record: it cuts the last byte off the newest segment before
+// recovery, as a log that acknowledged an append before writing it would.
+type droppingWAL struct {
+	*twitter.Store
+	log *wal.Log
+	cfg wal.Config
+}
+
+func (w *droppingWAL) open() (err error) {
+	w.Store, w.log, _, err = wal.Open(w.cfg)
+	return err
+}
+
+func (w *droppingWAL) Roundtrip() error {
+	if err := w.log.Close(); err != nil {
+		return err
+	}
+	// The live segment always exists; fixed-width names sort newest last.
+	segs, _ := filepath.Glob(filepath.Join(w.cfg.Dir, "*.log"))
+	sort.Strings(segs)
+	newest := segs[len(segs)-1]
+	if fi, err := os.Stat(newest); err == nil && fi.Size() > 20 { // more than the header
+		if err := os.Truncate(newest, fi.Size()-1); err != nil {
+			return err
+		}
+	}
+	return w.open()
+}
+
+func (w *droppingWAL) Snapshot() ([]byte, error) { return nil, nil }
+func (w *droppingWAL) Close() error              { return w.log.Close() }
+
+// TestHarnessCatchesInjectedBug proves the oracle has teeth: a corrupted
+// pagination anchor and a log whose reopen drops the newest acknowledged
+// record must each fail, shrunk to a short stream that names the deployment.
 func TestHarnessCatchesInjectedBug(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness self-test with full shrink; run in the long tier")
 	}
-	cfg := RunConfig{
-		Seed:  77,
-		Ops:   Generate(77, 4000),
-		MakeA: func() Applier { return NewStoreApplier(1, twitter.WithShards(8)) },
-		MakeB: func() Applier { return buggyPager{NewStoreApplier(1, twitter.WithShards(8))} },
+	for _, tc := range []struct {
+		dep Deployment
+		n   int
+	}{
+		{Deployment{Name: "store/buggy-pager", New: func(TB) Applier {
+			return buggyPager{NewStoreApplier(StoreSeed, twitter.WithShards(8))}
+		}}, 4000},
+		{Deployment{Name: "wal/drops-newest", New: func(tb TB) Applier {
+			w := &droppingWAL{cfg: wal.Config{Dir: tb.TempDir(), Policy: wal.PolicyOff, Clock: simclock.NewVirtualAtEpoch(), Seed: StoreSeed}}
+			if err := w.open(); err != nil {
+				tb.Fatalf("opening the log: %v", err)
+			}
+			return w
+		}}, 1500},
+	} {
+		m := CheckConfig{Seed: 77, N: tc.n, Deployments: []Deployment{tc.dep}}.find(t)
+		if m == nil {
+			t.Fatalf("%s: the oracle did not catch the injected bug", tc.dep.Name)
+		}
+		if m.Deployment != tc.dep.Name {
+			t.Fatalf("failure names %q, want %q", m.Deployment, tc.dep.Name)
+		}
+		if len(m.Ops) == 0 || len(m.Ops) >= tc.n/10 {
+			t.Fatalf("%s: shrink ineffective: %d ops from %d", tc.dep.Name, len(m.Ops), tc.n)
+		}
+		t.Logf("injected bug caught and shrunk %d -> %d ops: %s", tc.n, len(m.Ops), m)
 	}
-	mis := RunOnce(cfg)
-	if mis == nil {
-		t.Fatal("harness did not catch a corrupted pagination anchor")
-	}
-	shrunk := Shrink(cfg.Ops, func(ops []Op) bool {
-		c := cfg
-		c.Ops = ops
-		return RunOnce(c) != nil
-	})
-	if len(shrunk) == 0 || len(shrunk) >= len(cfg.Ops)/10 {
-		t.Fatalf("shrink ineffective: %d ops from %d", len(shrunk), len(cfg.Ops))
-	}
-	c := cfg
-	c.Ops = shrunk
-	if RunOnce(c) == nil {
-		t.Fatal("shrunk stream no longer reproduces the mismatch")
-	}
-	t.Logf("injected bug caught (%s) and shrunk %d -> %d ops", mis, len(cfg.Ops), len(shrunk))
 }
 
 // genTargetStream builds a per-target op stream (no creates, no tweets —

@@ -110,6 +110,9 @@ func (r *Ref) Roundtrip() error { return nil }
 // Snapshot implements Applier; the reference model has no snapshot bytes.
 func (r *Ref) Snapshot() ([]byte, error) { return nil, nil }
 
+// Now implements Applier.
+func (r *Ref) Now() time.Time { return r.clock.Now() }
+
 func (r *Ref) CreateUser(p twitter.UserParams) (twitter.UserID, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

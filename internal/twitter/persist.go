@@ -277,19 +277,19 @@ func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID)
 // failure modes an operator actually hits — wrong path, wrong/corrupt file —
 // into errors that name the path and the version this build supports
 // instead of surfacing a raw gob decode error.
-func LoadSnapshotFile(path string, clock simclock.Clock, opts ...Option) (*Store, error) {
-	return loadSnapshotFile(path, clock, nil, opts...)
+func LoadSnapshotFile(path string, clock simclock.Clock) (*Store, error) {
+	return loadSnapshotFile(path, clock, nil)
 }
 
 // loadSnapshotFile is the open-and-translate step shared by
 // LoadSnapshotFile and LoadSnapshotRangeFile.
-func loadSnapshotFile(path string, clock simclock.Clock, keep func(UserID) bool, opts ...Option) (*Store, error) {
+func loadSnapshotFile(path string, clock simclock.Clock, keep func(UserID) bool) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("twitter: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	store, err := readSnapshot(f, clock, keep, opts...)
+	store, err := readSnapshot(f, clock, keep)
 	if err != nil {
 		return nil, fmt.Errorf(
 			"twitter: snapshot %s is not loadable: %w (this build writes and reads snapshot v%d only; regenerate with genpop if the file is another version or truncated)",
@@ -497,10 +497,12 @@ func installTarget(store *Store, pt *persistTarget, n int) error {
 	if pt.Ever {
 		td.edges.v.Store(sealer.finish(true))
 	}
-	sh := store.shardOf(UserID(pt.ID))
-	if sh.targetOf(UserID(pt.ID)) != nil {
+	// The store is unpublished while it loads, so the target map fills in
+	// place: a copy-on-write insert per target would make loading quadratic.
+	targets := *store.shardOf(UserID(pt.ID)).targets.Load()
+	if targets[UserID(pt.ID)] != nil {
 		return fmt.Errorf("%w: target %d appears twice", ErrBadSnapshot, pt.ID)
 	}
-	sh.putTarget(UserID(pt.ID), td)
+	targets[UserID(pt.ID)] = td
 	return nil
 }

@@ -58,8 +58,8 @@ func rangeKeep(keep func(UserID) bool) func(UserID) bool {
 
 // LoadSnapshotRangeFile is ReadSnapshotRange over a snapshot file, with the
 // operator-facing error translation of LoadSnapshotFile.
-func LoadSnapshotRangeFile(path string, clock simclock.Clock, keep func(UserID) bool, opts ...Option) (*Store, error) {
-	return loadSnapshotFile(path, clock, rangeKeep(keep), opts...)
+func LoadSnapshotRangeFile(path string, clock simclock.Clock, keep func(UserID) bool) (*Store, error) {
+	return loadSnapshotFile(path, clock, rangeKeep(keep))
 }
 
 // foldTargetCounts rewrites pt's record so the profile the record alone

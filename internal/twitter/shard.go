@@ -53,9 +53,12 @@ import (
 //     function; see drand.SeedForN).
 
 // DefaultShards is the shard count NewStore uses unless WithShards overrides
-// it. Sixteen shards keep the worst-case all-shard operations (snapshots,
-// batch regrouping) cheap while giving an 8-worker audit pool an expected
-// collision rate low enough that shard locks are usually uncontended.
+// it. Sixteen shards keep all-shard operations (snapshots, batch regrouping)
+// cheap and spread concurrent callers over separate locks: in
+// BenchmarkParallelMixed (go1.24, 2 vCPU, -cpu 2, 8 goroutines, 3 runs) a
+// read-only 100-id ScanProfiles batch takes 14.3–14.9 µs/op on 1 shard and
+// 4.5 on 16 (4.2 for both at 1 goroutine), the 20 %-write mix 1.62–1.63
+// against 1.35–1.38. The end-to-end proof waits for a saturating benchmark.
 const DefaultShards = 16
 
 // Option configures a Store at construction time.
@@ -129,8 +132,7 @@ func (sh *shard) target(id UserID) *targetData {
 }
 
 // putTarget publishes td as id's materialised state via copy-on-write.
-// Caller must hold sh.mu for writing (or otherwise be the only writer, as
-// during a snapshot load).
+// Caller must hold sh.mu for writing.
 func (sh *shard) putTarget(id UserID, td *targetData) {
 	old := *sh.targets.Load()
 	next := make(targetMap, len(old)+1)

@@ -63,14 +63,12 @@ func NewServerObserved(svc *Service, clock simclock.Clock, limits map[string]rat
 			metrics.L("plane", "api"))
 	}
 	for _, rt := range s.routes() {
-		h := http.Handler(rt.handler)
 		if reg != nil {
-			h = plane.WrapFunc(rt.endpoint, rt.handler)
 			s.throttled[rt.endpoint] = reg.Counter("ratelimit_throttled_total",
 				"Requests rejected with 429 by the endpoint budget.",
 				metrics.L("plane", "api"), metrics.L("endpoint", rt.endpoint))
 		}
-		s.mux.Handle(rt.path, h)
+		s.mux.Handle(rt.path, plane.Wrap(rt.endpoint, rt.handler))
 	}
 	return s
 }

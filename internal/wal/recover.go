@@ -104,7 +104,7 @@ type segFile struct {
 // after its last *valid* record (the sequel of a crash-then-restart whose
 // tear was abandoned by the restarted writer). A gap or overlap in the
 // chain is corruption and fails recovery.
-func recoverDir(dir string, clock simclock.Clock, seed uint64, opts []twitter.Option) (*twitter.Store, RecoveryStats, error) {
+func recoverDir(dir string, clock simclock.Clock, seed uint64) (*twitter.Store, RecoveryStats, error) {
 	begin := time.Now()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -127,7 +127,7 @@ func recoverDir(dir string, clock simclock.Clock, seed uint64, opts []twitter.Op
 	var store *twitter.Store
 	var loadErrs []error
 	for _, sn := range snaps {
-		st, err := twitter.LoadSnapshotFile(sn.path, clock, opts...)
+		st, err := twitter.LoadSnapshotFile(sn.path, clock)
 		if err != nil {
 			// An unreadable snapshot (crash mid-rename never happens — the
 			// tmp+rename dance is atomic — but disks corrupt) falls back to
@@ -144,7 +144,7 @@ func recoverDir(dir string, clock simclock.Clock, seed uint64, opts []twitter.Op
 		if len(snaps) > 0 && (len(segs) == 0 || segs[0].start > 1) {
 			return nil, RecoveryStats{}, fmt.Errorf("wal: no loadable snapshot in %s and the log does not reach back to record 1: %v", dir, loadErrs)
 		}
-		store = twitter.NewStore(clock, seed, opts...)
+		store = twitter.NewStore(clock, seed)
 	}
 
 	lsn := stats.SnapshotLSN

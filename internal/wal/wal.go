@@ -26,8 +26,8 @@
 // corrupt final frame, the signature of a crash mid-append. Under the
 // "always" fsync policy every acknowledged op has been fsynced before its
 // Sync returned, so the torn region is always unacknowledged territory and
-// recovery provably restores the acknowledged prefix (the kill-during-churn
-// test asserts exactly this against the difftest reference model).
+// recovery provably restores the acknowledged prefix (the wal/crash
+// deployment of the difftest oracle asserts it at every recovery).
 //
 // Compaction (Log.Compact) snapshots the store through
 // twitter.WriteSnapshotWith, rotating to a fresh segment inside the store's
@@ -108,12 +108,11 @@ type Config struct {
 	// state: the import is for bootstrapping a durable deployment from a
 	// prebuilt population, not for merging histories.
 	SeedSnapshot string
-	// Clock/Seed/StoreOpts configure the store exactly as for
-	// twitter.NewStore when the directory starts empty; Clock (zero:
-	// simclock.Real) also binds recovered stores.
-	Clock     simclock.Clock
-	Seed      uint64
-	StoreOpts []twitter.Option
+	// Clock/Seed configure the store exactly as for twitter.NewStore when
+	// the directory starts empty; Clock (zero: simclock.Real) also binds
+	// recovered stores.
+	Clock simclock.Clock
+	Seed  uint64
 	// Metrics, when non-nil, receives the wal_* instruments at Open.
 	Metrics *metrics.Registry
 }
@@ -145,7 +144,7 @@ func Open(cfg Config) (*twitter.Store, *Log, RecoveryStats, error) {
 			return nil, nil, RecoveryStats{}, err
 		}
 	}
-	store, stats, err := recoverDir(cfg.Dir, clock, cfg.Seed, cfg.StoreOpts)
+	store, stats, err := recoverDir(cfg.Dir, clock, cfg.Seed)
 	if err != nil {
 		return nil, nil, RecoveryStats{}, err
 	}
@@ -196,7 +195,7 @@ func importSeedSnapshot(cfg Config, clock simclock.Clock) error {
 				cfg.Dir, e.Name(), cfg.SeedSnapshot)
 		}
 	}
-	st, err := twitter.LoadSnapshotFile(cfg.SeedSnapshot, clock, cfg.StoreOpts...)
+	st, err := twitter.LoadSnapshotFile(cfg.SeedSnapshot, clock)
 	if err != nil {
 		return err
 	}
