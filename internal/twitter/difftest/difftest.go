@@ -816,15 +816,19 @@ type Deployment struct {
 // shards, each coming back through a snapshot write and read, and the
 // members of 1-, 2- and 4-node rings range-loaded from the first of them.
 func InMemory() []Deployment {
-	var deps []Deployment
-	for _, shards := range []int{1, 2, 7, 16} {
+	return append(Shards(1, 2, 7, 16), Deployment{Name: "range"})
+}
+
+// Shards returns one Full store deployment per shard count.
+func Shards(counts ...int) (deps []Deployment) {
+	for _, shards := range counts {
 		deps = append(deps, Deployment{
 			Name: fmt.Sprintf("store/shards=%d", shards),
 			New:  func(TB) Applier { return NewStoreApplier(StoreSeed, twitter.WithShards(shards)) },
 			Full: true,
 		})
 	}
-	return append(deps, Deployment{Name: "range"})
+	return deps
 }
 
 // TB is the subset of *testing.T the oracle reports through.

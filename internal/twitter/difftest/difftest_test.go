@@ -39,6 +39,13 @@ func TestShardedStoreMatchesReference(t *testing.T) {
 	}
 }
 
+// TestShardCountTransparency covers the shard counts InMemory leaves out:
+// stores at 3, 5 and 8 shards must agree with Ref and with each other on
+// full observations (names, bios, synthetic timelines, snapshot bytes).
+func TestShardCountTransparency(t *testing.T) {
+	Check(t, CheckConfig{Seed: 11, N: 3_000, Deployments: Shards(3, 5, 8)})
+}
+
 // buggyPager corrupts pagination anchors — an injected bug the harness must
 // catch and shrink, proving the differential loop actually has teeth.
 type buggyPager struct {
