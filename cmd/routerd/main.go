@@ -19,8 +19,8 @@
 //	curl 'http://localhost:8080/1.1/followers/ids.json?user_id=1&cursor=-1'
 //
 // Clients talk to routerd exactly as they would to a single twitterd — the
-// tier is invisible byte-for-byte (the cross-topology differential tests
-// hold it to that).
+// tier is invisible byte-for-byte (the wire observer of the store oracle
+// holds it to that, in internal/router's tests).
 package main
 
 import (

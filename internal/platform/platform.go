@@ -250,9 +250,11 @@ func (p *Process) Healthz() {
 // ?node=i&nodes=N — the held set of an arbitrary ring position, which is
 // how a joining node pulls its ranges from a current holder. A position
 // that cannot exist (N above the ring's slot count) is refused rather than
-// wrapped onto another node's ranges. Exports are canonical: any two
-// holders of a range stream identical bytes for it, so ownership transfer
-// is verifiable with a plain byte compare.
+// wrapped onto another node's ranges, and one that keeps a slot this node
+// does not hold is refused rather than exported without that slot's
+// followers. Exports are canonical: any two holders of a range stream
+// identical bytes for it at one clock position (the header stamps it), so
+// ownership transfer is verifiable with a plain byte compare.
 func (p *Process) handleSnapshotExport(w http.ResponseWriter, r *http.Request, store *twitter.Store) {
 	node, nodes := p.Spec.RingIndex, p.Spec.RingNodes
 	if q := r.URL.Query(); q.Has("node") || q.Has("nodes") {
@@ -268,6 +270,19 @@ func (p *Process) handleSnapshotExport(w http.ResponseWriter, r *http.Request, s
 	if nodes > 0 {
 		ring := router.NewRing(router.DefaultSlots, nodes)
 		keep = func(id twitter.UserID) bool { return ring.Keep(node, int64(id)) }
+	}
+	if own := p.Spec; own.RingNodes > 0 {
+		held := router.NewRing(router.DefaultSlots, own.RingNodes)
+		for slot := 0; slot < router.DefaultSlots; slot++ {
+			// Slot s holds the IDs congruent to s+1 modulo the slot count.
+			if id := int64(slot + 1); keep(twitter.UserID(id)) && !held.Keep(own.RingIndex, id) {
+				olo, ohi := held.OwnedRange(own.RingIndex)
+				rlo, rhi := held.ReplicatedRange(own.RingIndex)
+				http.Error(w, fmt.Sprintf("node %d/%d holds slots [%d,%d) and [%d,%d); position %d/%d also keeps slot %d",
+					own.RingIndex, own.RingNodes, olo, ohi, rlo, rhi, node, nodes, slot), http.StatusConflict)
+				return
+			}
+		}
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := store.WriteSnapshotRange(w, keep); err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -142,13 +143,14 @@ func TestStopSealsWAL(t *testing.T) {
 
 // ringFixture writes a snapshot whose targets sit one at the low end of
 // each node's owned range in a ring of nodes, and returns its path, the
-// store it was taken from and the target IDs in node order.
+// store it was taken from and the target IDs in node order. Every account
+// carries a synthetic follower counter the targets' edges override.
 func ringFixture(t *testing.T, nodes int) (string, *twitter.Store, []twitter.UserID) {
 	t.Helper()
 	clock := simclock.NewVirtualAtEpoch()
 	store := twitter.NewStore(clock, 5)
 	for i := 0; i < router.DefaultSlots+8; i++ {
-		store.MustCreateUser(twitter.UserParams{CreatedAt: clock.Now().AddDate(-2, 0, 0)})
+		store.MustCreateUser(twitter.UserParams{CreatedAt: clock.Now().AddDate(-2, 0, 0), Followers: 777})
 	}
 	ring := router.NewRing(router.DefaultSlots, nodes)
 	var targets []twitter.UserID
@@ -201,8 +203,10 @@ func TestRingMemberHoldsItsRanges(t *testing.T) {
 
 // TestSnapshotExport is the /admin/snapshot contract: with no query a
 // plain node streams its whole store and a ring member the ranges it
-// holds; ?node=i&nodes=N streams the held set of that ring position; a
-// malformed or impossible position is refused.
+// holds; ?node=i&nodes=N streams the held set of that ring position, and a
+// node that loads it serves every profile the exporter serves; a malformed
+// or impossible position is refused, and so is one that keeps a slot the
+// exporting member does not hold.
 func TestSnapshotExport(t *testing.T) {
 	snapPath, full, _ := ringFixture(t, 4)
 	get := func(p *Process, query string) *httptest.ResponseRecorder {
@@ -234,7 +238,11 @@ func TestSnapshotExport(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	plain, _ := serve(Spec{Load: snapPath})
+	plain, plainStore := serve(Spec{Load: snapPath})
+	ids := make([]twitter.UserID, plainStore.UserCount())
+	for i := range ids {
+		ids[i] = twitter.UserID(i + 1)
+	}
 	var whole bytes.Buffer
 	if err := full.WriteSnapshot(&whole); err != nil {
 		t.Fatal(err)
@@ -245,14 +253,32 @@ func TestSnapshotExport(t *testing.T) {
 	for _, pos := range [][2]int{{0, 1}, {1, 3}, {3, 4}, {63, 64}} {
 		query := fmt.Sprintf("?node=%d&nodes=%d", pos[0], pos[1])
 		want := rangeOf(full, pos[0], pos[1])
-		if rec := get(plain, query); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+		rec := get(plain, query)
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
 			t.Errorf("%s: HTTP %d, %d bytes; want the position's %d-byte range", query, rec.Code, rec.Body.Len(), len(want))
+		}
+		ring := router.NewRing(router.DefaultSlots, pos[1])
+		joiner, err := twitter.ReadSnapshotRange(bytes.NewReader(rec.Body.Bytes()), simclock.NewVirtualAtEpoch(),
+			func(id twitter.UserID) bool { return ring.Keep(pos[0], int64(id)) })
+		if err != nil || !reflect.DeepEqual(joiner.Profiles(ids), plainStore.Profiles(ids)) {
+			t.Errorf("%s: a node loading the export serves other profiles than the exporter (%v)", query, err)
 		}
 	}
 
 	member, held := serve(Spec{Load: snapPath, RingIndex: 2, RingNodes: 4})
 	if rec := get(member, ""); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), rangeOf(held, 2, 4)) {
 		t.Errorf("ring member: HTTP %d; want the ranges it holds", rec.Code)
+	}
+	// Member 0 of 4 holds ranges 0 and 1: position 0 of 8 lies inside
+	// them, positions 2 of 4 and 0 of 1 keep ranges it lacks.
+	first, _ := serve(Spec{Load: snapPath, RingIndex: 0, RingNodes: 4})
+	if rec := get(first, "?node=0&nodes=8"); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), rangeOf(full, 0, 8)) {
+		t.Errorf("member 0/4, ?node=0&nodes=8: HTTP %d, %d bytes; want the position's range", rec.Code, rec.Body.Len())
+	}
+	for _, query := range []string{"?node=2&nodes=4", "?node=0&nodes=1"} {
+		if rec := get(first, query); rec.Code != http.StatusConflict {
+			t.Errorf("member 0/4, %s: HTTP %d, want 409", query, rec.Code)
+		}
 	}
 
 	for _, query := range []string{

@@ -74,8 +74,8 @@ func TestEjectionFailoverReadmission(t *testing.T) {
 	if got := rt.Healthy(); got != 1 {
 		t.Fatalf("Healthy() = %d after %d consecutive failures, want ejection", got, failThreshold)
 	}
-	if got := rt.m.ejections[0].Value(); got != 1 {
-		t.Errorf("router_ejections_total{backend=0} = %d, want 1", got)
+	if got, g := rt.m.ejections[0].Value(), rt.backends[0].healthyG.Value(); got != 1 || g != 0 {
+		t.Errorf("router_ejections_total{backend=0} = %d, router_backend_healthy = %d; want 1, 0", got, g)
 	}
 	if got := rt.m.failovers.Value(); got != 3 {
 		t.Errorf("router_failovers_total = %d, want 3", got)
@@ -99,8 +99,8 @@ func TestEjectionFailoverReadmission(t *testing.T) {
 	if got := rt.Healthy(); got != 2 {
 		t.Fatalf("Healthy() = %d after successful probe, want 2", got)
 	}
-	if got := rt.m.readmissions[0].Value(); got != 1 {
-		t.Errorf("router_readmissions_total{backend=0} = %d, want 1", got)
+	if got, g := rt.m.readmissions[0].Value(), rt.backends[0].healthyG.Value(); got != 1 || g != 1 {
+		t.Errorf("router_readmissions_total{backend=0} = %d, router_backend_healthy = %d; want 1, 1", got, g)
 	}
 	get()
 }

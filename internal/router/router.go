@@ -9,10 +9,10 @@
 // name (any node resolves profiles identically — see the range-snapshot
 // count folding in internal/twitter).
 //
-// The tier's whole job is to be invisible: the cross-topology differential
-// tests assert that every byte a client observes through the router —
-// pages, cursors, profiles, errors — is identical to a single-node
-// deployment. On top of that it buys graceful degradation: per-backend
+// The tier's whole job is to be invisible: the wire observer of the store
+// oracle (wire_test.go) asserts that every byte a client observes through
+// the router — pages, cursors, profiles, errors — is identical to a
+// single-node deployment's, at every check of generated op streams. On top of that it buys graceful degradation: per-backend
 // consecutive-failure ejection with probe-based readmission, transparent
 // failover of a failed attempt to the range's replica holder, and hedged
 // reads that race a slow primary against the replica after a p99-derived

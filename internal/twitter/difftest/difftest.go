@@ -7,9 +7,9 @@
 // match, in logical normal form (synthesised strings reduced to presence
 // markers: the reference has no synthesis machinery), and each OpSnapshot
 // sends a deployment down its own path back. Full deployments must also
-// agree with each other byte for byte, and observe-only ring members must
-// serve what the live store serves. A divergence is shrunk (delta
-// debugging) to a minimal stream that names the deployment.
+// agree with each other byte for byte, and observers (ring members, the
+// wire) must serve what the live store serves. A divergence is shrunk
+// (delta debugging) to a minimal stream that names the deployment.
 package difftest
 
 import (
@@ -181,20 +181,6 @@ func (a *StoreApplier) Roundtrip() error {
 	return nil
 }
 
-// wrappedStore adapts an externally constructed store as an Applier, so
-// Observe can probe it. Roundtrip is unsupported: a store that has a path
-// back is a Deployment.
-type wrappedStore struct{ *twitter.Store }
-
-// WrapStore adapts st as an Applier.
-func WrapStore(st *twitter.Store) Applier { return wrappedStore{st} }
-
-func (w wrappedStore) Roundtrip() error {
-	return errors.New("difftest: wrapped store does not support snapshot roundtrip")
-}
-
-func (w wrappedStore) Snapshot() ([]byte, error) { return snapshotOf(w.Store) }
-
 func snapshotOf(st *twitter.Store) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := st.WriteSnapshot(&buf); err != nil {
@@ -203,9 +189,9 @@ func snapshotOf(st *twitter.Store) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// obsTweet is a Tweet with its timestamp canonicalised to unix seconds, so
+// ObsTweet is a Tweet with its timestamp canonicalised to unix seconds, so
 // comparisons never depend on time.Time's internal representation.
-type obsTweet struct {
+type ObsTweet struct {
 	ID        twitter.TweetID
 	Author    twitter.UserID
 	At        int64
@@ -218,8 +204,9 @@ type obsTweet struct {
 	Source    string
 }
 
-func canonTweet(tw twitter.Tweet) obsTweet {
-	return obsTweet{
+// CanonTweet is tw as observations hold it.
+func CanonTweet(tw twitter.Tweet) ObsTweet {
+	return ObsTweet{
 		ID: tw.ID, Author: tw.Author, At: tw.CreatedAt.Unix(),
 		Text: tw.Text, IsRetweet: tw.IsRetweet, HasLink: tw.HasLink,
 		IsReply: tw.IsReply, Mentions: tw.Mentions, Hashtags: tw.Hashtags,
@@ -254,7 +241,7 @@ type Result struct {
 	ID    twitter.UserID       // OpCreate
 	OK    bool                 // OpUnfollow
 	N     int                  // OpPurge; observed FollowersCount for OpTweet/OpSetFriends
-	Tweet obsTweet             // OpTweet
+	Tweet ObsTweet             // OpTweet
 	Page  twitter.FollowerPage // OpPage
 }
 
@@ -294,7 +281,7 @@ func Apply(sys Applier, op Op) Result {
 		res.N, res.Err = n, errClass(err)
 	case OpTweet:
 		tw, err := sys.AppendTweet(op.Target, op.Tweet)
-		res.Tweet, res.Err = canonTweet(tw), errClass(err)
+		res.Tweet, res.Err = CanonTweet(tw), errClass(err)
 		// Tweeting promotes the author to a target; the synthetic follower
 		// count must survive that promotion (the count-zeroing regression),
 		// so the profile is probed in the same result.
@@ -480,10 +467,10 @@ func Generate(seed uint64, n int) []Op {
 
 // ObserveConfig controls how much observable state an observation captures.
 type ObserveConfig struct {
-	// Full compares synthesised content too: profile strings as-is,
-	// synthetic timelines for a sample of accounts, and snapshot bytes.
-	// Off, observations are reduced to logical normal form (the reference
-	// model's vocabulary).
+	// Full compares synthesised content too: profile strings as-is and
+	// synthetic timelines for a sample of accounts (Check adds a Full
+	// lane's snapshot bytes). Off, observations are reduced to logical
+	// normal form (the reference model's vocabulary).
 	Full bool
 	// PageLimit is the page size used for full pagination walks.
 	PageLimit int
@@ -494,26 +481,27 @@ type ObserveConfig struct {
 	Names []string
 	// Holds, when set, observes a ring member: per-account heavy state —
 	// edges, friends, pagination walks and timelines — only for the
-	// accounts it selects, and no snapshot bytes. Profiles, counts, classes
-	// and names are observed for every account, as every member serves them.
+	// accounts it selects. Profiles, counts, classes and names are observed
+	// for every account, as every member serves them.
 	Holds func(twitter.UserID) bool
 }
 
 // Observation is a canonicalised dump of all observable platform state.
 type Observation struct {
 	Users         int
-	Profiles      []obsProfile
+	Profiles      []ObsProfile
 	Classes       []twitter.Class
 	FollowerCount []int
 	Targets       map[twitter.UserID]targetObs
-	Timelines     map[twitter.UserID][]obsTweet
+	Timelines     map[twitter.UserID][]ObsTweet
 	Lookups       map[string]int64
-	BatchProfiles []obsProfile
+	BatchProfiles []ObsProfile
 	ClassCounts   map[twitter.Class]int
 	SnapshotBytes []byte
 }
 
-type obsProfile struct {
+// ObsProfile is a Profile with its times canonicalised to unix seconds.
+type ObsProfile struct {
 	ID                  twitter.UserID
 	ScreenName          string
 	Name                string
@@ -531,12 +519,13 @@ type obsProfile struct {
 	Behavior            twitter.Behavior
 }
 
-func canonProfile(p twitter.Profile) obsProfile {
+// CanonProfile is p as observations hold it.
+func CanonProfile(p twitter.Profile) ObsProfile {
 	var last int64
 	if !p.LastTweetAt.IsZero() {
 		last = p.LastTweetAt.Unix()
 	}
-	return obsProfile{
+	return ObsProfile{
 		ID: p.ID, ScreenName: p.ScreenName, Name: p.Name, Bio: p.Bio,
 		Location: p.Location, URL: p.URL, CreatedAt: p.CreatedAt.Unix(),
 		DefaultProfileImage: p.DefaultProfileImage, Protected: p.Protected,
@@ -562,8 +551,8 @@ type targetObs struct {
 
 func (cfg ObserveConfig) holds(id twitter.UserID) bool { return cfg.Holds == nil || cfg.Holds(id) }
 
-// Observe captures a full canonicalised observation of sys.
-func Observe(sys Applier, cfg ObserveConfig) (Observation, error) {
+// Observe captures a canonicalised observation of sys, snapshot bytes aside.
+func Observe(sys System, cfg ObserveConfig) (Observation, error) {
 	limit := cfg.PageLimit
 	if limit <= 0 {
 		limit = 7
@@ -571,11 +560,11 @@ func Observe(sys Applier, cfg ObserveConfig) (Observation, error) {
 	n := sys.UserCount()
 	obs := Observation{
 		Users:         n,
-		Profiles:      make([]obsProfile, 0, n),
+		Profiles:      make([]ObsProfile, 0, n),
 		Classes:       make([]twitter.Class, 0, n),
 		FollowerCount: make([]int, 0, n),
 		Targets:       make(map[twitter.UserID]targetObs),
-		Timelines:     make(map[twitter.UserID][]obsTweet),
+		Timelines:     make(map[twitter.UserID][]ObsTweet),
 		Lookups:       make(map[string]int64),
 	}
 	for id := twitter.UserID(1); int(id) <= n; id++ {
@@ -583,7 +572,7 @@ func Observe(sys Applier, cfg ObserveConfig) (Observation, error) {
 		if err != nil {
 			return obs, fmt.Errorf("profile %d: %w", id, err)
 		}
-		obs.Profiles = append(obs.Profiles, canonProfile(p))
+		obs.Profiles = append(obs.Profiles, CanonProfile(p))
 		class, err := sys.TrueClass(id)
 		if err != nil {
 			return obs, err
@@ -627,9 +616,9 @@ func Observe(sys Applier, cfg ObserveConfig) (Observation, error) {
 			return nil
 		}
 		tl, err := sys.Timeline(id, max)
-		canon := make([]obsTweet, len(tl))
+		canon := make([]ObsTweet, len(tl))
 		for i, tw := range tl {
-			canon[i] = canonTweet(tw)
+			canon[i] = CanonTweet(tw)
 		}
 		obs.Timelines[id] = canon
 		return err
@@ -660,16 +649,9 @@ func Observe(sys Applier, cfg ObserveConfig) (Observation, error) {
 		probe = append(probe, twitter.UserID(id))
 	}
 	for _, p := range sys.Profiles(probe) {
-		obs.BatchProfiles = append(obs.BatchProfiles, canonProfile(p))
+		obs.BatchProfiles = append(obs.BatchProfiles, CanonProfile(p))
 	}
 	obs.ClassCounts = sys.ClassCounts(probe)
-	if cfg.Full && cfg.Holds == nil {
-		snap, err := sys.Snapshot()
-		if err != nil {
-			return obs, err
-		}
-		obs.SnapshotBytes = snap
-	}
 	return obs, nil
 }
 
@@ -678,9 +660,9 @@ func Observe(sys Applier, cfg ObserveConfig) (Observation, error) {
 // tweetUsers) and snapshot bytes. Normalize finishes the reduction.
 func (obs Observation) logical(tweetUsers []twitter.UserID) Observation {
 	out := obs
-	out.Profiles = append([]obsProfile(nil), obs.Profiles...)
-	out.BatchProfiles = append([]obsProfile(nil), obs.BatchProfiles...)
-	out.Timelines = make(map[twitter.UserID][]obsTweet, len(tweetUsers))
+	out.Profiles = append([]ObsProfile(nil), obs.Profiles...)
+	out.BatchProfiles = append([]ObsProfile(nil), obs.BatchProfiles...)
+	out.Timelines = make(map[twitter.UserID][]ObsTweet, len(tweetUsers))
 	for _, id := range tweetUsers {
 		out.Timelines[id] = obs.Timelines[id]
 	}
@@ -698,7 +680,7 @@ func (obs Observation) heldBy(holds func(twitter.UserID) bool) Observation {
 			out.Targets[id] = t
 		}
 	}
-	out.Timelines = make(map[twitter.UserID][]obsTweet)
+	out.Timelines = make(map[twitter.UserID][]ObsTweet)
 	for id, tl := range obs.Timelines {
 		if holds(id) {
 			out.Timelines[id] = tl
@@ -720,7 +702,7 @@ func Normalize(obs *Observation, explicit map[twitter.UserID]string) {
 		}
 		return ""
 	}
-	norm := func(p *obsProfile) {
+	norm := func(p *ObsProfile) {
 		p.Name = ""
 		if _, ok := explicit[p.ID]; !ok {
 			p.ScreenName = ""
@@ -797,26 +779,57 @@ func DiffObservations(a, b Observation) string {
 // full observations compare across deployments.
 const StoreSeed = 42
 
-// Deployment is one way of running the store and bringing it back: New
-// builds a fresh Applier whose Roundtrip takes that way back. A deployment
-// without New is the observe-only ring: at every check, each member of 1-,
-// 2- and 4-node rings is range-loaded from the live snapshot (the first
-// Full deployment's) and must serve what the live store serves for the
-// accounts it holds.
+// Deployment is one way of running the store and bringing it back, or of
+// serving what it holds. A deployment has New or Observe, never neither.
 type Deployment struct {
 	Name string
-	New  func(tb TB) Applier
+	// New builds a fresh Applier whose Roundtrip takes that way back.
+	New func(tb TB) Applier
 	// Full deployments must also agree with each other on full
 	// observations: synthesised strings, synthetic timelines and snapshot
 	// bytes. Only deployments whose stores share a seed and a clock qualify.
 	Full bool
+	// Observe makes the deployment an observer: it writes nothing, and at
+	// every check it reports how what it serves differs from the live state.
+	Observe func(tb TB, live Live) error
+}
+
+// Live is what an observer is shown: the first Full lane's observation,
+// snapshot bytes included, and the ObserveConfig it was taken with.
+type Live struct {
+	Obs    Observation
+	Config ObserveConfig
 }
 
 // InMemory returns the in-memory deployments: the store at 1, 2, 7 and 16
-// shards, each coming back through a snapshot write and read, and the
-// members of 1-, 2- and 4-node rings range-loaded from the first of them.
+// shards, each coming back through a snapshot write and read, and the range
+// observer over the first of them.
 func InMemory() []Deployment {
-	return append(Shards(1, 2, 7, 16), Deployment{Name: "range"})
+	return append(Shards(1, 2, 7, 16), Deployment{Name: "range", Observe: observeRange})
+}
+
+// observeRange range-loads every member of 1-, 2- and 4-node rings from the
+// live snapshot; each serves what the live store serves for what it holds.
+func observeRange(_ TB, live Live) error {
+	for _, nodes := range []int{1, 2, 4} {
+		ring := router.NewRing(router.DefaultSlots, nodes)
+		for i := 0; i < nodes; i++ {
+			mcfg := live.Config
+			mcfg.Holds = func(id twitter.UserID) bool { return ring.Keep(i, int64(id)) }
+			member, err := twitter.ReadSnapshotRange(bytes.NewReader(live.Obs.SnapshotBytes), simclock.NewVirtualAtEpoch(), mcfg.Holds)
+			if err != nil {
+				return fmt.Errorf("range load of node %d/%d: %v", i, nodes, err)
+			}
+			got, err := Observe(member, mcfg)
+			if err != nil {
+				return fmt.Errorf("node %d/%d observation: %v", i, nodes, err)
+			}
+			if diff := DiffObservations(live.Obs.heldBy(mcfg.Holds), got); diff != "" {
+				return fmt.Errorf("node %d/%d: %s", i, nodes, diff)
+			}
+		}
+	}
+	return nil
 }
 
 // Shards returns one Full store deployment per shard count.
@@ -936,12 +949,15 @@ func (cfg CheckConfig) run(t TB, ops []Op) *Mismatch {
 		}
 	}()
 	for _, d := range cfg.Deployments {
-		if d.New == nil {
+		switch {
+		case d.Observe != nil:
 			observers = append(observers, d)
-			continue
+		case d.New != nil:
+			clock := simclock.NewVirtualAtEpoch()
+			lanes = append(lanes, &lane{dep: d, app: d.New(t), clock: clock, ref: NewRef(clock)})
+		default:
+			t.Fatalf("deployment %s has neither New nor Observe", d.Name)
 		}
-		clock := simclock.NewVirtualAtEpoch()
-		lanes = append(lanes, &lane{dep: d, app: d.New(t), clock: clock, ref: NewRef(clock)})
 	}
 	book := bookkeeping{explicit: make(map[twitter.UserID]string), tweeted: make(map[twitter.UserID]bool)}
 	for _, op := range cfg.Prefix {
@@ -970,13 +986,16 @@ func (cfg CheckConfig) run(t TB, ops []Op) *Mismatch {
 			}
 		}
 		if (i+1)%every == 0 {
-			if m := cfg.check(lanes, observers, &book); m != nil {
+			if m := cfg.check(t, lanes, observers, &book); m != nil {
 				m.Index, m.Op = i, op
 				return m
 			}
 		}
 	}
-	m := cfg.check(lanes, observers, &book)
+	if len(ops) > 0 && len(ops)%every == 0 {
+		return nil // the last op was just checked
+	}
+	m := cfg.check(t, lanes, observers, &book)
 	if m != nil && len(ops) > 0 {
 		m.Index, m.Op = len(ops)-1, ops[len(ops)-1]
 	}
@@ -1006,10 +1025,10 @@ func (b *bookkeeping) note(op Op, res Result) {
 	}
 }
 
-// check compares every lane with its reference in logical normal form, the
-// Full lanes with each other on full observations, and every observer's
-// ring members with the first Full lane.
-func (cfg CheckConfig) check(lanes []*lane, observers []Deployment, book *bookkeeping) *Mismatch {
+// check compares every lane with its reference in logical normal form and
+// the Full lanes with each other on full observations, then shows every
+// observer the first Full lane.
+func (cfg CheckConfig) check(t TB, lanes []*lane, observers []Deployment, book *bookkeeping) *Mismatch {
 	ocfg := ObserveConfig{TweetUsers: book.tweetUsers, Names: book.names}
 	fail := func(detail string, deps ...Deployment) *Mismatch {
 		names := deps[0].Name
@@ -1020,10 +1039,14 @@ func (cfg CheckConfig) check(lanes []*lane, observers []Deployment, book *bookke
 	}
 	var live *lane
 	var liveObs Observation
+	var liveCfg ObserveConfig
 	for _, l := range lanes {
 		fcfg := ocfg
 		fcfg.Full = l.dep.Full
 		full, errA := Observe(l.app, fcfg)
+		if errA == nil && l.dep.Full {
+			full.SnapshotBytes, errA = l.app.Snapshot()
+		}
 		want, errB := Observe(l.ref, ocfg)
 		if errA != nil || errB != nil {
 			return fail(fmt.Sprintf("observation errors: %v, reference %v", errA, errB), l.dep)
@@ -1038,7 +1061,7 @@ func (cfg CheckConfig) check(lanes []*lane, observers []Deployment, book *bookke
 			continue
 		}
 		if live == nil {
-			live, liveObs = l, full
+			live, liveObs, liveCfg = l, full, fcfg
 			continue
 		}
 		if d := DiffObservations(liveObs, full); d != "" {
@@ -1047,26 +1070,10 @@ func (cfg CheckConfig) check(lanes []*lane, observers []Deployment, book *bookke
 	}
 	for _, d := range observers {
 		if live == nil {
-			return fail("no Full deployment to range-load from", d)
+			return fail("no Full deployment to observe", d)
 		}
-		for _, nodes := range []int{1, 2, 4} {
-			ring := router.NewRing(router.DefaultSlots, nodes)
-			for i := 0; i < nodes; i++ {
-				mcfg := ocfg
-				mcfg.Full = true
-				mcfg.Holds = func(id twitter.UserID) bool { return ring.Keep(i, int64(id)) }
-				member, err := twitter.ReadSnapshotRange(bytes.NewReader(liveObs.SnapshotBytes), simclock.NewVirtualAtEpoch(), mcfg.Holds)
-				if err != nil {
-					return fail(fmt.Sprintf("range load of node %d/%d: %v", i, nodes, err), live.dep, d)
-				}
-				got, err := Observe(WrapStore(member), mcfg)
-				if err != nil {
-					return fail(fmt.Sprintf("node %d/%d observation: %v", i, nodes, err), live.dep, d)
-				}
-				if diff := DiffObservations(liveObs.heldBy(mcfg.Holds), got); diff != "" {
-					return fail(fmt.Sprintf("node %d/%d: %s", i, nodes, diff), live.dep, d)
-				}
-			}
+		if err := d.Observe(t, Live{Obs: liveObs, Config: liveCfg}); err != nil {
+			return fail(err.Error(), live.dep, d)
 		}
 	}
 	return nil

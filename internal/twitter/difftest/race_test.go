@@ -154,7 +154,7 @@ func TestLockFreeReadersRaceWriters(t *testing.T) {
 			}
 		}
 	}
-	got, err := difftest.Observe(difftest.WrapStore(store), difftest.ObserveConfig{PageLimit: 33})
+	got, err := difftest.Observe(store, difftest.ObserveConfig{PageLimit: 33})
 	if err != nil {
 		t.Fatal(err)
 	}

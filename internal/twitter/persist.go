@@ -211,8 +211,9 @@ func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID)
 	}
 	for i := 0; i < n; i++ {
 		id := UserID(i + 1)
-		r := &s.shardOf(id).recs[s.slotFor(id)]
-		chunk = append(chunk, persistRecord{
+		sh := s.shardOf(id)
+		r := &sh.recs[s.slotFor(id)]
+		pr := persistRecord{
 			CreatedAt:   r.createdAt,
 			LastTweetAt: r.lastTweetAt,
 			Statuses:    r.statuses,
@@ -225,7 +226,15 @@ func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID)
 			LinkPct:     r.linkPct,
 			SpamPct:     r.spamPct,
 			DupPct:      r.dupPct,
-		})
+		}
+		if keep != nil {
+			// A range export carries every target's counts in its record, as
+			// ReadSnapshotRange folds them: the stream holds only the kept
+			// targets, so the reader cannot fold the others.
+			v := viewOf(sh, id, r)
+			pr.Followers, pr.Friends = int32(v.FollowersCount), int32(v.FriendsCount)
+		}
+		chunk = append(chunk, pr)
 		if len(chunk) == recordChunkLen {
 			if err := flushChunk(); err != nil {
 				return fmt.Errorf("encoding snapshot records: %w", err)

@@ -28,10 +28,11 @@ import (
 
 // WriteSnapshotRange serialises the store with all records and names but
 // only the targets keep selects — the ownership-transfer stream a node
-// exports for a range it holds. The output is a loadable snapshot and
-// is canonical: two stores holding the same records and the same kept
-// targets produce identical bytes, regardless of what other targets each
-// happens to hold.
+// exports for a range it holds. Every record carries its account's folded
+// counts, kept target or not, so the output is a loadable snapshot and is
+// canonical: two stores serving the same profiles and holding the same kept
+// targets produce identical bytes, whether either loaded the whole snapshot
+// or a range of it.
 func (s *Store) WriteSnapshotRange(w io.Writer, keep func(UserID) bool) error {
 	return s.writeSnapshot(w, nil, keep)
 }
@@ -40,9 +41,7 @@ func (s *Store) WriteSnapshotRange(w io.Writer, keep func(UserID) bool) error {
 // records and names load, every target's override counts are folded into
 // its record (see the package comment above), and only targets selected by
 // keep get their heavy state installed. A nil keep folds every target and
-// installs them all — the configuration the single-node baseline of the
-// cross-topology differential tests loads, so its exports compare
-// byte-for-byte with the partial nodes'.
+// installs them all.
 func ReadSnapshotRange(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opts ...Option) (*Store, error) {
 	return readSnapshot(r, clock, rangeKeep(keep), opts...)
 }

@@ -79,38 +79,25 @@ func TestRangeSnapshotFoldsProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	n := full.UserCount()
-	if partial.UserCount() != n {
-		t.Fatalf("partial store has %d users, full has %d — record space must be global", partial.UserCount(), n)
+	ids := make([]UserID, full.UserCount())
+	for i := range ids {
+		ids[i] = UserID(i + 1)
 	}
-	for id := UserID(1); int(id) <= n; id++ {
-		fp, err := full.Profile(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pp, err := partial.Profile(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(fp, pp) {
-			t.Fatalf("profile %d diverges on the partial node:\n full    %+v\n partial %+v", id, fp, pp)
-		}
+	if partial.UserCount() != len(ids) {
+		t.Fatalf("partial store has %d users, full has %d — record space must be global", partial.UserCount(), len(ids))
+	}
+	if fp, pp := full.Profiles(ids), partial.Profiles(ids); !reflect.DeepEqual(fp, pp) {
+		t.Fatalf("profiles diverge on the partial node:\n full    %+v\n partial %+v", fp, pp)
 	}
 
 	// The kept target carries full heavy state; the dropped ones none.
 	if !partial.IsTarget(targets[0]) {
 		t.Fatal("kept target lost its materialised state")
 	}
-	fullIDs, err := full.FollowersChronological(targets[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	partIDs, err := partial.FollowersChronological(targets[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fullIDs, partIDs) {
-		t.Fatalf("kept target's edges diverge: %d vs %d followers", len(partIDs), len(fullIDs))
+	fullIDs, errA := full.FollowersChronological(targets[0])
+	partIDs, errB := partial.FollowersChronological(targets[0])
+	if errA != nil || errB != nil || !reflect.DeepEqual(fullIDs, partIDs) {
+		t.Fatalf("kept target's edges diverge: %d vs %d followers (%v, %v)", len(partIDs), len(fullIDs), errA, errB)
 	}
 	for _, dropped := range targets[1:] {
 		if partial.IsTarget(dropped) {
@@ -131,8 +118,10 @@ func TestRangeSnapshotFoldsProfiles(t *testing.T) {
 }
 
 // TestWriteSnapshotRangeCanonical: the export of a range must not depend on
-// which holder produced it — that byte-equality is what lets a rejoining
-// node stream its range from either the primary or the replica.
+// which holder produced it — two range loads, a full range load, or the
+// store the snapshot was taken from, whose records were never folded. That
+// byte-equality is what lets a rejoining node stream its range from any
+// holder.
 func TestWriteSnapshotRangeCanonical(t *testing.T) {
 	store, targets := buildRangeStore(t)
 	var snap bytes.Buffer
@@ -142,29 +131,25 @@ func TestWriteSnapshotRangeCanonical(t *testing.T) {
 
 	keepA := func(id UserID) bool { return id == targets[0] }
 	keepAB := func(id UserID) bool { return id == targets[0] || id == targets[1] }
-	holders := make([]*Store, 2)
-	for i, keep := range []func(UserID) bool{keepA, keepAB} {
+	load := func(keep func(UserID) bool) *Store {
 		s, err := ReadSnapshotRange(bytes.NewReader(snap.Bytes()), simclock.NewVirtualAtEpoch(), keep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		holders[i] = s
+		return s
 	}
-	fullLoad, err := ReadSnapshotRange(bytes.NewReader(snap.Bytes()), simclock.NewVirtualAtEpoch(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	exports := make([][]byte, 0, 3)
-	for _, s := range append(holders, fullLoad) {
+	var exports [][]byte
+	for _, holder := range []*Store{load(keepA), load(keepAB), load(nil), store} {
 		var buf bytes.Buffer
-		if err := s.WriteSnapshotRange(&buf, keepA); err != nil {
+		if err := holder.WriteSnapshotRange(&buf, keepA); err != nil {
 			t.Fatal(err)
 		}
 		exports = append(exports, buf.Bytes())
 	}
-	if !bytes.Equal(exports[0], exports[1]) || !bytes.Equal(exports[0], exports[2]) {
-		t.Fatal("range export differs between holders of the same range")
+	for i, export := range exports[1:] {
+		if !bytes.Equal(exports[0], export) {
+			t.Fatalf("range export of holder %d differs from the first range load's", i+1)
+		}
 	}
 
 	// And the export is itself a loadable snapshot.
