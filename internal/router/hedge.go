@@ -25,8 +25,10 @@ import (
 // the classic tail-at-scale dial.
 
 // upstreamResponse is one backend's buffered answer. Bodies are small
-// (bounded pages) so buffering is what makes racing two attempts safe: the
-// loser's connection can be torn down without corrupting the winner.
+// (bounded pages), and holding each whole before any byte reaches the
+// client is what makes failover and hedging safe: a body cut short fails
+// over to the replica instead of reaching the client truncated, and a
+// hedge's loser can be torn down without corrupting the winner.
 type upstreamResponse struct {
 	status int
 	header http.Header
@@ -42,6 +44,10 @@ const (
 	// hedgeMin and hedgeMax clamp the p99-derived hedge delay.
 	hedgeMin = 2 * time.Millisecond
 	hedgeMax = 100 * time.Millisecond
+
+	// maxPresize caps the buffer an upstream body's declared length
+	// allocates up front; a longer or undeclared body grows as it arrives.
+	maxPresize = 1 << 20
 )
 
 // do executes orig against primary, failing over and (when canHedge)
@@ -155,7 +161,7 @@ func (rt *Router) attempt(ctx context.Context, orig *http.Request, b *backend, b
 		}
 		return nil, err
 	}
-	rb, err := io.ReadAll(resp.Body)
+	rb, err := readBody(resp)
 	resp.Body.Close()
 	if err != nil {
 		if ctx.Err() == nil {
@@ -166,6 +172,22 @@ func (rt *Router) attempt(ctx context.Context, orig *http.Request, b *backend, b
 	rt.m.upstream.Record(rt.clock.Now().Sub(start))
 	rt.onResult(b, resp.StatusCode, nil)
 	return &upstreamResponse{status: resp.StatusCode, header: resp.Header, body: rb}, nil
+}
+
+// readBody reads an upstream body whole. A node declares every body's
+// length, so the body lands in one buffer of exactly that size rather than
+// in io.ReadAll's doubling ones. A body shorter than declared is an error,
+// as it is to io.ReadAll.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxPresize {
+		return io.ReadAll(resp.Body)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // hedgeDelay picks the current hedge delay: the upstream p99 clamped to

@@ -1,9 +1,14 @@
 package router
 
 import (
+	"bytes"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,5 +162,157 @@ func TestAdaptiveHedgeDelay(t *testing.T) {
 	}
 	if got := rt.hedgeDelay(); got != hedgeMax {
 		t.Errorf("slow-fleet hedge delay %v, want clamped to hedgeMax", got)
+	}
+}
+
+// idsPage is a followers/ids page of n ids, as a node prints one.
+func idsPage(n int) []byte {
+	b := []byte(`{"ids":[`)
+	for id := 1; id <= n; id++ {
+		if id > 1 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	return append(b, `],"next_cursor":0,"next_cursor_str":"0","previous_cursor":0,"previous_cursor_str":"0"}`+"\n"...)
+}
+
+// cutShortBackend answers followers/ids with idsPage(2000) and
+// users/lookup with fakeLookupBody of the ids asked for, each with its
+// Content-Length. When cut it declares the length, writes half the body
+// and drops the connection.
+type cutShortBackend struct{ cut bool }
+
+func (c cutShortBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	body := idsPage(2000)
+	if r.URL.Path == pathUsersLookup {
+		ids, _ := parseIDList(r.URL.Query().Get("user_id"))
+		body = fakeLookupBody(ids, knownLookupID)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if !c.cut {
+		_, _ = w.Write(body)
+		return
+	}
+	_, _ = w.Write(body[:len(body)/2])
+	w.(http.Flusher).Flush()
+	if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+		conn.Close()
+	}
+}
+
+func knownLookupID(id int64) bool { return id%7 != 0 }
+
+// TestUpstreamBodyCutShortFailsOver: a body shorter than its declared
+// length is an attempt error, never short bytes. A routed page and a
+// scattered lookup whose primary cuts its body short are answered from the
+// replica, each with one failover; a body sent chunked, with no length,
+// still arrives whole and goes out with the router's own Content-Length.
+func TestUpstreamBodyCutShortFailsOver(t *testing.T) {
+	cut := httptest.NewServer(cutShortBackend{cut: true})
+	defer cut.Close()
+	whole := httptest.NewServer(cutShortBackend{})
+	defer whole.Close()
+	chunked := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body := idsPage(2000)
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(body[:len(body)/2])
+		w.(http.Flusher).Flush()
+		_, _ = w.Write(body[len(body)/2:])
+	}))
+	defer chunked.Close()
+
+	router := func(backends ...string) (*Router, *httptest.Server) {
+		rt, err := New(Config{Backends: backends, Registry: metrics.NewRegistry(), ProbeInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.noHedge = true // one attempt per holder: only failover can answer
+		t.Cleanup(rt.Close)
+		front := httptest.NewServer(rt)
+		t.Cleanup(front.Close)
+		return rt, front
+	}
+	get := func(c *http.Client, url string, want []byte) *http.Response {
+		t.Helper()
+		resp, err := c.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+			t.Fatalf("GET %s: HTTP %d (%v)\n got %.200q\nwant %.200q", url, resp.StatusCode, err, body, want)
+		}
+		if resp.ContentLength != int64(len(want)) || len(resp.TransferEncoding) > 0 {
+			t.Fatalf("GET %s: Content-Length %d, Transfer-Encoding %v; want %d and none",
+				url, resp.ContentLength, resp.TransferEncoding, len(want))
+		}
+		return resp
+	}
+
+	// user_id=1 lands in slot 0: backend 0 (cut) owns it, backend 1 (whole)
+	// replicates it.
+	rt, front := router(cut.URL, whole.URL)
+	get(front.Client(), front.URL+"/1.1/followers/ids.json?user_id=1&cursor=-1", idsPage(2000))
+	if got := rt.m.failovers.Value(); got != 1 {
+		t.Errorf("router_failovers_total = %d after one cut-short page, want 1", got)
+	}
+
+	ids := []int64{1, 40, 2, 2, 14, 41, 3, 77, 40}
+	if ring := NewRing(DefaultSlots, 2); ring.Owner(ring.Slot(1)) == ring.Owner(ring.Slot(40)) {
+		t.Fatal("ids 1 and 40 no longer span both ring members")
+	}
+	parts := make([]string, len(ids))
+	for i, id := range ids {
+		parts[i] = strconv.FormatInt(id, 10)
+	}
+	get(front.Client(), front.URL+pathUsersLookup+"?user_id="+strings.Join(parts, ","),
+		fakeLookupBody(ids, knownLookupID))
+	if got := rt.m.failovers.Value(); got != 2 {
+		t.Errorf("router_failovers_total = %d after a lookup with one cut-short part, want 2", got)
+	}
+
+	resp, err := chunked.Client().Get(chunked.URL + "/1.1/followers/ids.json?user_id=1&cursor=-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainClose(resp)
+	if resp.ContentLength != -1 || len(resp.TransferEncoding) == 0 {
+		t.Fatalf("chunked backend declared Content-Length %d, Transfer-Encoding %v", resp.ContentLength, resp.TransferEncoding)
+	}
+	_, front = router(chunked.URL, chunked.URL)
+	get(front.Client(), front.URL+"/1.1/followers/ids.json?user_id=1&cursor=-1", idsPage(2000))
+}
+
+// TestSizedReadsKeepConnectionsAlive: a body read to its declared length
+// leaves the upstream connection reusable — sequential requests share one.
+func TestSizedReadsKeepConnectionsAlive(t *testing.T) {
+	var conns atomic.Int32
+	node := httptest.NewUnstartedServer(cutShortBackend{})
+	node.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	node.Start()
+	defer node.Close()
+	rt, err := New(Config{Backends: []string{node.URL}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt)
+	defer front.Close()
+	for i := 0; i < 10; i++ {
+		resp, err := front.Client().Get(front.URL + "/1.1/followers/ids.json?user_id=1&cursor=-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainClose(resp)
+	}
+	if got := conns.Load(); got != 1 {
+		t.Errorf("10 sequential requests opened %d upstream connections, want 1", got)
 	}
 }

@@ -25,9 +25,7 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"strconv"
 	"sync"
@@ -345,12 +343,17 @@ func (rt *Router) serveShow(w http.ResponseWriter, r *http.Request) {
 	rt.reply(w, resp, err)
 }
 
-// nameSlot maps a screen name onto the ring (FNV-1a; any deterministic
-// spread works — correctness never depends on where a name lands).
+// nameSlot maps a screen name onto the ring (64-bit FNV-1a, hashed in
+// place; any deterministic spread works — correctness never depends on
+// where a name lands).
 func (rt *Router) nameSlot(name string) int {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	return int(h.Sum64() % uint64(rt.ring.Slots()))
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= prime64
+	}
+	return int(h % uint64(rt.ring.Slots()))
 }
 
 // resolution outcomes of resolveName.
@@ -389,19 +392,17 @@ func (rt *Router) resolveName(ctx context.Context, orig *http.Request, name stri
 	}
 	switch {
 	case resp.status == http.StatusOK:
-		var u struct {
-			ID int64 `json:"id"`
-		}
-		if json.Unmarshal(resp.body, &u) != nil || u.ID < 1 {
+		id, err := leadingID(resp.body)
+		if err != nil || id < 1 {
 			return 0, resolveFailed
 		}
 		rt.namesMu.Lock()
 		if len(rt.names) >= nameCacheCap {
 			rt.names = make(map[string]int64)
 		}
-		rt.names[name] = u.ID
+		rt.names[name] = id
 		rt.namesMu.Unlock()
-		return u.ID, resolveOK
+		return id, resolveOK
 	case resp.status == http.StatusNotFound:
 		return 0, resolveUnknown
 	default:

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -160,5 +161,30 @@ func TestLookupsSkipEjectedHolders(t *testing.T) {
 	}
 	if got := rt.m.failovers.Value(); got != failovers {
 		t.Errorf("router_failovers_total moved %d -> %d: a lookup tried the ejected holder", failovers, got)
+	}
+}
+
+// TestNameSlotIsFNV1a: nameSlot hashes in place, and every name lands on
+// the slot hash/fnv's 64-bit FNV-1a gave it — the bench fixture's names,
+// the op streams' names, the encoder's escaping names and the empty one.
+func TestNameSlotIsFNV1a(t *testing.T) {
+	rt, err := New(Config{Backends: []string{"http://127.0.0.1:0"}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	names := append([]string{"", "davc", "genpop_target", "missing_name"}, encoderNames...)
+	for i := 0; i < 16; i++ {
+		names = append(names, fmt.Sprintf("crawl_t%02d", i), fmt.Sprintf("audit_t%02d", i), fmt.Sprintf("u%05d", i*731))
+	}
+	for _, name := range names {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(name))
+		if got, want := rt.nameSlot(name), int(h.Sum64()%DefaultSlots); got != want {
+			t.Errorf("nameSlot(%q) = %d, hash/fnv puts it at %d", name, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { rt.nameSlot("crawl_t07") }); n != 0 {
+		t.Errorf("nameSlot allocates %.0f times", n)
 	}
 }

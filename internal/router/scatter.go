@@ -1,9 +1,6 @@
 package router
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -16,7 +13,7 @@ import (
 // machinery), and merges the answers back into the exact byte shape a
 // single node would have produced: input order preserved, duplicates
 // preserved, unknown IDs silently dropped. The merge is a pure function
-// (mergeLookup) so fuzzing can hammer it without sockets.
+// (mergeLookup, merge.go) so fuzzing can hammer it without sockets.
 
 // lookupBatchCap mirrors twitterapi.UsersLookupBatchSize. Duplicated by
 // value, not import: the router is deliberately a leaf that speaks only
@@ -140,60 +137,3 @@ func parseIDList(raw string) ([]int64, bool) {
 	}
 	return ids, true
 }
-
-// mergeLookup reassembles scattered users/lookup responses. ids is the
-// client's full list in order, groupOf[i] the body index serving ids[i],
-// bodies the per-group JSON arrays. Each backend returns, for its subset,
-// an in-order subsequence (unknown IDs dropped), so the merge walks the
-// client's list and pops a group's head element exactly when its id
-// matches — preserving order and duplicates, never duplicating an element,
-// and dropping IDs no backend answered for. The output is byte-compatible
-// with a single node's encoder: compact elements, "[]" when empty,
-// trailing newline.
-func mergeLookup(ids []int64, groupOf []int, bodies [][]byte) ([]byte, error) {
-	if len(groupOf) != len(ids) {
-		return nil, errMergeShape
-	}
-	elems := make([][]json.RawMessage, len(bodies))
-	heads := make([][]int64, len(bodies))
-	for g, body := range bodies {
-		var raw []json.RawMessage
-		if err := json.Unmarshal(body, &raw); err != nil {
-			return nil, err
-		}
-		hs := make([]int64, len(raw))
-		for i, e := range raw {
-			var u struct {
-				ID int64 `json:"id"`
-			}
-			if err := json.Unmarshal(e, &u); err != nil {
-				return nil, err
-			}
-			hs[i] = u.ID
-		}
-		elems[g] = raw
-		heads[g] = hs
-	}
-	next := make([]int, len(bodies))
-	var out bytes.Buffer
-	out.WriteByte('[')
-	n := 0
-	for i, id := range ids {
-		g := groupOf[i]
-		if g < 0 || g >= len(bodies) {
-			return nil, errMergeShape
-		}
-		if next[g] < len(elems[g]) && heads[g][next[g]] == id {
-			if n > 0 {
-				out.WriteByte(',')
-			}
-			out.Write(bytes.TrimSpace(elems[g][next[g]]))
-			next[g]++
-			n++
-		}
-	}
-	out.WriteString("]\n")
-	return out.Bytes(), nil
-}
-
-var errMergeShape = errors.New("router: merge shape mismatch")
