@@ -177,10 +177,11 @@ func (rt *Router) attempt(ctx context.Context, orig *http.Request, b *backend, b
 // readBody reads an upstream body whole. A node declares every body's
 // length, so the body lands in one buffer of exactly that size rather than
 // in io.ReadAll's doubling ones. A body shorter than declared is an error,
-// as it is to io.ReadAll.
+// as it is to io.ReadAll. An answer that carries no body (to a HEAD, whose
+// declared length is that of the GET's body) reads as empty.
 func readBody(resp *http.Response) ([]byte, error) {
 	n := resp.ContentLength
-	if n < 0 || n > maxPresize {
+	if n < 0 || n > maxPresize || resp.Body == http.NoBody {
 		return io.ReadAll(resp.Body)
 	}
 	b := make([]byte, n)

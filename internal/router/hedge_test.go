@@ -208,7 +208,9 @@ func knownLookupID(id int64) bool { return id%7 != 0 }
 // length is an attempt error, never short bytes. A routed page and a
 // scattered lookup whose primary cuts its body short are answered from the
 // replica, each with one failover; a body sent chunked, with no length,
-// still arrives whole and goes out with the router's own Content-Length.
+// still arrives whole and goes out with the router's own Content-Length;
+// and a HEAD, whose answer declares a length but carries no body, is
+// relayed 200 with no failover or ejection.
 func TestUpstreamBodyCutShortFailsOver(t *testing.T) {
 	cut := httptest.NewServer(cutShortBackend{cut: true})
 	defer cut.Close()
@@ -284,6 +286,31 @@ func TestUpstreamBodyCutShortFailsOver(t *testing.T) {
 	}
 	_, front = router(chunked.URL, chunked.URL)
 	get(front.Client(), front.URL+"/1.1/followers/ids.json?user_id=1&cursor=-1", idsPage(2000))
+
+	// A HEAD answer declares the length of a body it does not carry: the
+	// router must not read that as a body cut short, fail over and eject.
+	rt, front = router(whole.URL, whole.URL)
+	for i := 0; i < failThreshold+1; i++ {
+		resp, err := front.Client().Head(front.URL + "/1.1/followers/ids.json?user_id=1&cursor=-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainClose(resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("HEAD %d: HTTP %d, want 200", i, resp.StatusCode)
+		}
+	}
+	if got := rt.m.failovers.Value(); got != 0 {
+		t.Errorf("router_failovers_total = %d after HEAD requests, want 0", got)
+	}
+	for i, c := range rt.m.ejections {
+		if got := c.Value(); got != 0 {
+			t.Errorf("backend %d: router_ejections_total = %d after HEAD requests, want 0", i, got)
+		}
+	}
+	if got := rt.Healthy(); got != 2 {
+		t.Errorf("Healthy() = %d after HEAD requests, want 2", got)
+	}
 }
 
 // TestSizedReadsKeepConnectionsAlive: a body read to its declared length
