@@ -1,7 +1,8 @@
 // Command routerd fronts a ring of twitterd nodes with the routing tier
 // from internal/router: ownership-routed single-account endpoints,
-// scatter-gathered users/lookup, per-backend health ejection with probe
-// readmission, and hedged reads against each range's replica holder.
+// users/show and users/lookup forwarded whole to any one node, per-backend
+// health ejection with probe readmission, and hedged reads against each
+// range's replica holder.
 //
 // Its only settings are the listen address, the backends in ring order and
 // the observability flags every binary shares. The ring's slot count, the

@@ -29,9 +29,9 @@ import (
 //   - celebrity-hotspot: every request aimed at the single hottest account
 //     (profile, pages, timeline), concentrating all load on one store
 //     shard — the worst case for lock striping.
-//   - multinode: crawl-shaped traffic plus scattered users/lookup batches,
-//     spread profiles and routed timelines — the shape that exercises a
-//     router's split, merge and failover paths in front of a ring.
+//   - multinode: crawl-shaped traffic plus users/lookup batches spanning
+//     ring ranges, spread profiles and routed timelines — the shape that
+//     exercises a router's spread and failover paths in front of a ring.
 const (
 	MixCrawlHeavy       = "crawl-heavy"
 	MixAuditHeavy       = "audit-heavy"
@@ -316,8 +316,8 @@ func (m *hotspotMix) Next(i int) Op {
 
 // multiMix is the traffic a router in front of a ring has to get right:
 // follower page walks and friends first pages (ownership-routed, the
-// failover path when a member dies), scattered users/lookup batches,
-// spread users/show and routed timelines.
+// failover path when a member dies), users/lookup batches spanning ring
+// ranges, spread users/show and routed timelines.
 type multiMix struct {
 	h     *Harness
 	crawl *crawlMix
@@ -333,9 +333,9 @@ func (m *multiMix) Name() string { return MixMultiNode }
 func (m *multiMix) Next(i int) Op {
 	switch i % 8 {
 	case 5:
-		// A scattered users/lookup: 20 ids drawn from the probe pool span
-		// every ring range with near certainty, so the batch exercises
-		// split + merge.
+		// A users/lookup of 20 ids drawn from the probe pool, which span
+		// every ring range with near certainty: one node answers the whole
+		// batch, so it holds the router to profiles any node renders.
 		ids := make([]string, 20)
 		for j := range ids {
 			ids[j] = strconv.FormatInt(m.h.randomUserID(m.rnd), 10)

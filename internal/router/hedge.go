@@ -5,18 +5,21 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"fakeproject/internal/metrics"
 )
 
-// Request execution: every routed request runs through do(), which knows
-// three tricks for hiding a sick backend from the client:
+// Request execution: every routed request runs through do(), which makes
+// one upstream call on the goroutine serving the client and knows three
+// tricks for hiding a sick backend from the client:
 //
 //   - failover — a hard failure (transport error or 5xx) retries once on
 //     the secondary holder before anything reaches the client;
-//   - hedging — if the primary is merely slow, a duplicate fires at the
-//     secondary after the hedge delay and the first good answer wins;
+//   - hedging — if the primary is merely slow, a timer fires a duplicate at
+//     the secondary after the hedge delay and the first good answer wins;
 //   - pass-through otherwise — a 2xx/3xx/4xx (429 included) is the backend
 //     speaking and is relayed verbatim.
 //
@@ -50,91 +53,104 @@ const (
 	maxPresize = 1 << 20
 )
 
-// do executes orig against primary, failing over and (when canHedge)
-// hedging to secondary. It returns the winning upstream response; a nil
-// response with an error means no backend produced an HTTP answer at all.
+// do executes orig against primary on the caller's goroutine, failing over
+// and (when canHedge) hedging to secondary. It returns the winning upstream
+// response; a nil response with an error means no backend produced an HTTP
+// answer at all.
 func (rt *Router) do(ctx context.Context, orig *http.Request, primary, secondary *backend, canHedge bool) (*upstreamResponse, error) {
 	var body []byte
-	if orig.Body != nil {
+	if orig.Body != nil && orig.Body != http.NoBody {
 		body, _ = io.ReadAll(orig.Body)
 		orig.Body.Close()
 	}
-	ctx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
+	// Every attempt sends the client's headers, less the hop-by-hop one.
+	orig.Header.Del("Connection")
 
-	type result struct {
-		resp *upstreamResponse
-		err  error
-		from *backend
-	}
-	// Buffered to the maximum attempt count so abandoned attempts never
-	// block on send and the inflight WaitGroup always drains.
-	resCh := make(chan result, 2)
-	launch := func(b *backend) {
-		rt.inflight.Add(1)
-		go func() {
+	// The hedge is a timer. Whichever of the primary settling and the timer
+	// firing moves h.state first decides: a settled primary keeps the hedge
+	// from launching, and a launched hedge is the one secondary attempt —
+	// there is no failover after it. Cancelling ctx tears down whichever
+	// attempt loses, and attempt charges no health failure to a torn-down one.
+	var h *hedge
+	if canHedge && secondary != nil && !rt.noHedge {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+		h = &hedge{}
+		h.done.Add(1)
+		rt.inflight.Add(1) // a fired hedge runs until its attempt settles
+		h.stop = rt.clock.AfterFunc(rt.hedgeDelay(), func() {
 			defer rt.inflight.Done()
-			resp, err := rt.attempt(ctx, orig, b, body)
-			resCh <- result{resp, err, b}
-		}()
+			if !secondary.healthy.Load() || !h.state.CompareAndSwap(hedgeArmed, hedgeLaunched) {
+				return
+			}
+			defer h.done.Done()
+			incr(rt.m.hedges)
+			h.resp, h.err = rt.attempt(ctx, orig, secondary, body)
+			if good(h.resp, h.err) {
+				cancel() // the hedge's answer wins: tear the primary down
+			}
+		})
 	}
-
-	launch(primary)
-	pending := 1
-	triedSecondary := secondary == nil
-
-	var hedgeCh chan struct{}
-	if canHedge && !triedSecondary && !rt.noHedge {
-		hedgeCh = make(chan struct{}, 1)
-		delay := rt.hedgeDelay()
-		rt.inflight.Add(1)
-		go func() {
-			defer rt.inflight.Done()
-			rt.clock.Sleep(delay)
-			hedgeCh <- struct{}{}
-		}()
-	}
-	hedged := false
-
-	var fallback *upstreamResponse // best bad answer, relayed if nothing wins
-	var lastErr error
-	for pending > 0 {
-		select {
-		case <-hedgeCh:
-			hedgeCh = nil
-			if !triedSecondary && secondary.healthy.Load() {
-				triedSecondary, hedged = true, true
-				incr(rt.m.hedges)
-				launch(secondary)
-				pending++
-			}
-		case r := <-resCh:
-			pending--
-			if r.err == nil && r.resp.status < http.StatusInternalServerError {
-				if hedged && r.from == secondary {
-					incr(rt.m.hedgeWins)
-				}
-				return r.resp, nil
-			}
-			if r.err != nil {
-				lastErr = r.err
-			} else if fallback == nil {
-				fallback = r.resp
-			}
-			if !triedSecondary {
-				triedSecondary = true
-				incr(rt.m.failovers)
-				launch(secondary)
-				pending++
-			}
+	resp, err := rt.attempt(ctx, orig, primary, body)
+	var resp2 *upstreamResponse
+	var err2 error
+	switch {
+	case h != nil && !h.state.CompareAndSwap(hedgeArmed, hedgeSettled):
+		if good(resp, err) {
+			return resp, nil
 		}
+		h.done.Wait()
+		if resp2, err2 = h.resp, h.err; good(resp2, err2) {
+			incr(rt.m.hedgeWins)
+		}
+	default:
+		if h != nil && h.stop() {
+			rt.inflight.Done() // the timer will never fire
+		}
+		if good(resp, err) || secondary == nil {
+			return resp, err
+		}
+		incr(rt.m.failovers)
+		resp2, err2 = rt.attempt(ctx, orig, secondary, body)
 	}
-	if fallback != nil {
-		// Both attempts answered 5xx: relay the backend's words rather than
-		// inventing our own.
-		return fallback, nil
+	if good(resp2, err2) {
+		return resp2, nil
 	}
-	return nil, lastErr
+	// Both holders failed: relay the primary's 5xx, else the secondary's —
+	// the backend's words rather than the router's own.
+	switch {
+	case err == nil:
+		return resp, nil
+	case err2 == nil:
+		return resp2, nil
+	}
+	return nil, err
+}
+
+// hedge is the state one request's primary attempt and its hedge timer
+// share. The timer writes resp and err before done; the primary reads them
+// only after done, and only once state says the hedge launched.
+type hedge struct {
+	state atomic.Int32
+	stop  func() bool // the timer's
+	done  sync.WaitGroup
+	resp  *upstreamResponse
+	err   error
+}
+
+// hedge.state values: the timer is armed, the primary settled first, or the
+// timer fired first and launched the secondary attempt.
+const (
+	hedgeArmed int32 = iota
+	hedgeSettled
+	hedgeLaunched
+)
+
+// good reports whether an attempt's outcome is one the client may see
+// without a retry: an HTTP answer below 500.
+func good(resp *upstreamResponse, err error) bool {
+	return err == nil && resp.status < http.StatusInternalServerError
 }
 
 // attempt runs one upstream request against b, buffering the body and
@@ -148,8 +164,7 @@ func (rt *Router) attempt(ctx context.Context, orig *http.Request, b *backend, b
 	if err != nil {
 		return nil, err
 	}
-	req.Header = orig.Header.Clone()
-	req.Header.Del("Connection")
+	req.Header = orig.Header // read-only here, so attempts share it
 	start := rt.clock.Now()
 	resp, err := rt.client.Do(req)
 	if err != nil {

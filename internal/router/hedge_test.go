@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -177,8 +178,26 @@ func idsPage(n int) []byte {
 	return append(b, `],"next_cursor":0,"next_cursor_str":"0","previous_cursor":0,"previous_cursor_str":"0"}`+"\n"...)
 }
 
+// lookupBody is what a node holding every account answers to a users/lookup
+// id list: the known ids in list order, duplicates kept, unknown and
+// unparseable entries dropped, compact elements.
+func lookupBody(list string) []byte {
+	b := []byte{'['}
+	for _, part := range strings.Split(list, ",") {
+		id, err := strconv.ParseInt(part, 10, 64)
+		if err != nil || id%7 == 0 {
+			continue
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = fmt.Appendf(b, `{"id":%d,"id_str":"%d"}`, id, id)
+	}
+	return append(b, "]\n"...)
+}
+
 // cutShortBackend answers followers/ids with idsPage(2000) and
-// users/lookup with fakeLookupBody of the ids asked for, each with its
+// users/lookup with lookupBody of the list asked for, each with its
 // Content-Length. When cut it declares the length, writes half the body
 // and drops the connection.
 type cutShortBackend struct{ cut bool }
@@ -186,8 +205,7 @@ type cutShortBackend struct{ cut bool }
 func (c cutShortBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	body := idsPage(2000)
 	if r.URL.Path == pathUsersLookup {
-		ids, _ := parseIDList(r.URL.Query().Get("user_id"))
-		body = fakeLookupBody(ids, knownLookupID)
+		body = lookupBody(r.URL.Query().Get("user_id"))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
@@ -202,12 +220,10 @@ func (c cutShortBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func knownLookupID(id int64) bool { return id%7 != 0 }
-
 // TestUpstreamBodyCutShortFailsOver: a body shorter than its declared
 // length is an attempt error, never short bytes. A routed page and a
-// scattered lookup whose primary cuts its body short are answered from the
-// replica, each with one failover; a body sent chunked, with no length,
+// lookup whose first holder cuts its body short are answered from the
+// other holder, each with one failover; a body sent chunked, with no length,
 // still arrives whole and goes out with the router's own Content-Length;
 // and a HEAD, whose answer declares a length but carries no body, is
 // relayed 200 with no failover or ejection.
@@ -262,18 +278,15 @@ func TestUpstreamBodyCutShortFailsOver(t *testing.T) {
 		t.Errorf("router_failovers_total = %d after one cut-short page, want 1", got)
 	}
 
-	ids := []int64{1, 40, 2, 2, 14, 41, 3, 77, 40}
-	if ring := NewRing(DefaultSlots, 2); ring.Owner(ring.Slot(1)) == ring.Owner(ring.Slot(40)) {
-		t.Fatal("ids 1 and 40 no longer span both ring members")
+	// The list spans both ranges and goes whole to its key slot's first
+	// holder, the cut backend.
+	const list = "1,40,2,2,14,41,3,77"
+	if first, _ := rt.route(rt.keySlot(list), true); first.index != 0 {
+		t.Fatalf("lookup %q routes to backend %d first, want the cut backend 0", list, first.index)
 	}
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = strconv.FormatInt(id, 10)
-	}
-	get(front.Client(), front.URL+pathUsersLookup+"?user_id="+strings.Join(parts, ","),
-		fakeLookupBody(ids, knownLookupID))
+	get(front.Client(), front.URL+pathUsersLookup+"?user_id="+list, lookupBody(list))
 	if got := rt.m.failovers.Value(); got != 2 {
-		t.Errorf("router_failovers_total = %d after a lookup with one cut-short part, want 2", got)
+		t.Errorf("router_failovers_total = %d after a cut-short lookup, want 2", got)
 	}
 
 	resp, err := chunked.Client().Get(chunked.URL + "/1.1/followers/ids.json?user_id=1&cursor=-1")
@@ -342,4 +355,128 @@ func TestSizedReadsKeepConnectionsAlive(t *testing.T) {
 	if got := conns.Load(); got != 1 {
 		t.Errorf("10 sequential requests opened %d upstream connections, want 1", got)
 	}
+}
+
+// TestHedgeRaces pins the hedge state machine on a virtual clock, where the
+// hedge timer fires at once. The primary holder (backend 0 for user_id=1)
+// answers only once the hedge has reached the replica, so every case runs
+// with the hedge launched, and each makes exactly the two attempts.
+func TestHedgeRaces(t *testing.T) {
+	const page = "/1.1/followers/ids.json?user_id=1&cursor=-1"
+	type race struct {
+		rt       *Router
+		front    *httptest.Server
+		hedgeIn  chan struct{} // closed when the replica has the hedge
+		attempts atomic.Int32
+	}
+	setup := func(t *testing.T, primary, replica func(*race, http.ResponseWriter, *http.Request)) *race {
+		r := &race{hedgeIn: make(chan struct{})}
+		p := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			r.attempts.Add(1)
+			<-r.hedgeIn
+			primary(r, w, req)
+		}))
+		t.Cleanup(p.Close)
+		s := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			r.attempts.Add(1)
+			close(r.hedgeIn)
+			replica(r, w, req)
+		}))
+		t.Cleanup(s.Close)
+		rt, err := New(Config{
+			Backends:      []string{p.URL, s.URL},
+			Clock:         simclock.NewVirtualAtEpoch(),
+			Registry:      metrics.NewRegistry(),
+			ProbeInterval: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		r.rt = rt
+		r.front = httptest.NewServer(rt)
+		t.Cleanup(r.front.Close)
+		return r
+	}
+	answer := func(status int, body string) func(*race, http.ResponseWriter, *http.Request) {
+		return func(_ *race, w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(status)
+			_, _ = io.WriteString(w, body)
+		}
+	}
+	// after waits until the router has charged backend b's failure, so the
+	// other attempt answers after b's settled.
+	after := func(b int, next func(*race, http.ResponseWriter, *http.Request)) func(*race, http.ResponseWriter, *http.Request) {
+		return func(r *race, w http.ResponseWriter, req *http.Request) {
+			for deadline := time.Now().Add(10 * time.Second); r.rt.backends[b].fails.Load() == 0 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			next(r, w, req)
+		}
+	}
+	const oops = `{"errors":[{"code":131,"message":"Internal error"}]}` + "\n"
+	check := func(t *testing.T, r *race, status int, body string, hedges, wins, failovers uint64) {
+		t.Helper()
+		resp, err := r.front.Client().Get(r.front.URL + page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != status || string(got) != body {
+			t.Fatalf("HTTP %d %q, want %d %q", resp.StatusCode, got, status, body)
+		}
+		m := r.rt.m
+		if m.hedges.Value() != hedges || m.hedgeWins.Value() != wins || m.failovers.Value() != failovers {
+			t.Errorf("hedges %d, hedge wins %d, failovers %d; want %d, %d, %d",
+				m.hedges.Value(), m.hedgeWins.Value(), m.failovers.Value(), hedges, wins, failovers)
+		}
+		if got := r.attempts.Load(); got != 2 {
+			t.Errorf("%d upstream attempts, want 2", got)
+		}
+	}
+
+	t.Run("primary 5xx, hedge 200", func(t *testing.T) {
+		r := setup(t, answer(http.StatusInternalServerError, oops), after(0, answer(http.StatusOK, fastPage)))
+		check(t, r, http.StatusOK, fastPage, 1, 1, 0)
+	})
+
+	t.Run("primary 200, hedge stalls", func(t *testing.T) {
+		torn := make(chan struct{})
+		r := setup(t, answer(http.StatusOK, fastPage), func(_ *race, _ http.ResponseWriter, req *http.Request) {
+			select {
+			case <-req.Context().Done():
+				close(torn)
+			case <-time.After(30 * time.Second): // safety net only
+			}
+		})
+		check(t, r, http.StatusOK, fastPage, 1, 0, 0)
+		closed := make(chan struct{})
+		go func() { r.rt.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close is still waiting on the stalled hedge")
+		}
+		select {
+		case <-torn:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the replica never saw its hedge torn down")
+		}
+		if got := r.rt.backends[1].fails.Load(); got != 0 || r.rt.Healthy() != 2 {
+			t.Errorf("torn-down hedge charged %d failures, Healthy() = %d; want 0, 2", got, r.rt.Healthy())
+		}
+	})
+
+	t.Run("hedge 5xx, primary 200", func(t *testing.T) {
+		r := setup(t, after(1, answer(http.StatusOK, fastPage)), answer(http.StatusInternalServerError, oops))
+		check(t, r, http.StatusOK, fastPage, 1, 0, 0)
+	})
+
+	t.Run("both 5xx", func(t *testing.T) {
+		const replicaOops = `{"errors":[{"code":130,"message":"Over capacity"}]}` + "\n"
+		r := setup(t, answer(http.StatusInternalServerError, oops), after(0, answer(http.StatusServiceUnavailable, replicaOops)))
+		check(t, r, http.StatusInternalServerError, oops, 1, 0, 0)
+	})
 }

@@ -4,19 +4,19 @@
 // account's state. Ownership endpoints (followers/ids, friends/ids,
 // statuses/user_timeline) route by the account ID's ring slot — a
 // non-holder would silently serve a synthetic view, so these are never
-// load-balanced; users/lookup scatter-gathers across the slot owners and
-// merges the responses back into input order; users/show spreads by screen
-// name (any node resolves profiles identically — see the range-snapshot
-// count folding in internal/twitter).
+// load-balanced. users/show and users/lookup go whole to one node, spread
+// by the screen name or id list: any node renders any profile byte for
+// byte (see the range-snapshot count folding in internal/twitter). Every
+// client request is one upstream call, made on the goroutine serving it.
 //
 // The tier's whole job is to be invisible: the wire observer of the store
 // oracle (wire_test.go) asserts that every byte a client observes through
 // the router — pages, cursors, profiles, errors — is identical to a
-// single-node deployment's, at every check of generated op streams. On top of that it buys graceful degradation: per-backend
-// consecutive-failure ejection with probe-based readmission, transparent
-// failover of a failed attempt to the range's replica holder, and hedged
-// reads that race a slow primary against the replica after a p99-derived
-// delay.
+// single-node deployment's, at every check of generated op streams. On top
+// of that it buys graceful degradation: per-backend consecutive-failure
+// ejection with probe-based readmission, transparent failover of a failed
+// attempt to the range's replica holder, and hedged reads that race a slow
+// primary against the replica after a p99-derived delay.
 //
 // The package stays a stdlib + metrics + simclock leaf (enforced by the
 // fpvet layering rule): it speaks to backends over plain HTTP and knows
@@ -75,7 +75,7 @@ type backend struct {
 }
 
 // Router fronts a ring of twitterd backends. Safe for concurrent use;
-// Close stops the probe loop and waits for hedge bookkeeping goroutines.
+// Close stops the probe loop and waits for launched hedges.
 type Router struct {
 	cfg      Config
 	ring     Ring
@@ -106,7 +106,6 @@ type routerMetrics struct {
 	hedges       *metrics.Counter
 	hedgeWins    *metrics.Counter
 	failovers    *metrics.Counter
-	scatter      *metrics.Counter
 	ejections    []*metrics.Counter
 	readmissions []*metrics.Counter
 	upstream     *metrics.Histogram
@@ -173,8 +172,6 @@ func (rt *Router) observe(reg *metrics.Registry) {
 		"Hedged reads where the replica answered before the primary.")
 	rt.m.failovers = reg.Counter("router_failovers_total",
 		"Attempts retried on another holder after a hard backend failure.")
-	rt.m.scatter = reg.Counter("router_scatter_requests_total",
-		"users/lookup batches split across more than one backend.")
 	reg.RegisterHistogram("router_upstream_seconds",
 		"Latency of individual upstream backend attempts.", rt.m.upstream)
 	for _, b := range rt.backends {
@@ -201,8 +198,8 @@ func (rt *Router) buildHandler(reg *metrics.Registry) http.Handler {
 		{pathFollowerIDs, "followers/ids", rt.serveOwned},
 		{pathFriendIDs, "friends/ids", rt.serveOwned},
 		{pathUserTimeline, "statuses/user_timeline", rt.serveOwned},
-		{pathUsersShow, "users/show", rt.serveShow},
-		{pathUsersLookup, "users/lookup", rt.serveLookup},
+		{pathUsersShow, "users/show", rt.serveSpread("screen_name")},
+		{pathUsersLookup, "users/lookup", rt.serveSpread("user_id")},
 	}
 	mux := http.NewServeMux()
 	var plane *metrics.HTTPPlane
@@ -223,9 +220,10 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.handler.ServeHTTP(w, r)
 }
 
-// Close stops the probe loop and waits for in-flight hedge and probe
-// bookkeeping goroutines (an abandoned real-clock sleep finishes first, so
-// Close can take up to one probe interval or hedge delay).
+// Close stops the probe loop and waits for it and for every hedge that
+// launched (a hedge whose request has settled is torn down, so it ends at
+// once). The probe loop's real-clock sleep finishes first, so Close can
+// take up to one probe interval.
 func (rt *Router) Close() {
 	rt.stopOnce.Do(func() { close(rt.stop) })
 	rt.inflight.Wait()
@@ -328,29 +326,34 @@ func (rt *Router) forwardOwned(w http.ResponseWriter, r *http.Request, slot int)
 	rt.reply(w, resp, err)
 }
 
-// serveShow spreads users/show by screen name. Profiles are a pure
-// function of record and name on every node (see the range-snapshot count
-// folding), so any backend is correct; hashing the name keeps the spread
-// deterministic and cache-friendly.
-func (rt *Router) serveShow(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("screen_name")
-	if name == "" {
-		rt.serveAny(w, r)
-		return
+// serveSpread returns the handler of users/show and users/lookup, which
+// spreads requests by the raw value of param (the screen name or the id
+// list). Profiles are a pure function of record and name on every node
+// (see the range-snapshot count folding), so any backend is correct and a
+// lookup goes whole to one node, whose own parser answers a malformed or
+// oversized list; hashing the value keeps the spread deterministic and
+// cache-friendly. A request without the parameter gets any node's error.
+func (rt *Router) serveSpread(param string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		key := r.URL.Query().Get(param)
+		if key == "" {
+			rt.serveAny(w, r)
+			return
+		}
+		first, second := rt.route(rt.keySlot(key), true)
+		resp, err := rt.do(r.Context(), r, first, second, true)
+		rt.reply(w, resp, err)
 	}
-	first, second := rt.route(rt.nameSlot(name), true)
-	resp, err := rt.do(r.Context(), r, first, second, true)
-	rt.reply(w, resp, err)
 }
 
-// nameSlot maps a screen name onto the ring (64-bit FNV-1a, hashed in
-// place; any deterministic spread works — correctness never depends on
-// where a name lands).
-func (rt *Router) nameSlot(name string) int {
+// keySlot maps a screen name or id list onto the ring (64-bit FNV-1a,
+// hashed in place; any deterministic spread works — correctness never
+// depends on where a key lands).
+func (rt *Router) keySlot(key string) int {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
 		h *= prime64
 	}
 	return int(h % uint64(rt.ring.Slots()))
@@ -385,7 +388,7 @@ func (rt *Router) resolveName(ctx context.Context, orig *http.Request, name stri
 	if auth := orig.Header.Get("Authorization"); auth != "" {
 		req.Header.Set("Authorization", auth)
 	}
-	first, second := rt.route(rt.nameSlot(name), true)
+	first, second := rt.route(rt.keySlot(name), true)
 	resp, err := rt.do(ctx, req, first, second, true)
 	if err != nil || resp == nil {
 		return 0, resolveFailed

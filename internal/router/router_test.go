@@ -6,8 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fakeproject/internal/metrics"
@@ -84,9 +84,10 @@ func TestRoutePolicy(t *testing.T) {
 	}
 }
 
-// TestLookupsSkipEjectedHolders: once backend 0 is ejected, neither a
-// single-owner users/lookup nor a scattered one may try it first — both
-// go straight to the replica, with no failover spent on the way.
+// TestLookupsSkipEjectedHolders: once backend 0 is ejected, no
+// users/lookup may try it first — not even one whose key slot backend 0
+// owns. Each goes whole straight to the other holder, with no failover
+// spent on the way.
 func TestLookupsSkipEjectedHolders(t *testing.T) {
 	flaky := &flakyBackend{}
 	flaky.down.Store(true)
@@ -108,8 +109,7 @@ func TestLookupsSkipEjectedHolders(t *testing.T) {
 			_, _ = io.WriteString(w, fastPage)
 			return
 		}
-		ids, _ := parseIDList(r.URL.Query().Get("user_id"))
-		_, _ = w.Write(fakeLookupBody(ids, func(int64) bool { return true }))
+		_, _ = w.Write(lookupBody(r.URL.Query().Get("user_id")))
 	}))
 	defer good.Close()
 
@@ -148,11 +148,13 @@ func TestLookupsSkipEjectedHolders(t *testing.T) {
 	failovers := rt.m.failovers.Value()
 
 	// IDs 1 and 2 sit in backend 0's range; 40 in backend 1's.
-	if got := get("/1.1/users/lookup.json?user_id=1,2"); !strings.Contains(got, `"id":2`) {
-		t.Errorf("single-owner lookup answered %q", got)
+	for _, list := range []string{"1,2", "1,40", "1,40,2,2,14,41,3,77"} {
+		if got := get("/1.1/users/lookup.json?user_id=" + list); got != string(lookupBody(list)) {
+			t.Errorf("lookup %s answered %q", list, got)
+		}
 	}
-	if got := get("/1.1/users/lookup.json?user_id=1,40"); !strings.Contains(got, `"id":40`) {
-		t.Errorf("scattered lookup answered %q", got)
+	if rt.ring.Owner(rt.keySlot("1,40,2,2,14,41,3,77")) != 0 {
+		t.Error("no lookup's key slot is owned by the ejected backend 0")
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -164,27 +166,112 @@ func TestLookupsSkipEjectedHolders(t *testing.T) {
 	}
 }
 
-// TestNameSlotIsFNV1a: nameSlot hashes in place, and every name lands on
+// TestNameSlotIsFNV1a: keySlot hashes in place, and every key lands on
 // the slot hash/fnv's 64-bit FNV-1a gave it — the bench fixture's names,
-// the op streams' names, the encoder's escaping names and the empty one.
+// the op streams' names, the encoder's escaping names, the empty one and
+// users/lookup id lists.
 func TestNameSlotIsFNV1a(t *testing.T) {
 	rt, err := New(Config{Backends: []string{"http://127.0.0.1:0"}, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	names := append([]string{"", "davc", "genpop_target", "missing_name"}, encoderNames...)
+	names := append([]string{"", "davc", "genpop_target", "missing_name", "1,40,2", "0,-1,1", "1,x"}, encoderNames...)
 	for i := 0; i < 16; i++ {
 		names = append(names, fmt.Sprintf("crawl_t%02d", i), fmt.Sprintf("audit_t%02d", i), fmt.Sprintf("u%05d", i*731))
 	}
 	for _, name := range names {
 		h := fnv.New64a()
 		_, _ = h.Write([]byte(name))
-		if got, want := rt.nameSlot(name), int(h.Sum64()%DefaultSlots); got != want {
-			t.Errorf("nameSlot(%q) = %d, hash/fnv puts it at %d", name, got, want)
+		if got, want := rt.keySlot(name), int(h.Sum64()%DefaultSlots); got != want {
+			t.Errorf("keySlot(%q) = %d, hash/fnv puts it at %d", name, got, want)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { rt.nameSlot("crawl_t07") }); n != 0 {
-		t.Errorf("nameSlot allocates %.0f times", n)
+	if n := testing.AllocsPerRun(100, func() { rt.keySlot("crawl_t07") }); n != 0 {
+		t.Errorf("keySlot allocates %.0f times", n)
 	}
+}
+
+// TestOneLookupOneUpstreamRequest: a users/lookup goes whole to one node,
+// however many ranges its ids span — N lookups through a 2-node ring are N
+// upstream attempts and N lookups at the nodes, each answered with the
+// single node's bytes.
+func TestOneLookupOneUpstreamRequest(t *testing.T) {
+	var lookups [2]atomic.Int32
+	var bases []string
+	for i := range lookups {
+		node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == pathUsersLookup {
+				lookups[i].Add(1)
+			}
+			cutShortBackend{}.ServeHTTP(w, r)
+		}))
+		defer node.Close()
+		bases = append(bases, node.URL)
+	}
+	rt, err := New(Config{Backends: bases, Registry: metrics.NewRegistry(), ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rt.noHedge = true
+	front := httptest.NewServer(rt)
+	defer front.Close()
+
+	const n = 24
+	for i := 0; i < n; i++ {
+		// ids 1..32 and 33..64 sit in different ranges of the 2-node ring.
+		list := fmt.Sprintf("%d,%d,%d,%d", 1+i, 40+i, 1+i, 1000+i)
+		resp, err := front.Client().Get(front.URL + pathUsersLookup + "?user_id=" + list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || string(body) != string(lookupBody(list)) {
+			t.Fatalf("lookup %s: HTTP %d %q, want %q", list, resp.StatusCode, body, lookupBody(list))
+		}
+	}
+	if got := rt.m.upstream.Count(); got != n {
+		t.Errorf("%d lookups made %d upstream attempts, want %d", n, got, n)
+	}
+	if a, b := lookups[0].Load(), lookups[1].Load(); a+b != n || a == 0 || b == 0 {
+		t.Errorf("nodes saw %d + %d lookups, want %d between them, spread over both", a, b, n)
+	}
+}
+
+// nopWriter is a ResponseWriter that keeps headers and discards the body.
+type nopWriter struct{ h http.Header }
+
+func (w nopWriter) Header() http.Header         { return w.h }
+func (w nopWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w nopWriter) WriteHeader(int)             {}
+
+// TestForwardAllocBudget pins the allocations of one forwarded
+// followers/ids page with its hedge timer armed, counted process-wide, so
+// the node answering it and the HTTP client's connection goroutines count
+// too. The hedge delay is warmed to hedgeMax so that no hedge fires.
+func TestForwardAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's pools allocate on their own schedule")
+	}
+	node := httptest.NewServer(cutShortBackend{})
+	defer node.Close()
+	rt, err := New(Config{Backends: []string{node.URL, node.URL}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	req := httptest.NewRequest(http.MethodGet, "/1.1/followers/ids.json?user_id=1&cursor=-1", nil)
+	w := nopWriter{h: make(http.Header)}
+	rt.ServeHTTP(w, req) // open the upstream connection
+	for i := 0; i < hedgeWarmup; i++ {
+		rt.m.upstream.Record(hedgeMax)
+	}
+	const budget = 108
+	got := testing.AllocsPerRun(200, func() { rt.ServeHTTP(w, req) })
+	if got > budget {
+		t.Errorf("%.1f allocations per forwarded request, budget %d", got, budget)
+	}
+	t.Logf("%.1f allocations per forwarded request (budget %d)", got, budget)
 }

@@ -8,136 +8,48 @@ import (
 
 //fp:hotpath
 
-// The users/lookup merge and name resolution read node bodies without
-// decoding them. A node prints a user object with "id" first (appendUser
-// in the API's encoder), so one validating walk finds each element's byte
-// range and id, and the merge splices the ranges. The walk accepts what
+// Name resolution reads a node's users/show body without decoding it. A
+// node prints a user object with "id" first (appendUser in the API's
+// encoder), so one validating walk finds the id. The walk accepts what
 // encoding/json's Valid accepts, narrowed to that grammar; anything else
-// is errMergeShape, which routerd answers with its over-capacity 503.
+// is errBodyShape, and the name does not resolve.
 // FuzzLookupSplitMatchesEncodingJSON holds it to encoding/json.
-
-// lookupElem is one element of a users/lookup body: its byte range,
-// whitespace excluded, and the id its first member holds.
-type lookupElem struct {
-	start, end int
-	id         int64
-}
 
 // maxDepth is encoding/json's nesting limit: Valid rejects a body whose
 // arrays and objects nest deeper.
 const maxDepth = 10000
 
-var errMergeShape = errors.New("router: merge shape mismatch")
+var errBodyShape = errors.New("router: users/show body shape mismatch")
 
-// mergeLookup reassembles scattered users/lookup responses. ids is the
-// client's full list in order, groupOf[i] the body index serving ids[i],
-// bodies the per-group JSON arrays. Each backend returns, for its subset,
-// an in-order subsequence (unknown IDs dropped), so the merge walks the
-// client's list and takes a group's next element exactly when its id
-// matches — preserving order and duplicates, never using an element
-// twice, and dropping IDs no backend answered for. Elements are copied as
-// the nodes printed them, so the output is a single node's bytes.
-func mergeLookup(ids []int64, groupOf []int, bodies [][]byte) ([]byte, error) {
-	if len(groupOf) != len(ids) {
-		return nil, errMergeShape
-	}
-	// A node answers at most one element per id it was sent, so the
-	// client's list bounds the table. Group g's untaken elements are
-	// table[next[g]:end[g]].
-	table := make([]lookupElem, 0, len(ids))
-	next := make([]int, 2*len(bodies))
-	end := next[len(bodies):]
-	size := 0
-	for g, body := range bodies {
-		next[g] = len(table)
-		var err error
-		if table, err = splitLookup(body, table); err != nil {
-			return nil, err
-		}
-		end[g] = len(table)
-		size += len(body)
-	}
-	out := make([]byte, 1, size+1)
-	out[0] = '['
-	for i, id := range ids {
-		g := groupOf[i]
-		if g < 0 || g >= len(bodies) {
-			return nil, errMergeShape
-		}
-		if k := next[g]; k < end[g] && table[k].id == id {
-			if len(out) > 1 {
-				out = append(out, ',')
-			}
-			out = append(out, bodies[g][table[k].start:table[k].end]...)
-			next[g]++
-		}
-	}
-	return append(out, "]\n"...), nil
-}
-
-// splitLookup appends to dst the elements of a users/lookup body, in
-// order: errMergeShape unless body is valid JSON, an array, and each
-// element an object led by an integer "id".
-func splitLookup(body []byte, dst []lookupElem) ([]lookupElem, error) {
-	i := skipSpace(body, 0)
-	if i == len(body) || body[i] != '[' {
-		return dst, errMergeShape
-	}
-	if i = skipSpace(body, i+1); i == len(body) || body[i] != ']' {
-		for {
-			id, end := leadObject(body, i, 2)
-			if end < 0 {
-				return dst, errMergeShape
-			}
-			dst = append(dst, lookupElem{start: i, end: end, id: id})
-			if i = skipSpace(body, end); i == len(body) || body[i] != ',' {
-				break
-			}
-			i = skipSpace(body, i+1)
-		}
-	}
-	if i == len(body) || body[i] != ']' || skipSpace(body, i+1) != len(body) {
-		return dst, errMergeShape
-	}
-	return dst, nil
-}
-
-// leadingID returns the id of a users/show body, one object validated as
-// splitLookup validates an element.
-func leadingID(body []byte) (int64, error) {
-	id, end := leadObject(body, skipSpace(body, 0), 1)
-	if end < 0 || skipSpace(body, end) != len(body) {
-		return 0, errMergeShape
-	}
-	return id, nil
-}
-
-// leadObject scans the object at b[i], nested depth deep, whose first
-// member must be "id" holding an int64 with no fraction or exponent. It
-// returns the id and the index just past the object, or end -1.
-func leadObject(b []byte, i, depth int) (id int64, end int) {
-	if i >= len(b) || b[i] != '{' {
-		return 0, -1
+// leadingID returns the id of a users/show body: valid JSON, one object
+// whose first member is "id" holding an int64 with no fraction or exponent.
+func leadingID(b []byte) (int64, error) {
+	i := skipSpace(b, 0)
+	if i == len(b) || b[i] != '{' {
+		return 0, errBodyShape
 	}
 	j := skipSpace(b, i+1)
 	if len(b)-j < 4 || string(b[j:j+4]) != `"id"` {
-		return 0, -1
+		return 0, errBodyShape
 	}
 	if j = skipSpace(b, j+4); j == len(b) || b[j] != ':' {
-		return 0, -1
+		return 0, errBodyShape
 	}
 	j = skipSpace(b, j+1)
 	num := scanNumber(b, j)
 	if num < 0 {
-		return 0, -1
+		return 0, errBodyShape
 	}
 	// ParseInt refuses a fraction, an exponent and an overflow.
 	id, err := strconv.ParseInt(string(b[j:num]), 10, 64)
 	if err != nil {
-		return 0, -1
+		return 0, errBodyShape
 	}
 	// The head is read; the object is validated whole, head again included.
-	return id, scanValue(b, i, depth-1)
+	if end := scanValue(b, i, 0); end < 0 || skipSpace(b, end) != len(b) {
+		return 0, errBodyShape
+	}
+	return id, nil
 }
 
 // scanValue scans the value at b[i], inside containers nested depth deep,

@@ -79,10 +79,13 @@ func bigList() []difftest.Op {
 // twitterd does, a plain node and every member of 1-, 2- and 4-node rings,
 // each ring behind a router with hedging off. Then (a) the plain node's
 // decoded answers equal the live observation; (b) every ring answers the
-// request surface byte for byte as the plain node does; (c) every range's
-// /admin/snapshot export is the same bytes from its primary, its replica
-// and the plain node; (d) in the 2-node ring, (b)'s walks and lookups stay
-// identical while member 1 is dead and once a probe readmits it on rejoin.
+// request surface byte for byte as the plain node does, and so does every
+// member asked a users/show or users/lookup probe straight (the router
+// sends those to any member, failover and hedge targets included); (c)
+// every range's /admin/snapshot export is the same bytes from its primary,
+// its replica and the plain node; (d) in the 2-node ring, (b)'s walks and
+// lookups stay identical while member 1 is dead and once a probe readmits
+// it on rejoin.
 func wire(tb difftest.TB, live difftest.Live) error {
 	snap := filepath.Join(tb.TempDir(), "live.snap")
 	if err := os.WriteFile(snap, live.Obs.SnapshotBytes, 0o644); err != nil {
@@ -363,6 +366,16 @@ func ringMatchesPlain(snap string, plain *node, probes []probe, nodes int) error
 	}
 	if err := same(false); err != nil { // (b)
 		return err
+	}
+	for _, p := range probes {
+		if !strings.HasPrefix(p.path, "/1.1/users/show.json") && !strings.HasPrefix(p.path, "/1.1/users/lookup.json") {
+			continue
+		}
+		for m, member := range members {
+			if got, err := get(member.base + p.path); err != nil || got != p.want {
+				return fmt.Errorf("GET %s:\n  plain node: %v\n  member %d:   %v (%v)", p.path, p.want, m, got, err)
+			}
+		}
 	}
 	export := func(query string, holders ...int) error {
 		want, err := get(plain.base + "/admin/snapshot" + query)

@@ -23,6 +23,10 @@ type Clock interface {
 	// Sleep blocks (or virtually advances) for duration d.
 	// Negative or zero durations return immediately.
 	Sleep(d time.Duration)
+	// AfterFunc calls f on its own goroutine once d has passed. The
+	// returned stop cancels the call: it reports true if f will not run,
+	// false if f has been started (or, on a virtual clock, always runs).
+	AfterFunc(d time.Duration, f func()) (stop func() bool)
 }
 
 // Real is a Clock backed by the operating system's wall clock.
@@ -39,6 +43,11 @@ func (Real) Sleep(d time.Duration) {
 	if d > 0 {
 		time.Sleep(d)
 	}
+}
+
+// AfterFunc implements Clock with a runtime timer.
+func (Real) AfterFunc(d time.Duration, f func()) func() bool {
+	return time.AfterFunc(d, f).Stop
 }
 
 // Virtual is a deterministic Clock whose time only moves when explicitly
@@ -90,6 +99,14 @@ func (v *Virtual) Sleep(d time.Duration) {
 	v.now = v.now.Add(d)
 	v.sleeps++
 	v.slept += d
+}
+
+// AfterFunc implements Clock: the wait is one Sleep of d, after which f
+// runs at once on its own goroutine, so stop never prevents it.
+func (v *Virtual) AfterFunc(d time.Duration, f func()) func() bool {
+	v.Sleep(d)
+	go f()
+	return func() bool { return false }
 }
 
 // Advance moves the clock forward by d without recording a sleep.

@@ -253,3 +253,45 @@ func TestVirtualSchedulerWorkerInterleaving(t *testing.T) {
 		t.Fatalf("27-day watch consumed %v of virtual time, want %v", got, want)
 	}
 }
+
+// TestVirtualAfterFunc: the wait is one Sleep of d that moves Now by d, f
+// runs once, and stop cannot prevent it.
+func TestVirtualAfterFunc(t *testing.T) {
+	v := NewVirtualAtEpoch()
+	ran := make(chan struct{}, 2)
+	stop := v.AfterFunc(250*time.Millisecond, func() { ran <- struct{}{} })
+	if v.Sleeps() != 1 || v.Slept() != 250*time.Millisecond {
+		t.Errorf("Sleeps() = %d, Slept() = %v; want 1, 250ms", v.Sleeps(), v.Slept())
+	}
+	if got, want := v.Now(), Epoch.Add(250*time.Millisecond); !got.Equal(want) {
+		t.Errorf("Now() = %v, want %v", got, want)
+	}
+	if stop() {
+		t.Error("stop() = true; a virtual AfterFunc always runs f")
+	}
+	select {
+	case <-ran:
+	case <-time.After(10 * time.Second):
+		t.Fatal("f never ran")
+	}
+	select {
+	case <-ran:
+		t.Fatal("f ran twice")
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// TestRealAfterFuncStop: a stop before the deadline reports true and f
+// never runs.
+func TestRealAfterFuncStop(t *testing.T) {
+	ran := make(chan struct{}, 1)
+	stop := Real{}.AfterFunc(200*time.Millisecond, func() { ran <- struct{}{} })
+	if !stop() {
+		t.Fatal("stop() before the deadline = false, want true")
+	}
+	select {
+	case <-ran:
+		t.Fatal("f ran after a successful stop")
+	case <-time.After(400 * time.Millisecond): // past the deadline
+	}
+}

@@ -62,7 +62,7 @@ echo "==> booting routerd in front of the ring"
 pids+=($!); disown $!
 wait_ready "$router" routerd.log
 
-echo "==> sanity: a scattered lookup through the router"
+echo "==> sanity: a lookup spanning both ranges through the router"
 curl -sf "http://$router/1.1/users/lookup.json?user_id=1,2,3,4,5,6,7,8" >/dev/null
 
 echo "==> sweeping the read-only mixes through the router"
