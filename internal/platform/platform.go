@@ -215,9 +215,10 @@ func (p *Process) OpenStore(clock simclock.Clock) (*twitter.Store, error) {
 
 // ServeAPI mounts the API plane over store on the root mux: the
 // twitterapi server at "/" (Table I limits unless Spec.NoLimits, observed
-// when the process is), /healthz for the router's probes and /admin/snapshot
-// for range export. It returns the service behind the server so in-process
-// clients can share it.
+// when the process is; it answers the router's /admin/resolve itself),
+// /healthz for the router's probes and /admin/snapshot for range export.
+// It returns the service behind the server so in-process clients can
+// share it.
 func (p *Process) ServeAPI(store *twitter.Store, clock simclock.Clock) *twitterapi.Service {
 	svc := twitterapi.NewService(store)
 	limits := twitterapi.DefaultLimits()

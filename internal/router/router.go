@@ -7,7 +7,13 @@
 // load-balanced. users/show and users/lookup go whole to one node, spread
 // by the screen name or id list: any node renders any profile byte for
 // byte (see the range-snapshot count folding in internal/twitter). Every
-// client request is one upstream call, made on the goroutine serving it.
+// client request is one upstream call, made on the goroutine serving it,
+// and the router decodes no body.
+//
+// Besides the API, the router relies on two node routes: /healthz, which
+// its readmission probes poll, and /admin/resolve, which turns a
+// screen_name into the decimal id an ownership endpoint routes by without
+// debiting the client's rate-limit budget.
 //
 // The tier's whole job is to be invisible: the wire observer of the store
 // oracle (wire_test.go) asserts that every byte a client observes through
@@ -27,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -45,6 +52,7 @@ const (
 	pathUsersLookup  = "/1.1/users/lookup.json"
 	pathUsersShow    = "/1.1/users/show.json"
 	pathUserTimeline = "/1.1/statuses/user_timeline.json"
+	pathResolve      = "/admin/resolve"
 )
 
 // Config shapes a Router. The ring's geometry (DefaultSlots) and its
@@ -301,7 +309,7 @@ func (rt *Router) serveOwned(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if name := q.Get("screen_name"); name != "" {
-		id, res := rt.resolveName(r.Context(), r, name)
+		id, res := rt.resolveName(r.Context(), name)
 		switch res {
 		case resolveOK:
 			rt.forwardOwned(w, r, rt.ring.Slot(id))
@@ -369,11 +377,11 @@ const (
 )
 
 // resolveName turns a screen name into an account ID so an ownership
-// endpoint can route by slot. Positive results are cached forever (names
-// are immutable and accounts are never deleted). The lookup reuses the
-// client's bearer token: on a rate-limited deployment the resolution
-// debits the same tenant that asked for it.
-func (rt *Router) resolveName(ctx context.Context, orig *http.Request, name string) (int64, resolveResult) {
+// endpoint can route by slot. It asks any node's /admin/resolve, which
+// answers the bare decimal id and debits no tenant's budget. Positive
+// results are cached forever (names are immutable and accounts are never
+// deleted).
+func (rt *Router) resolveName(ctx context.Context, name string) (int64, resolveResult) {
 	rt.namesMu.RLock()
 	id, ok := rt.names[name]
 	rt.namesMu.RUnlock()
@@ -381,21 +389,18 @@ func (rt *Router) resolveName(ctx context.Context, orig *http.Request, name stri
 		return id, resolveOK
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		pathUsersShow+"?screen_name="+queryEscape(name), nil)
+		pathResolve+"?screen_name="+url.QueryEscape(name), nil)
 	if err != nil {
 		return 0, resolveFailed
-	}
-	if auth := orig.Header.Get("Authorization"); auth != "" {
-		req.Header.Set("Authorization", auth)
 	}
 	first, second := rt.route(rt.keySlot(name), true)
 	resp, err := rt.do(ctx, req, first, second, true)
 	if err != nil || resp == nil {
 		return 0, resolveFailed
 	}
-	switch {
-	case resp.status == http.StatusOK:
-		id, err := leadingID(resp.body)
+	switch resp.status {
+	case http.StatusOK:
+		id, err := strconv.ParseInt(string(resp.body), 10, 64)
 		if err != nil || id < 1 {
 			return 0, resolveFailed
 		}
@@ -406,7 +411,7 @@ func (rt *Router) resolveName(ctx context.Context, orig *http.Request, name stri
 		rt.names[name] = id
 		rt.namesMu.Unlock()
 		return id, resolveOK
-	case resp.status == http.StatusNotFound:
+	case http.StatusNotFound:
 		return 0, resolveUnknown
 	default:
 		return 0, resolveFailed
@@ -456,23 +461,4 @@ func (rt *Router) overCapacity(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	_, _ = w.Write([]byte(`{"errors":[{"code":130,"message":"Over capacity"}]}` + "\n"))
-}
-
-// queryEscape escapes a screen name for a query string. Screen names are
-// alphanumeric-plus-underscore in the simulated platform, but the router
-// must not corrupt arbitrary client input, so escape fully.
-func queryEscape(s string) string {
-	const hexdigits = "0123456789ABCDEF"
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '-', c == '_', c == '.', c == '~':
-			out = append(out, c)
-		default:
-			out = append(out, '%', hexdigits[c>>4], hexdigits[c&0xF])
-		}
-	}
-	return string(out)
 }

@@ -1,17 +1,38 @@
 package router
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"fakeproject/internal/metrics"
+	"fakeproject/internal/simclock"
+	"fakeproject/internal/twitter"
+	"fakeproject/internal/twitterapi"
 )
+
+// encoderNames are screen names that exercise the encoder's string
+// escaping, and so every byte a query string must escape: the
+// two-character escapes, \u00XX, U+2028 and U+2029, the HTML-safe < > &,
+// and invalid UTF-8.
+var encoderNames = []string{
+	"plain",
+	"\"\\\b\f\n\r\t\x7f",
+	"\u2028\u2029",
+	"<a&b>",
+	"\xff",
+	"a\xc0\xafb",
+	"\u00e9\xe2\x80",
+	"\u2027\u202a",
+	"\x00",
+}
 
 // TestRoutePolicy pins the one routing policy. On a healthy ring a request
 // for a slot goes to the slot's owner and then its replica, whether or not
@@ -189,6 +210,45 @@ func TestNameSlotIsFNV1a(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { rt.keySlot("crawl_t07") }); n != 0 {
 		t.Errorf("keySlot allocates %.0f times", n)
+	}
+}
+
+// TestNamesSurviveTheQueryString: a followers/ids by screen_name of every
+// escaping name answers the node's own bytes through the router, and the
+// router resolves the name to the id the node's store holds for it.
+func TestNamesSurviveTheQueryString(t *testing.T) {
+	clock := simclock.NewVirtualAtEpoch()
+	store := twitter.NewStore(clock, 1)
+	node := httptest.NewServer(twitterapi.NewServerLimits(twitterapi.NewService(store), clock, nil))
+	defer node.Close()
+	rt, err := New(Config{Backends: []string{node.URL}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt)
+	defer front.Close()
+	fetch := func(uri string) string {
+		resp, err := http.Get(uri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return fmt.Sprintf("%d %s", resp.StatusCode, body)
+	}
+	for _, name := range encoderNames {
+		id, err := store.CreateUser(twitter.UserParams{ScreenName: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := pathFollowerIDs + "?screen_name=" + url.QueryEscape(name) + "&cursor=-1"
+		if want, got := fetch(node.URL+path), fetch(front.URL+path); got != want || want[:4] != "200 " {
+			t.Errorf("%q: router answers %q, node %q", name, got, want)
+		}
+		if got, res := rt.resolveName(context.Background(), name); res != resolveOK || got != int64(id) {
+			t.Errorf("%q resolves to %d (%d), want %d", name, got, res, id)
+		}
 	}
 }
 

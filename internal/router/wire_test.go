@@ -7,6 +7,7 @@ package router_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -246,8 +247,15 @@ func (r reply) String() string {
 	return fmt.Sprintf("%d [%s, Content-Length %q] %.160q", r.status, r.contentType, r.contentLength, r.body)
 }
 
+// get fetches url as one tenant, whose bearer token matters only to a
+// node with limits on.
 func get(url string) (reply, error) {
-	resp, err := http.Get(url)
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		return reply{}, err
+	}
+	req.Header.Set("Authorization", "Bearer wire")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return reply{}, err
 	}
@@ -415,4 +423,59 @@ func ringMatchesPlain(snap string, plain *node, probes []probe, nodes int) error
 		return fmt.Errorf("member 1 rejoined: %w", err)
 	}
 	return nil
+}
+
+// TestRingResolvesNamesUnmetered: with Table I limits on, a tenant that has
+// spent its users/show budget on every node still reads followers/ids by
+// screen name through a 2-node ring exactly as from a plain node: the
+// router's name resolution debits no budget.
+func TestRingResolvesNamesUnmetered(t *testing.T) {
+	store := twitter.NewStore(simclock.NewVirtualAtEpoch(), 1)
+	alpha := store.MustCreateUser(twitter.UserParams{ScreenName: "alpha"})
+	for i := 1; i <= 3; i++ {
+		if err := store.AddFollower(alpha, store.MustCreateUser(twitter.UserParams{}), simclock.Epoch.Add(time.Duration(i-4)*time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := filepath.Join(t.TempDir(), "alpha.snap")
+	f, err := os.Create(snap)
+	if err == nil {
+		err = errors.Join(store.WriteSnapshot(f), f.Close())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := []*node{{spec: platform.Spec{Addr: "127.0.0.1:0", Load: snap}}}
+	for i := 0; i < 2; i++ {
+		nodes = append(nodes, &node{spec: platform.Spec{Addr: "127.0.0.1:0", Load: snap, RingIndex: i, RingNodes: 2}})
+	}
+	for _, n := range nodes {
+		if err := n.start(); err != nil {
+			t.Fatal(err)
+		}
+		defer n.kill()
+		for spent := 0; ; spent++ {
+			r, err := get(n.base + "/1.1/users/show.json?screen_name=alpha")
+			if err != nil || spent > 1000 {
+				t.Fatalf("spending users/show on %s: %v after %d calls (%v)", n.base, r, spent, err)
+			}
+			if r.status == http.StatusTooManyRequests {
+				break
+			}
+		}
+	}
+	rt, err := router.New(router.Config{Backends: []string{nodes[1].base, nodes[2].base}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rt.DisableHedging()
+	front := httptest.NewServer(rt)
+	defer front.Close()
+	const path = "/1.1/followers/ids.json?screen_name=alpha&cursor=-1"
+	want, werr := get(nodes[0].base + path)
+	got, gerr := get(front.URL + path)
+	if werr != nil || gerr != nil || want.status != http.StatusOK || got != want {
+		t.Fatalf("GET %s:\n  plain node: %v (%v)\n  ring:       %v (%v)", path, want, werr, got, gerr)
+	}
 }

@@ -40,11 +40,11 @@ func NewServerLimits(svc *Service, clock simclock.Clock, limits map[string]ratel
 }
 
 // NewServerObserved is the one server builder. With a registry it wraps the
-// shared HTTP instrumentation around every route (plane "api"): per-endpoint
-// latency histograms and status-class counters in reg, plus 429 throttle
-// counters fed from gate() and the limiter's rejection/backoff totals. With
-// a nil registry the routes are mounted bare — no wrapper on the request
-// path, no counters.
+// shared HTTP instrumentation around every API route (plane "api"):
+// per-endpoint latency histograms and status-class counters in reg, plus 429
+// throttle counters fed from gate() and the limiter's rejection/backoff
+// totals. With a nil registry the routes are mounted bare — no wrapper on
+// the request path, no counters.
 func NewServerObserved(svc *Service, clock simclock.Clock, limits map[string]ratelimit.Limit, reg *metrics.Registry) *Server {
 	s := &Server{
 		svc:     svc,
@@ -70,7 +70,22 @@ func NewServerObserved(svc *Service, clock simclock.Clock, limits map[string]rat
 		}
 		s.mux.Handle(rt.path, plane.Wrap(rt.endpoint, rt.handler))
 	}
+	s.mux.HandleFunc("GET /admin/resolve", s.handleResolve)
 	return s
+}
+
+// handleResolve answers GET /admin/resolve?screen_name= with the account's
+// id as a bare decimal, or 404 for a name users/show does not know. It is
+// the router's name resolution: outside routes(), so it debits no budget
+// and records no api metric.
+func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
+	id, err := s.svc.Store().LookupName(r.URL.Query().Get("screen_name"))
+	if err != nil {
+		http.NotFound(w, r)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain")
+	_, _ = w.Write(strconv.AppendInt(nil, int64(id), 10))
 }
 
 // route binds one API path to its endpoint label (the Table I name, also

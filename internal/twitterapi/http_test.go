@@ -1,11 +1,15 @@
 package twitterapi
 
 import (
+	"bytes"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"fakeproject/internal/metrics"
 	"fakeproject/internal/simclock"
 	"fakeproject/internal/twitter"
 )
@@ -136,5 +140,56 @@ func TestHTTPBadRequests(t *testing.T) {
 	big := make([]twitter.UserID, 101)
 	if _, err := client.UsersLookup(big); err == nil {
 		t.Fatal("oversized lookup should error client-side")
+	}
+}
+
+// TestAdminResolve: /admin/resolve answers the id of a name users/show
+// knows as a bare decimal and 404 for any other, still for a token that
+// has spent every Table I budget, and an observed server keeps no series
+// for it.
+func TestAdminResolve(t *testing.T) {
+	clock := simclock.NewVirtualAtEpoch()
+	store := twitter.NewStore(clock, 1)
+	target := store.MustCreateUser(twitter.UserParams{ScreenName: "target"})
+	synthetic, err := store.ScreenName(store.MustCreateUser(twitter.UserParams{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	srv := NewServerObserved(NewService(store), clock, DefaultLimits(), reg)
+	serve := func(uri string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodGet, uri, nil)
+		req.Header.Set("Authorization", "Bearer spent")
+		srv.ServeHTTP(rec, req)
+		return rec
+	}
+	for _, rt := range srv.routes() {
+		for spent := 0; serve(rt.path+"?user_id=1").Code != http.StatusTooManyRequests; spent++ {
+			if spent > 1000 {
+				t.Fatalf("%s never answers 429", rt.endpoint)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		query, body string
+		status      int
+	}{
+		{"?screen_name=target", strconv.FormatInt(int64(target), 10), http.StatusOK},
+		{"?screen_name=ghost", "", http.StatusNotFound},
+		{"?screen_name=" + synthetic, "", http.StatusNotFound},
+		{"", "", http.StatusNotFound},
+	} {
+		rec := serve("/admin/resolve" + tc.query)
+		if rec.Code != tc.status || tc.status == http.StatusOK && rec.Body.String() != tc.body {
+			t.Errorf("/admin/resolve%s: HTTP %d %q, want %d %q", tc.query, rec.Code, rec.Body, tc.status, tc.body)
+		}
+	}
+	var exposed bytes.Buffer
+	if err := reg.WritePrometheus(&exposed); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(exposed.String(), `endpoint="admin/resolve"`) {
+		t.Error("an observed server keeps series for /admin/resolve")
 	}
 }
