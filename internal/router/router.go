@@ -13,7 +13,9 @@
 // Besides the API, the router relies on two node routes: /healthz, which
 // its readmission probes poll, and /admin/resolve, which turns a
 // screen_name into the decimal id an ownership endpoint routes by without
-// debiting the client's rate-limit budget.
+// debiting the client's rate-limit budget. The router relays neither these
+// nor any other /admin/ route to a client: the node admin plane (range
+// exports, name resolution) is scraped from the members themselves.
 //
 // The tier's whole job is to be invisible: the wire observer of the store
 // oracle (wire_test.go) asserts that every byte a client observes through
@@ -43,9 +45,9 @@ import (
 	"fakeproject/internal/simclock"
 )
 
-// The API routes the router understands. Everything else forwards to a
-// deterministic healthy backend (all backends answer uniformly for paths
-// outside the ownership surface, including 404s).
+// The API routes the router understands. Everything else outside /admin/
+// forwards to a deterministic healthy backend (all backends answer
+// uniformly for paths outside the ownership surface, including 404s).
 const (
 	pathFollowerIDs  = "/1.1/followers/ids.json"
 	pathFriendIDs    = "/1.1/friends/ids.json"
@@ -217,6 +219,10 @@ func (rt *Router) buildHandler(reg *metrics.Registry) http.Handler {
 	for _, r := range routes {
 		mux.Handle(r.path, plane.Wrap(r.endpoint, r.h))
 	}
+	// The node admin plane is not relayed: /admin/ answers as a node does
+	// for a path it lacks, with no upstream call, so no client pulls a
+	// range export through the router's memory.
+	mux.Handle("/admin/", plane.Wrap("other", http.HandlerFunc(http.NotFound)))
 	// Everything else — unknown paths included — forwards to a
 	// deterministic healthy backend so the router stays invisible.
 	mux.Handle("/", plane.Wrap("other", http.HandlerFunc(rt.serveAny)))

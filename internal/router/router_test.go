@@ -335,3 +335,35 @@ func TestForwardAllocBudget(t *testing.T) {
 	}
 	t.Logf("%.1f allocations per forwarded request (budget %d)", got, budget)
 }
+
+// TestAdminPlaneIsNotRelayed: the router answers /admin/ itself with a
+// node's 404 for a path it lacks, so a range export or a name resolution
+// never reaches a backend through it.
+func TestAdminPlaneIsNotRelayed(t *testing.T) {
+	var seen atomic.Int32
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen.Add(1)
+		w.Write([]byte("4"))
+	}))
+	defer node.Close()
+	rt, err := New(Config{Backends: []string{node.URL}, Registry: metrics.NewRegistry(), ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt)
+	defer front.Close()
+	for _, path := range []string{"/admin/snapshot?node=0&nodes=1", "/admin/resolve?screen_name=alpha"} {
+		resp, err := front.Client().Get(front.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s through the router: HTTP %d, want 404", path, resp.StatusCode)
+		}
+	}
+	if n := seen.Load(); n != 0 {
+		t.Errorf("the backend saw %d requests, want none", n)
+	}
+}

@@ -134,7 +134,7 @@ func sealBlock(tail []segEdge) edgeBlock {
 }
 
 // edgeSealer accumulates edges in order and cuts canonical blocks — the
-// shared builder behind purge rewrites and snapshot loads.
+// builder behind purge rewrites.
 type edgeSealer struct {
 	blocks []edgeBlock
 	tail   []segEdge
@@ -408,18 +408,20 @@ func appendSegEdge(dst []byte, prev, e segEdge) []byte {
 }
 
 // readSegEdge decodes one edge relative to prev, returning the edge, the
-// bytes consumed, and whether the bytes were well-formed.
+// bytes consumed, and whether the bytes were the edge's one encoding: three
+// minimal uvarints, exactly as appendSegEdge writes them (a multi-byte
+// varint ending in 0x00 is the one non-minimal form binary.Uvarint takes).
 func readSegEdge(data []byte, prev segEdge) (segEdge, int, bool) {
 	df, n1 := binary.Uvarint(data)
-	if n1 <= 0 {
+	if n1 <= 0 || n1 > 1 && data[n1-1] == 0 {
 		return segEdge{}, 0, false
 	}
 	da, n2 := binary.Uvarint(data[n1:])
-	if n2 <= 0 {
+	if n2 <= 0 || n2 > 1 && data[n1+n2-1] == 0 {
 		return segEdge{}, 0, false
 	}
 	ds, n3 := binary.Uvarint(data[n1+n2:])
-	if n3 <= 0 {
+	if n3 <= 0 || n3 > 1 && data[n1+n2+n3-1] == 0 {
 		return segEdge{}, 0, false
 	}
 	return segEdge{
@@ -429,43 +431,84 @@ func readSegEdge(data []byte, prev segEdge) (segEdge, int, bool) {
 	}, n1 + n2 + n3, true
 }
 
-// errEdgeStream reports a malformed whole-list edge stream (snapshot reads).
-var errEdgeStream = errors.New("twitter: malformed edge stream")
+// errEdgeStream reports a snapshot edge stream that is not one
+// appendEdgeStream writes: malformed or non-minimal varints, a short or
+// long stream, or edges that break the list's invariants.
+var errEdgeStream = errors.New("malformed edge stream")
 
-// appendEdgeStream encodes the view's live edges as one chained delta
-// stream — the snapshot wire form. The stream restarts its delta chain
-// from the zero edge, so it is self-contained and byte-identical for equal
-// logical state regardless of how blocks happen to be cut in memory.
+// appendEdgeStream appends the view's live edges in the snapshot wire form:
+// every sealed block's bytes as they are, then the tail encoded the same
+// way, its delta chain restarting from the zero edge as every block's does.
+// Blocks are canonical, so the bytes are a function of the live edges
+// alone, whatever store wrote them.
 func appendEdgeStream(dst []byte, v *edgeView) []byte {
-	prev := segEdge{}
-	v.forEach(func(e segEdge) bool {
+	for i := range v.blocks {
+		dst = append(dst, v.blocks[i].data...)
+	}
+	var prev segEdge
+	for _, e := range v.tail {
 		dst = appendSegEdge(dst, prev, e)
 		prev = e
-		return true
-	})
+	}
 	return dst
 }
 
-// decodeEdgeStream decodes exactly count edges from data, calling fn for
-// each, and errors on malformed input, a short stream, or trailing bytes.
-// fn may return an error to abort (validation failures during snapshot
-// loads). Arbitrary inputs never panic: every decode failure surfaces as
-// errEdgeStream, the property FuzzEdgeSegmentDecode pins.
-func decodeEdgeStream(data []byte, count int, fn func(segEdge) error) error {
-	prev := segEdge{}
+// loadEdgeStream is the snapshot reader's inverse of appendEdgeStream: it
+// decodes exactly count edges from data, each once, and returns them as a
+// view that adopts every full block's bytes in place (data is retained) and
+// holds the rest as its tail. Nothing is re-sealed, so it accepts only what
+// sealBlock produces — minimal varints, a chain restarting from the zero
+// edge every edgeBlockLen edges, no byte left over — and only a valid list:
+// followers in 1..maxFollower, times from 0 and never going back, seqs
+// strictly increasing. Anything else, arbitrary bytes included, fails with
+// errEdgeStream and never panics, the property FuzzEdgeSegmentDecode pins.
+func loadEdgeStream(data []byte, count int, maxFollower int64) (*edgeView, error) {
+	// An edge takes at least three bytes, which bounds what count may
+	// allocate before a byte is read.
+	if count < 0 || count > len(data)/3 {
+		return nil, errEdgeStream
+	}
+	full := count / edgeBlockLen
+	v := &edgeView{blocks: make([]edgeBlock, 0, full), total: count, ever: true}
+	if rest := count - full*edgeBlockLen; rest > 0 {
+		v.tail = make([]segEdge, 0, rest)
+	}
+	var prev, last segEdge // chain base (the zero edge at each block start), previous edge
+	start, off := 0, 0
+	var firstSeq uint64
 	for i := 0; i < count; i++ {
-		e, n, ok := readSegEdge(data, prev)
-		if !ok {
-			return errEdgeStream
+		k := i % edgeBlockLen
+		if k == 0 {
+			prev, start = segEdge{}, off
 		}
-		data = data[n:]
-		if err := fn(e); err != nil {
-			return err
+		e, n, ok := readSegEdge(data[off:], prev)
+		if !ok || e.follower < 1 || e.follower > maxFollower || e.at < last.at || e.seq <= last.seq {
+			return nil, errEdgeStream
 		}
-		prev = e
+		off += n
+		prev, last = e, e
+		switch {
+		case i >= full*edgeBlockLen:
+			v.tail = append(v.tail, e)
+		case k == 0:
+			firstSeq = e.seq
+		case k == edgeBlockLen-1:
+			v.blocks = append(v.blocks, edgeBlock{data: data[start:off:off], firstSeq: firstSeq, lastSeq: e.seq, lastAt: e.at})
+		}
 	}
-	if len(data) != 0 {
-		return errEdgeStream
+	if off != len(data) {
+		return nil, errEdgeStream
 	}
-	return nil
+	return v, nil
+}
+
+// newestSeq returns the newest live edge's seq, or 0 with no edge live.
+func (v *edgeView) newestSeq() uint64 {
+	if n := len(v.tail); n > 0 {
+		return v.tail[n-1].seq
+	}
+	if n := len(v.blocks); n > 0 {
+		return v.blocks[n-1].lastSeq
+	}
+	return 0
 }

@@ -2,7 +2,9 @@ package twitter
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -11,7 +13,7 @@ import (
 // advance, and strictly increasing seqs with occasional gaps (purged edges).
 func randEdges(rng *rand.Rand, n int) []segEdge {
 	out := make([]segEdge, n)
-	var follower, at int64 = 0, 1_300_000_000
+	var follower, at int64 = 1_000_000, 1_300_000_000 // followers stay valid IDs
 	var seq uint64
 	for i := range out {
 		follower += int64(rng.Intn(2000)) - 700 // may go backward
@@ -149,8 +151,7 @@ func TestEdgeListAppendAndNavigate(t *testing.T) {
 }
 
 // TestEdgeSealerMatchesAppendPath pins block-cut canonicality: a list built
-// edge-by-edge and one rebuilt through the sealer (the purge/snapshot-load
-// path) publish views with identical blocks, stream bytes and navigation.
+// edge-by-edge and one rebuilt through the sealer (the purge path) publish views with identical blocks, stream bytes and navigation.
 func TestEdgeSealerMatchesAppendPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	edges := randEdges(rng, 2*edgeBlockLen+41)
@@ -175,32 +176,33 @@ func TestEdgeSealerMatchesAppendPath(t *testing.T) {
 	}
 }
 
-// TestEdgeStreamRoundTrip covers the snapshot wire form of a live edge list.
+// TestEdgeStreamRoundTrip covers the snapshot wire form of a live edge
+// list: the loader rebuilds exactly the view the sealer built (the same
+// blocks, bytes and tail), which writes back to the same stream, and a
+// stream one byte short or with a byte left over is refused.
 func TestEdgeStreamRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	edges := randEdges(rng, edgeBlockLen+57)
+	edges := randEdges(rng, 2*edgeBlockLen+57)
 	var sealer edgeSealer
 	for _, e := range edges {
 		sealer.add(e)
 	}
-	data := appendEdgeStream(nil, sealer.finish(true))
-	var got []segEdge
-	if err := decodeEdgeStream(data, len(edges), func(e segEdge) error {
-		got = append(got, e)
-		return nil
-	}); err != nil {
+	want := sealer.finish(true)
+	data := appendEdgeStream(nil, want)
+	got, err := loadEdgeStream(data, len(edges), math.MaxInt64)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range edges {
-		if got[i] != edges[i] {
-			t.Fatalf("edge %d = %+v, want %+v", i, got[i], edges[i])
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("loaded view differs from the sealed one")
 	}
-	// Short and trailing inputs error instead of panicking or succeeding.
-	if err := decodeEdgeStream(data[:len(data)-1], len(edges), func(segEdge) error { return nil }); err == nil {
-		t.Fatal("truncated stream decoded")
+	if !bytes.Equal(appendEdgeStream(nil, got), data) {
+		t.Fatal("loaded view writes different bytes")
 	}
-	if err := decodeEdgeStream(data, len(edges)-1, func(segEdge) error { return nil }); err == nil {
+	if _, err := loadEdgeStream(data[:len(data)-1], len(edges), math.MaxInt64); err == nil {
+		t.Fatal("truncated stream loaded")
+	}
+	if _, err := loadEdgeStream(data, len(edges)-1, math.MaxInt64); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
@@ -239,54 +241,53 @@ func TestStoreEdgeMemoryBudget(t *testing.T) {
 	}
 }
 
-// FuzzEdgeSegmentDecode pins the two decoder properties snapshot loading
-// depends on: arbitrary bytes never panic (they decode or return
-// errEdgeStream), and anything that decodes re-encodes and re-decodes to the
-// same edges (decode ∘ encode is the identity on decoded streams).
+// FuzzEdgeSegmentDecode pins the properties snapshot loading depends on:
+// arbitrary bytes never panic (they load or return errEdgeStream), and
+// whatever loads is an ordered list of count edges that writes back to
+// exactly the bytes it came from — the loader accepts the canonical
+// encoding only, so adopting its blocks in place keeps snapshots canonical.
 func FuzzEdgeSegmentDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
-	edges := randEdges(rng, 50)
-	var sealer edgeSealer
-	for _, e := range edges {
-		sealer.add(e)
+	stream := func(n int) []byte {
+		var sealer edgeSealer
+		for _, e := range randEdges(rng, n) {
+			sealer.add(e)
+		}
+		return appendEdgeStream(nil, sealer.finish(true))
 	}
-	f.Add(appendEdgeStream(nil, sealer.finish(true)), 50)
+	f.Add(stream(50), 50)
 	f.Add([]byte{}, 0)
 	f.Add([]byte{0x80}, 1)                   // unterminated varint
-	f.Add([]byte{0, 0, 0, 7}, 1)             // trailing byte
+	f.Add([]byte{2, 0, 2, 7}, 1)             // trailing byte
 	f.Add(bytes.Repeat([]byte{0xff}, 40), 2) // overlong varints
+	f.Add([]byte{0x82, 0, 0, 2}, 1)          // non-minimal varint
+	f.Add(stream(edgeBlockLen+9), edgeBlockLen+9)
 	f.Fuzz(func(t *testing.T, data []byte, count int) {
-		if count < 0 || count > 1<<16 {
+		v, err := loadEdgeStream(data, count, math.MaxInt64)
+		if err != nil {
+			if err != errEdgeStream {
+				t.Fatalf("err = %v, want errEdgeStream", err)
+			}
 			return
 		}
-		var got []segEdge
-		err := decodeEdgeStream(data, count, func(e segEdge) error {
-			got = append(got, e)
-			return nil
-		})
-		if err != nil {
-			return // malformed input rejected without panicking: the property
+		if v.total != count || len(v.blocks)*edgeBlockLen+len(v.tail) != count {
+			t.Fatalf("view holds %d blocks + %d tail edges, total %d, want %d", len(v.blocks), len(v.tail), v.total, count)
 		}
-		if len(got) != count {
-			t.Fatalf("decoded %d edges, want %d", len(got), count)
+		if again := appendEdgeStream(nil, v); !bytes.Equal(again, data) {
+			t.Fatalf("loaded stream writes back as %x, was %x", again, data)
 		}
-		var again []byte
 		var prev segEdge
-		for _, e := range got {
-			again = appendSegEdge(again, prev, e)
-			prev = e
-		}
-		var got2 []segEdge
-		if err := decodeEdgeStream(again, count, func(e segEdge) error {
-			got2 = append(got2, e)
-			return nil
-		}); err != nil {
-			t.Fatalf("re-encoded stream failed to decode: %v", err)
-		}
-		for i := range got {
-			if got[i] != got2[i] {
-				t.Fatalf("edge %d changed across re-encode: %+v vs %+v", i, got[i], got2[i])
+		n := 0
+		v.forEach(func(e segEdge) bool {
+			if e.follower < 1 || e.at < prev.at || e.seq <= prev.seq {
+				t.Fatalf("edge %d = %+v after %+v", n, e, prev)
 			}
+			prev = e
+			n++
+			return true
+		})
+		if n != count {
+			t.Fatalf("walked %d edges, want %d", n, count)
 		}
 	})
 }

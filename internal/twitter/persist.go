@@ -2,6 +2,7 @@ package twitter
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -18,17 +19,19 @@ func unixUTC(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 // Snapshot persistence: a Store can be serialised and reloaded so that
 // expensive populations (the full testbed is ~1.5M accounts) can be built
 // once and reused across processes — e.g. `genpop -out pop.gob` feeding
-// `twitterd -load pop.gob`. The format is versioned gob.
+// `twitterd -load pop.gob`. The format is versioned; gob frames its values.
 
 // snapshotVersion is the one format this build writes and reads: a
 // streamed, segment-framed, canonical encoding. The stream opens with a
 // header value (the snapshot struct: seeds, clock position, explicit names
 // sorted by ID, and the framing counts), followed by records in fixed-size
-// chunks and then one value per target in ascending ID order; live edges
-// ride as a delta-varint byte stream (EdgeStream, see edgeseg.go for the
-// codec). Writer and reader hold one chunk/target in memory at a time,
-// so a 10M-account snapshot costs bounded memory beyond
-// the store itself. Nothing is emitted in shard or map order and the chunk
+// chunks of fixed-width bytes (recordSize) and then one value per target in
+// ascending ID order; live edges ride as the in-memory sealed blocks' bytes
+// followed by the tail in the same codec (EdgeStream, see edgeseg.go). Both
+// load by copy-and-validate: gob only frames the values, no record field is
+// decoded by reflection and no edge block is re-encoded. Writer and reader
+// hold one chunk/target in memory at a time, so a 10M-account snapshot
+// costs bounded memory beyond the store itself. Nothing is emitted in shard or map order and the chunk
 // cuts are fixed, so two stores holding the same logical state produce
 // byte-identical snapshots regardless of their shard counts — the property
 // the differential harness asserts — and any snapshot loads into a store
@@ -37,7 +40,7 @@ func unixUTC(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 // A header carrying any other version — older or newer — is rejected as
 // ErrBadSnapshot: populations are regenerated bit for bit by genpop -seed,
 // so no reader for a format no writer emits is kept.
-const snapshotVersion = 6
+const snapshotVersion = 7
 
 // recordChunkLen is the fixed record-chunk size of the stream. Fixed so the
 // chunk cuts — and therefore the bytes — never depend on anything but the
@@ -47,21 +50,22 @@ const recordChunkLen = 1 << 16
 // ErrBadSnapshot reports a snapshot that cannot be loaded.
 var ErrBadSnapshot = errors.New("twitter: invalid snapshot")
 
-// persistRecord mirrors the unexported record struct with exported fields
-// for gob.
-type persistRecord struct {
-	CreatedAt   int64
-	LastTweetAt int64
-	Statuses    int32
-	Friends     int32
-	Followers   int32
-	Seed        uint32
-	Flags       uint8
-	Class       uint8
-	RetweetPct  uint8
-	LinkPct     uint8
-	SpamPct     uint8
-	DupPct      uint8
+// recordSize is the wire width of one record in a record chunk, each chunk
+// one gob []byte of k records: createdAt and lastTweetAt as i64; statuses,
+// friends and followers as i32; seed as u32; then flags, class and the four
+// pct fields as u8 — all little-endian, in that order.
+const recordSize = 38
+
+// appendRecord appends r's wire form to dst.
+func appendRecord(dst []byte, r *record) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint64(dst, uint64(r.createdAt))
+	dst = le.AppendUint64(dst, uint64(r.lastTweetAt))
+	dst = le.AppendUint32(dst, uint32(r.statuses))
+	dst = le.AppendUint32(dst, uint32(r.friends))
+	dst = le.AppendUint32(dst, uint32(r.followers))
+	dst = le.AppendUint32(dst, r.seed)
+	return append(dst, r.flags, r.class, r.retweetPct, r.linkPct, r.spamPct, r.dupPct)
 }
 
 type persistTweet struct {
@@ -89,8 +93,8 @@ type persistTarget struct {
 	// counter above every seq ever assigned so post-load follows keep seqs
 	// unique and increasing.
 	SeqCounter uint64
-	// EdgeN/EdgeStream carry the live edges as one chained delta-varint
-	// stream (see edgeseg.go for the codec).
+	// EdgeN/EdgeStream carry the live edges: the sealed blocks' bytes, then
+	// the tail in the same codec (appendEdgeStream, edgeseg.go).
 	EdgeN      int64
 	EdgeStream []byte
 	// Ever marks a target that ever held an edge, live now or since
@@ -199,7 +203,7 @@ func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID)
 	if err := enc.Encode(hdr); err != nil {
 		return fmt.Errorf("encoding snapshot header: %w", err)
 	}
-	chunk := make([]persistRecord, 0, min(n, recordChunkLen))
+	chunk := make([]byte, 0, min(n, recordChunkLen)*recordSize)
 	flushChunk := func() error {
 		if len(chunk) == 0 {
 			return nil
@@ -213,29 +217,17 @@ func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID)
 		id := UserID(i + 1)
 		sh := s.shardOf(id)
 		r := &sh.recs[s.slotFor(id)]
-		pr := persistRecord{
-			CreatedAt:   r.createdAt,
-			LastTweetAt: r.lastTweetAt,
-			Statuses:    r.statuses,
-			Friends:     r.friends,
-			Followers:   r.followers,
-			Seed:        r.seed,
-			Flags:       r.flags,
-			Class:       r.class,
-			RetweetPct:  r.retweetPct,
-			LinkPct:     r.linkPct,
-			SpamPct:     r.spamPct,
-			DupPct:      r.dupPct,
-		}
 		if keep != nil {
 			// A range export carries every target's counts in its record, as
 			// ReadSnapshotRange folds them: the stream holds only the kept
 			// targets, so the reader cannot fold the others.
 			v := viewOf(sh, id, r)
-			pr.Followers, pr.Friends = int32(v.FollowersCount), int32(v.FriendsCount)
+			folded := *r
+			folded.followers, folded.friends = int32(v.FollowersCount), int32(v.FriendsCount)
+			r = &folded
 		}
-		chunk = append(chunk, pr)
-		if len(chunk) == recordChunkLen {
+		chunk = appendRecord(chunk, r)
+		if len(chunk) == recordChunkLen*recordSize {
 			if err := flushChunk(); err != nil {
 				return fmt.Errorf("encoding snapshot records: %w", err)
 			}
@@ -326,6 +318,7 @@ func ReadSnapshot(r io.Reader, clock simclock.Clock, opts ...Option) (*Store, er
 // is installed, with every target's observable override counts folded into
 // its record first (see persist_range.go).
 func readSnapshot(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opts ...Option) (*Store, error) {
+	bound := streamBound(r) // before the buffered reader takes any of r
 	dec := gob.NewDecoder(bufio.NewReader(r))
 	var snap snapshot
 	if err := dec.Decode(&snap); err != nil {
@@ -348,20 +341,26 @@ func readSnapshot(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opt
 	if snap.RecordN < 0 {
 		return nil, fmt.Errorf("%w: negative record count", ErrBadSnapshot)
 	}
+	// The shards are sized from RecordN before any record is read, so a
+	// count the stream cannot hold is refused before it allocates.
+	if bound >= 0 && snap.RecordN > bound/recordSize {
+		return nil, fmt.Errorf("%w: %d records in a %d-byte stream", ErrBadSnapshot, snap.RecordN, bound)
+	}
 	n := int(snap.RecordN)
 	store.Grow(n)
+	var chunk []byte // reused: gob decodes a []byte into the capacity it finds
 	for got := 0; got < n; {
-		var chunk []persistRecord
 		if err := dec.Decode(&chunk); err != nil {
 			return nil, fmt.Errorf("%w: record chunk: %v", ErrBadSnapshot, err)
 		}
-		if len(chunk) == 0 || got+len(chunk) > n {
+		k := len(chunk) / recordSize
+		if len(chunk)%recordSize != 0 || k == 0 || k > n-got {
 			return nil, fmt.Errorf("%w: record chunk framing", ErrBadSnapshot)
 		}
-		for i, pr := range chunk {
-			installRecord(store, UserID(got+i+1), pr)
+		for i := 0; i < k; i++ {
+			installRecord(store, UserID(got+i+1), chunk[i*recordSize:(i+1)*recordSize])
 		}
-		got += len(chunk)
+		got += k
 	}
 	// Publish each shard's backing and only then commit the count, the same
 	// order creation uses.
@@ -393,7 +392,7 @@ func readSnapshot(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opt
 		return nil, fmt.Errorf("%w: negative target count", ErrBadSnapshot)
 	}
 	for i := int64(0); i < snap.TargetN; i++ {
-		var pt persistTarget
+		var pt persistTarget // fresh per target: installTarget keeps its EdgeStream
 		if err := dec.Decode(&pt); err != nil {
 			return nil, fmt.Errorf("%w: target value: %v", ErrBadSnapshot, err)
 		}
@@ -412,24 +411,39 @@ func readSnapshot(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opt
 	return store, nil
 }
 
-// installRecord appends pr as id's record into its owning shard. IDs ascend
-// across calls, so each shard's segment is filled in slot order by plain
-// appends.
-func installRecord(store *Store, id UserID, pr persistRecord) {
+// streamBound returns an upper bound on the bytes r holds when r can tell —
+// a regular file or an in-memory reader — and -1 when it cannot.
+func streamBound(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size()
+		}
+	}
+	return -1
+}
+
+// installRecord appends the recordSize bytes b as id's record into its
+// owning shard. IDs ascend across calls, so each shard's segment is filled
+// in slot order by plain appends.
+func installRecord(store *Store, id UserID, b []byte) {
+	le := binary.LittleEndian
 	sh := store.shardOf(id)
 	sh.recs = append(sh.recs, record{
-		createdAt:   pr.CreatedAt,
-		lastTweetAt: pr.LastTweetAt,
-		statuses:    pr.Statuses,
-		friends:     pr.Friends,
-		followers:   pr.Followers,
-		seed:        pr.Seed,
-		flags:       pr.Flags,
-		class:       pr.Class,
-		retweetPct:  pr.RetweetPct,
-		linkPct:     pr.LinkPct,
-		spamPct:     pr.SpamPct,
-		dupPct:      pr.DupPct,
+		createdAt:   int64(le.Uint64(b[0:])),
+		lastTweetAt: int64(le.Uint64(b[8:])),
+		statuses:    int32(le.Uint32(b[16:])),
+		friends:     int32(le.Uint32(b[20:])),
+		followers:   int32(le.Uint32(b[24:])),
+		seed:        le.Uint32(b[28:]),
+		flags:       b[32],
+		class:       b[33],
+		retweetPct:  b[34],
+		linkPct:     b[35],
+		spamPct:     b[36],
+		dupPct:      b[37],
 	})
 }
 
@@ -440,41 +454,18 @@ func installTarget(store *Store, pt *persistTarget, n int) error {
 		return fmt.Errorf("%w: target %d out of range", ErrBadSnapshot, pt.ID)
 	}
 	td := &targetData{}
-	var sealer edgeSealer
-	var prevAt int64
-	var prevSeq uint64
-	if pt.EdgeN < 0 {
-		return fmt.Errorf("%w: negative edge count for target %d", ErrBadSnapshot, pt.ID)
-	}
 	if pt.EdgeN > 0 && !pt.Ever {
 		return fmt.Errorf("%w: target %d holds edges but is not marked as ever followed", ErrBadSnapshot, pt.ID)
 	}
-	err := decodeEdgeStream(pt.EdgeStream, int(pt.EdgeN), func(e segEdge) error {
-		if e.follower < 1 || int64(e.follower) > int64(n) {
-			return fmt.Errorf("%w: follower %d out of range", ErrBadSnapshot, e.follower)
-		}
-		if e.at < prevAt {
-			return fmt.Errorf("%w: follow times not monotonic for target %d", ErrBadSnapshot, pt.ID)
-		}
-		if e.seq <= prevSeq {
-			return fmt.Errorf("%w: edge seqs not increasing for target %d", ErrBadSnapshot, pt.ID)
-		}
-		prevAt, prevSeq = e.at, e.seq
-		sealer.add(e)
-		return nil
-	})
+	// pt.EdgeStream was decoded for this target alone, so the view may keep
+	// its blocks' bytes in place.
+	edges, err := loadEdgeStream(pt.EdgeStream, int(pt.EdgeN), int64(n))
 	if err != nil {
-		if errors.Is(err, errEdgeStream) {
-			return fmt.Errorf("%w: edge stream of target %d: %v", ErrBadSnapshot, pt.ID, err)
-		}
-		return err
+		return fmt.Errorf("%w: edge stream of target %d: %v", ErrBadSnapshot, pt.ID, err)
 	}
-	td.seq = pt.SeqCounter
-	if td.seq < prevSeq {
-		// A counter that lost a race with the log: resume above every seq
-		// actually present.
-		td.seq = prevSeq
-	}
+	// A counter that lost a race with the log resumes above every seq
+	// actually present.
+	td.seq = max(pt.SeqCounter, edges.newestSeq())
 	for _, ptw := range pt.Tweets {
 		td.tweets = append(td.tweets, Tweet{
 			ID:        TweetID(ptw.ID),
@@ -504,7 +495,7 @@ func installTarget(store *Store, pt *persistTarget, n int) error {
 	// authoritative; one promoted by tweets/friends alone keeps its
 	// synthetic counter.
 	if pt.Ever {
-		td.edges.v.Store(sealer.finish(true))
+		td.edges.v.Store(edges)
 	}
 	// The store is unpublished while it loads, so the target map fills in
 	// place: a copy-on-write insert per target would make loading quadratic.

@@ -5,6 +5,9 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -265,8 +268,8 @@ func TestSnapshotPreservesSeqAnchors(t *testing.T) {
 }
 
 // TestSnapshotRejectsFutureVersion: the reader accepts exactly the version
-// the writer emits. A header from any other build — the retired v1–v5
-// layouts or a newer one — fails loudly with the operator message (version
+// the writer emits. A header from any other build — every retired layout
+// or a newer one — fails loudly with the operator message (version
 // found, version wanted, the regeneration tool) instead of loading
 // half-understood state.
 func TestSnapshotRejectsFutureVersion(t *testing.T) {
@@ -279,7 +282,10 @@ func TestSnapshotRejectsFutureVersion(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{1, 2, 3, 4, 5, 7} {
+	for v := 1; v <= snapshotVersion+1; v++ {
+		if v == snapshotVersion {
+			continue
+		}
 		snap.Version = v
 		var other bytes.Buffer
 		if err := gob.NewEncoder(&other).Encode(snap); err != nil {
@@ -289,7 +295,7 @@ func TestSnapshotRejectsFutureVersion(t *testing.T) {
 		if !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("v%d: err = %v, want ErrBadSnapshot", v, err)
 		}
-		for _, want := range []string{fmt.Sprintf("version %d", v), "version 6", "genpop"} {
+		for _, want := range []string{fmt.Sprintf("version %d", v), fmt.Sprintf("version %d", snapshotVersion), "genpop"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("v%d: message %q does not mention %q", v, err, want)
 			}
@@ -469,11 +475,239 @@ func TestSnapshotRejectsDuplicateNameListIDs(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(make([]persistRecord, 3)); err != nil {
+	if err := enc.Encode(make([]byte, 3*recordSize)); err != nil {
 		t.Fatal(err)
 	}
 	_, err := ReadSnapshot(&buf, simclock.NewVirtualAtEpoch())
 	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "named twice") {
 		t.Fatalf("duplicate NameList IDs loaded: %v", err)
 	}
+}
+
+// TestSnapshotV7Layout pins the v7 wire form. A record chunk is one gob
+// []byte of recordSize-byte little-endian records in the documented field
+// order, and it carries every field's extremes intact; a target's
+// EdgeStream is its sealed blocks' bytes followed by the tail chained from
+// the zero edge, and loads back as the same blocks, each adopted in place
+// with no spare capacity an append could write through.
+func TestSnapshotV7Layout(t *testing.T) {
+	store := NewStore(simclock.NewVirtualAtEpoch(), 3)
+	for i := 0; i < 4; i++ {
+		store.MustCreateUser(UserParams{CreatedAt: simclock.Epoch.AddDate(-1, 0, 0)})
+	}
+	const target = UserID(4)
+	at := simclock.Epoch.AddDate(0, -1, 0)
+	for i := 0; i < 2*edgeBlockLen+7; i++ {
+		if err := store.AddFollower(target, UserID(1+i%3), at.Add(time.Duration(i)*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs := []record{
+		{createdAt: math.MinInt64, lastTweetAt: math.MinInt64, statuses: math.MinInt32, friends: math.MinInt32, followers: math.MinInt32},
+		{createdAt: math.MaxInt64, lastTweetAt: math.MaxInt64, statuses: math.MaxInt32, friends: math.MaxInt32, followers: math.MaxInt32,
+			seed: math.MaxUint32, flags: 255, class: 255, retweetPct: 255, linkPct: 255, spamPct: 255, dupPct: 255},
+		{createdAt: 1, lastTweetAt: 2, statuses: 3, friends: 4, followers: 5, seed: 6,
+			flags: 7, class: 8, retweetPct: 9, linkPct: 10, spamPct: 11, dupPct: 12},
+	}
+	for i, r := range recs {
+		id := UserID(i + 1)
+		store.shardOf(id).recs[store.slotFor(id)] = r
+	}
+	wantChunk := []byte{
+		0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0x80,
+		0, 0, 0, 0x80, 0, 0, 0, 0x80, 0, 0, 0, 0x80, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0,
+
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
+		0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0xff,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+
+		1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+		3, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0, 6, 0, 0, 0,
+		7, 8, 9, 10, 11, 12,
+	}
+
+	var buf bytes.Buffer
+	if err := store.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	dec := gob.NewDecoder(bytes.NewReader(raw))
+	var hdr snapshot
+	var chunk []byte
+	var pt persistTarget
+	if err := dec.Decode(&hdr); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&chunk); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&pt); err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Version != 7 || hdr.RecordN != 4 || hdr.TargetN != 1 || len(chunk) != 4*recordSize {
+		t.Fatalf("header v%d, %d records, %d targets; chunk of %d bytes", hdr.Version, hdr.RecordN, hdr.TargetN, len(chunk))
+	}
+	if !bytes.Equal(chunk[:len(wantChunk)], wantChunk) {
+		t.Fatalf("record chunk\n got %x\nwant %x", chunk[:len(wantChunk)], wantChunk)
+	}
+	v := store.shardOf(target).targetOf(target).edges.view()
+	var wantStream []byte
+	for _, b := range v.blocks {
+		wantStream = append(wantStream, b.data...)
+	}
+	var prev segEdge
+	for _, e := range v.tail {
+		wantStream = appendSegEdge(wantStream, prev, e)
+		prev = e
+	}
+	if len(v.blocks) != 2 || len(v.tail) != 7 || pt.ID != int64(target) || pt.EdgeN != 2*edgeBlockLen+7 || !bytes.Equal(pt.EdgeStream, wantStream) {
+		t.Fatalf("target %d: %d edges in %d bytes, want %d edges as 2 blocks + 7", pt.ID, pt.EdgeN, len(pt.EdgeStream), 2*edgeBlockLen+7)
+	}
+
+	loaded, err := ReadSnapshot(bytes.NewReader(raw), simclock.NewVirtualAtEpoch(), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range recs {
+		id := UserID(i + 1)
+		if got := loaded.shardOf(id).recs[loaded.slotFor(id)]; got != want {
+			t.Errorf("record %d = %+v, want %+v", id, got, want)
+		}
+	}
+	lv := loaded.shardOf(target).targetOf(target).edges.view()
+	if !reflect.DeepEqual(lv, v) {
+		t.Fatal("loaded edge view differs from the written one")
+	}
+	for i, b := range lv.blocks {
+		if cap(b.data) != len(b.data) {
+			t.Errorf("block %d adopted with %d spare bytes of capacity", i, cap(b.data)-len(b.data))
+		}
+	}
+	var again bytes.Buffer
+	if err := loaded.WriteSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), raw) {
+		t.Fatal("reloaded store writes different bytes")
+	}
+}
+
+// handSnapshot frames hdr and then vals as the writer does, one gob value
+// each, so a test can forge a stream one field at a time.
+func handSnapshot(t *testing.T, hdr snapshot, vals ...any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	hdr.Version = snapshotVersion
+	for _, v := range append([]any{hdr}, vals...) {
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotRejectsMalformedV7 forges each framing fault of the v7 form by
+// hand beside a well-formed twin, so every rejection is of the one fault.
+func TestSnapshotRejectsMalformedV7(t *testing.T) {
+	const users = edgeBlockLen + 1
+	edges := make([]segEdge, edgeBlockLen+1)
+	for i := range edges {
+		edges[i] = segEdge{follower: int64(i + 1), at: int64(1000 + i), seq: uint64(i + 1)}
+	}
+	var sealer edgeSealer
+	for _, e := range edges {
+		sealer.add(e)
+	}
+	restarted := appendEdgeStream(nil, sealer.finish(true))
+	var unbroken []byte // one chain across the block boundary
+	var prev segEdge
+	for _, e := range edges {
+		unbroken = appendSegEdge(unbroken, prev, e)
+		prev = e
+	}
+	withEdges := func(stream []byte) []byte {
+		return handSnapshot(t, snapshot{RecordN: users, TargetN: 1}, make([]byte, users*recordSize),
+			persistTarget{ID: 1, EdgeN: int64(len(edges)), EdgeStream: stream, Ever: true, SeqCounter: uint64(len(edges))})
+	}
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		ok     bool
+	}{
+		{"one 38-byte record", handSnapshot(t, snapshot{RecordN: 1}, make([]byte, recordSize)), true},
+		{"a 37-byte record chunk", handSnapshot(t, snapshot{RecordN: 1}, make([]byte, recordSize-1)), false},
+		{"a chunk of 2 records and a byte", handSnapshot(t, snapshot{RecordN: 2}, make([]byte, 2*recordSize+1)), false},
+		{"chunks of 1 and 2 records", handSnapshot(t, snapshot{RecordN: 3}, make([]byte, recordSize), make([]byte, 2*recordSize)), true},
+		{"a chunk past RecordN", handSnapshot(t, snapshot{RecordN: 2}, make([]byte, 3*recordSize)), false},
+		{"a second chunk past RecordN", handSnapshot(t, snapshot{RecordN: 2}, make([]byte, recordSize), make([]byte, 2*recordSize)), false},
+		{"an empty chunk", handSnapshot(t, snapshot{RecordN: 1}, []byte{}, make([]byte, recordSize)), false},
+		{"more records than the stream holds", handSnapshot(t, snapshot{RecordN: 1 << 40}, make([]byte, recordSize)), false},
+		{"block-restarted edges", withEdges(restarted), true},
+		{"an edge stream one byte short", withEdges(restarted[:len(restarted)-1]), false},
+		{"a chain that does not restart at edge 512", withEdges(unbroken), false},
+	} {
+		_, err := ReadSnapshot(bytes.NewReader(tc.stream), simclock.NewVirtualAtEpoch())
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", tc.name, err)
+		}
+	}
+}
+
+// FuzzReadSnapshot feeds the whole reader arbitrary bytes: each input
+// loads, through the full and the range reader alike, or fails with
+// ErrBadSnapshot — it never panics — and whatever loads writes again.
+func FuzzReadSnapshot(f *testing.F) {
+	store := NewStore(simclock.NewVirtualAtEpoch(), 5)
+	for i := 0; i < 6; i++ {
+		store.MustCreateUser(UserParams{ScreenName: fmt.Sprintf("u%d", i), CreatedAt: simclock.Epoch.AddDate(-1, 0, 0), Statuses: 3})
+	}
+	at := simclock.Epoch.AddDate(0, -1, 0)
+	for i := 0; i < edgeBlockLen+3; i++ {
+		if err := store.AddFollower(1, UserID(2+i%5), at.Add(time.Duration(i)*time.Second)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := store.RemoveFollowers(1, []UserID{4}, store.Now()); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := store.AppendTweet(2, Tweet{CreatedAt: simclock.Epoch, Text: "t", Source: "web"}); err != nil {
+		f.Fatal(err)
+	}
+	if err := store.SetFriends(3, []UserID{1, 2}); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := store.WriteSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	raw := buf.Bytes()
+	f.Add(raw)
+	for _, cut := range []int{1, len(raw) / 4, len(raw) / 2, len(raw) - 1} {
+		f.Add(raw[:cut])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		odd := func(id UserID) bool { return id%2 == 1 }
+		for _, read := range []func() (*Store, error){
+			func() (*Store, error) { return ReadSnapshot(bytes.NewReader(data), simclock.NewVirtualAtEpoch()) },
+			func() (*Store, error) {
+				return ReadSnapshotRange(bytes.NewReader(data), simclock.NewVirtualAtEpoch(), odd)
+			},
+		} {
+			st, err := read()
+			if err != nil {
+				if !errors.Is(err, ErrBadSnapshot) {
+					t.Fatalf("err = %v, want ErrBadSnapshot", err)
+				}
+				continue
+			}
+			if err := st.WriteSnapshot(io.Discard); err != nil {
+				t.Fatalf("a loaded store fails to write: %v", err)
+			}
+		}
+	})
 }
