@@ -2,6 +2,7 @@ package twitter
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -251,4 +252,61 @@ func BenchmarkParallelMixed(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkRemoveFollowers times the two removals of a churn tick on a
+// celebrity list of 400 000 organic edges followed by bought bursts of 4096:
+// purge is the purge of the burst bought two bursts earlier (8192 edges from
+// the newest, beside a fresh purchase that is not timed), unfollow the
+// departure of a uniformly random organic follower. Compare the two against
+// the churn-wal rows twitter.remove_followers_ms and twitter.unfollow_ms:
+//
+//	go test ./internal/twitter -run '^$' -bench RemoveFollowers -cpu 1
+func BenchmarkRemoveFollowers(b *testing.B) {
+	const organic, burst = 400_000, 4096
+	store, target := benchStore(b, organic)
+	var groups [4][]UserID // bought bursts, reused round-robin
+	for g := range groups {
+		for i := 0; i < burst; i++ {
+			groups[g] = append(groups[g], store.MustCreateUser(UserParams{CreatedAt: simclock.Epoch}))
+		}
+	}
+	at := simclock.Epoch
+	buy := func(g int) {
+		at = at.Add(time.Second)
+		for _, f := range groups[g%len(groups)] {
+			if err := store.AddFollower(target, f, at); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	buy(0)
+	buy(1)
+	bought := 2 // bursts bought so far; the live ones are the last two
+	b.Run("purge", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			buy(bought)
+			bought++
+			b.StartTimer()
+			n, err := store.RemoveFollowers(target, groups[(bought-3)%len(groups)], at)
+			if err != nil || n != burst {
+				b.Fatalf("purge removed %d of %d: %v", n, burst, err)
+			}
+		}
+	})
+	leavers := rand.New(rand.NewSource(1)).Perm(organic)
+	b.Run("unfollow", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if len(leavers) == 0 {
+				b.Fatal("every organic follower has left")
+			}
+			at = at.Add(time.Second)
+			ok, err := store.Unfollow(target, target+1+UserID(leavers[0]), at)
+			if err != nil || !ok {
+				b.Fatalf("unfollow: %v %v", ok, err)
+			}
+			leavers = leavers[1:]
+		}
+	})
 }

@@ -465,6 +465,134 @@ func Generate(seed uint64, n int) []Op {
 	return ops
 }
 
+// celebrityBlock is the store's sealed block length (edgeBlockLen, not
+// exported): Celebrity aims its removals at block boundaries.
+const celebrityBlock = 512
+
+// Celebrity produces a preset stream in which target 1 takes follow bursts
+// past three sealed blocks of celebrityBlock edges, then loses edges at
+// every place a removal treats differently: unfollows in the first, a
+// middle and the last sealed block and in the tail, purges of a tail run,
+// an interior run and a run across a block boundary, a purge of absent
+// followers only, and a batch naming followers twice. Two followers also
+// follow twice, so a removal must drop the older of their edges, wherever
+// the newer sits. Bursts between the removals seal new blocks behind lists
+// a removal has just rebuilt, and full pages, anchored pages and snapshot
+// round trips follow each step. The seed varies burst sizes and the exact
+// positions; the stream is valid for any seed.
+func Celebrity(seed uint64) []Op {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	const target = twitter.UserID(1)
+	// Accounts 2..followers+1 follow; the rest never do, so purging them
+	// removes nothing.
+	followers := 3*celebrityBlock + 300 + rng.Intn(100)
+	accounts := followers + 1 + 16
+	ops := make([]Op, 0, 2*accounts+200)
+	for i := 0; i < accounts; i++ {
+		ops = append(ops, Op{Kind: OpCreate})
+	}
+	now := simclock.Epoch
+	var live []twitter.UserID // the list as the removals below leave it
+	var seqs []uint64         // the seq of each live edge
+	seq := uint64(0)
+	follow := func(f twitter.UserID) {
+		ops = append(ops, Op{Kind: OpFollow, Target: target, Follower: f, At: now})
+		seq++
+		live = append(live, f)
+		seqs = append(seqs, seq)
+	}
+	// burst follows the given accounts in runs bought within one second.
+	burst := func(ids []twitter.UserID) {
+		for len(ids) > 0 {
+			now = now.Add(time.Second)
+			n := min(len(ids), 20+rng.Intn(280))
+			for _, f := range ids[:n] {
+				follow(f)
+			}
+			ids = ids[n:]
+		}
+	}
+	pages := func() {
+		ops = append(ops,
+			Op{Kind: OpPage, Target: target, FromSeq: twitter.SeqNewest, Limit: len(live) + 1},
+			Op{Kind: OpPage, Target: target, FromSeq: seqs[rng.Intn(len(seqs))], Limit: celebrityBlock + rng.Intn(celebrityBlock)},
+			Op{Kind: OpPage, Target: target, FromSeq: 1 + rng.Uint64()%seq, Limit: 1 + rng.Intn(2*celebrityBlock)})
+	}
+	// remove drops the oldest edge of each distinct follower in batch, as
+	// the store does, and records the removal in the stream.
+	remove := func(batch []twitter.UserID) {
+		now = now.Add(time.Second)
+		if len(batch) == 1 {
+			ops = append(ops, Op{Kind: OpUnfollow, Target: target, Follower: batch[0], At: now})
+		} else {
+			ops = append(ops, Op{Kind: OpPurge, Target: target, Purge: batch, At: now})
+		}
+		drop := make(map[twitter.UserID]bool, len(batch))
+		for _, f := range batch {
+			drop[f] = true
+		}
+		keep := 0
+		for i, f := range live {
+			if drop[f] {
+				delete(drop, f)
+				continue
+			}
+			live[keep], seqs[keep] = f, seqs[i]
+			keep++
+		}
+		live, seqs = live[:keep], seqs[:keep]
+		pages()
+		if rng.Intn(3) == 0 {
+			ops = append(ops, Op{Kind: OpSnapshot})
+		}
+	}
+	// at returns a copy of the followers at live positions [from, to).
+	at := func(from, to int) []twitter.UserID { return append([]twitter.UserID(nil), live[from:to]...) }
+	// in returns a live position in sealed block b, or in the tail for b
+	// == -1. The list holds more than three blocks and a tail throughout.
+	in := func(b int) int {
+		if b < 0 {
+			sealed := len(live) / celebrityBlock * celebrityBlock
+			return sealed + rng.Intn(len(live)-sealed)
+		}
+		return b*celebrityBlock + rng.Intn(celebrityBlock)
+	}
+	one := func(b int) []twitter.UserID { return []twitter.UserID{live[in(b)]} }
+
+	ids := make([]twitter.UserID, followers)
+	for i := range ids {
+		ids[i] = twitter.UserID(2 + i)
+	}
+	twice := []twitter.UserID{ids[3], ids[celebrityBlock+7]} // follow again later
+	burst(ids[:2*celebrityBlock])
+	burst(twice)
+	burst(ids[2*celebrityBlock:])
+	pages()
+	ops = append(ops, Op{Kind: OpSnapshot})
+
+	remove(one(2))    // the last sealed block
+	remove(one(-1))   // the tail
+	remove(one(1))    // a middle block
+	remove(one(0))    // the first block
+	remove(twice[:1]) // the older edge, in block 0
+	tail := 5 + rng.Intn(30)
+	remove(at(len(live)-tail, len(live)))     // a tail run
+	burst(ids[len(ids)-40:][:5+rng.Intn(35)]) // some come back
+	from := celebrityBlock + 50 + rng.Intn(300)
+	remove(at(from, from+20+rng.Intn(100))) // an interior run
+	edge := 2*celebrityBlock - 10 - rng.Intn(20)
+	remove(at(edge, edge+25+rng.Intn(30))) // across a block boundary
+	absent := []twitter.UserID{twitter.UserID(followers + 2), twitter.UserID(accounts), twitter.UserID(accounts + 3)}
+	remove(absent) // nobody: no new view
+	a, b := live[in(2)], live[in(-1)]
+	remove([]twitter.UserID{a, a, b, twice[1], b, twice[1]}) // duplicates in the batch
+	burst(ids[:celebrityBlock+rng.Intn(celebrityBlock)])     // re-follows seal new blocks
+	remove(one(0))
+	pages()
+	ops = append(ops, Op{Kind: OpSnapshot})
+	return ops
+}
+
 // ObserveConfig controls how much observable state an observation captures.
 type ObserveConfig struct {
 	// Full compares synthesised content too: profile strings as-is and

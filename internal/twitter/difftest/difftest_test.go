@@ -39,6 +39,19 @@ func TestShardedStoreMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCelebrityRemovalsMatchReference runs removals against a follower list
+// of more than three sealed blocks, which Generate's streams never grow:
+// every in-memory deployment replays the Celebrity stream in lockstep with
+// the reference model, so a removal that shares a block it should have
+// re-sealed, or re-seals one wrongly, diverges on the next page.
+func TestCelebrityRemovalsMatchReference(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			Check(t, CheckConfig{Seed: seed, Ops: Celebrity(seed), Deployments: InMemory(), CheckEvery: 500})
+		})
+	}
+}
+
 // TestShardCountTransparency covers the shard counts InMemory leaves out:
 // stores at 3, 5 and 8 shards must agree with Ref and with each other on
 // full observations (names, bios, synthetic timelines, snapshot bytes).

@@ -28,14 +28,15 @@ import (
 // navigate it without coordination. Appends reuse the previous view's
 // blocks slice and tail backing (the appended slot was never visible to any
 // published view, so old readers cannot observe it), which keeps the common
-// append allocation-light; removals rewrite the list into freshly sealed
-// canonical blocks.
+// append allocation-light. A removal keeps the blocks before the first
+// removed edge and re-seals the survivors from there on (edgeView.without).
 //
 // Block boundaries are canonical: every sealed block holds exactly
 // edgeBlockLen edges, so live index i lives in block i/edgeBlockLen at
-// offset i%edgeBlockLen, and a rewrite after a purge re-cuts the survivors
-// at the same multiples. Navigation needs no per-block counts and snapshot
-// bytes stay shard-count independent.
+// offset i%edgeBlockLen, and a removal re-cuts the survivors at the same
+// multiples — which is why the blocks before its first removed edge come
+// out unchanged. Navigation needs no per-block counts and snapshot bytes
+// stay shard-count independent.
 //
 // This file is fpvet //fp:hotpath territory: no fmt, no reflection, and no
 // construction of ID slices — a page is walked a block at a time
@@ -133,8 +134,8 @@ func sealBlock(tail []segEdge) edgeBlock {
 	return edgeBlock{data: data, firstSeq: tail[0].seq, lastSeq: last.seq, lastAt: last.at}
 }
 
-// edgeSealer accumulates edges in order and cuts canonical blocks — the
-// builder behind purge rewrites.
+// edgeSealer accumulates edges in order and cuts canonical blocks; a
+// removal re-seals its survivors through it.
 type edgeSealer struct {
 	blocks []edgeBlock
 	tail   []segEdge
@@ -160,6 +161,62 @@ func (b *edgeSealer) finish(ever bool) *edgeView {
 		copy(nv.tail, b.tail)
 	}
 	return nv
+}
+
+// without returns the view left when the oldest live edge of each follower
+// in drop is removed, and how many edges that removed; with none it returns
+// nil and 0. It empties drop of the followers it finds.
+//
+// Blocks are cut at canonical multiples of edgeBlockLen, so a block wholly
+// before the first removed edge comes out of a rewrite byte for byte as it
+// went in. without decodes the blocks oldest-first, each once, and keeps
+// every block before the first one holding a removed edge; from that block
+// on it re-seals the survivors. The kept headers are copied into a fresh
+// slice, never sub-sliced: an append seals into spare capacity of its
+// view's blocks slice (sealAppend), which would overwrite a block that v,
+// still published to readers, serves. The scan cannot start from the
+// newest edge and stop once drop is empty, because a follower may hold
+// several edges and the oldest is the one removed.
+func (v *edgeView) without(drop map[UserID]struct{}) (*edgeView, int) {
+	var sealer *edgeSealer // nil until the first removed edge
+	removed := 0
+	pass := func(bi int, edges []segEdge) {
+		if sealer == nil {
+			if !holdsAny(edges, drop) {
+				return
+			}
+			sealer = &edgeSealer{blocks: make([]edgeBlock, bi, len(v.blocks)), total: bi * edgeBlockLen}
+			copy(sealer.blocks, v.blocks[:bi])
+		}
+		for _, e := range edges {
+			if _, ok := drop[UserID(e.follower)]; ok {
+				delete(drop, UserID(e.follower))
+				removed++
+			} else {
+				sealer.add(e)
+			}
+		}
+	}
+	var buf [edgeBlockLen]segEdge
+	for bi := range v.blocks {
+		v.blocks[bi].decodeInto(&buf)
+		pass(bi, buf[:])
+	}
+	pass(len(v.blocks), v.tail)
+	if removed == 0 {
+		return nil, 0
+	}
+	return sealer.finish(true), removed
+}
+
+// holdsAny reports whether a follower in drop has an edge in edges.
+func holdsAny(edges []segEdge, drop map[UserID]struct{}) bool {
+	for _, e := range edges {
+		if _, ok := drop[UserID(e.follower)]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // newestAt returns the newest live edge's unix time, if any edge is live.

@@ -151,7 +151,8 @@ func TestEdgeListAppendAndNavigate(t *testing.T) {
 }
 
 // TestEdgeSealerMatchesAppendPath pins block-cut canonicality: a list built
-// edge-by-edge and one rebuilt through the sealer (the purge path) publish views with identical blocks, stream bytes and navigation.
+// edge-by-edge and one rebuilt through the sealer (what a removal re-seals)
+// publish views with identical blocks and stream bytes.
 func TestEdgeSealerMatchesAppendPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	edges := randEdges(rng, 2*edgeBlockLen+41)

@@ -199,7 +199,7 @@ type targetData struct {
 	friends atomic.Pointer[[]UserID]
 	// removedAt is the unix second of the newest removal (0 = none yet),
 	// the floor later removals are checked against. Removals keep no other
-	// trace: they rewrite the edge segments to the survivors.
+	// trace: they publish the survivors as a new edge view.
 	removedAt int64
 	// seq is the last edge sequence number handed out for this target.
 	// Removals never decrement it, so seqs are unique for a target's
@@ -710,23 +710,11 @@ func (s *Store) removeFollowers(target UserID, followers []UserID, at time.Time,
 	for _, f := range followers {
 		drop[f] = struct{}{}
 	}
-	// Rewrite the survivors into freshly sealed canonical segments and
-	// publish them as one new view; readers mid-crawl keep the old view.
-	var sealer edgeSealer
-	removed := 0
-	v.forEach(func(e segEdge) bool {
-		if _, gone := drop[UserID(e.follower)]; gone {
-			// Each follower is removed at most once (edge lists hold one
-			// edge per follower); further matches are genuine duplicates.
-			delete(drop, UserID(e.follower))
-			removed++
-			return true
-		}
-		sealer.add(e)
-		return true
-	})
+	// Publish the survivors as one new view, which shares the old view's
+	// blocks up to the first removed edge; readers mid-crawl keep the old.
+	nv, removed := v.without(drop)
 	if removed > 0 {
-		td.edges.v.Store(sealer.finish(true))
+		td.edges.v.Store(nv)
 		td.removedAt = atUnix
 	}
 	return removed, lsn, nil

@@ -134,6 +134,19 @@ func TestKillDuringChurnRecovery(t *testing.T) {
 	}
 }
 
+// TestCelebrityRemovalsRecover replays the difftest Celebrity stream, whose
+// removals land in every block of a list longer than three sealed blocks,
+// over every WAL deployment: each logged purge and unfollow must replay
+// through recovery to the list the live store served.
+func TestCelebrityRemovalsRecover(t *testing.T) {
+	for _, seed := range []uint64{1, 2} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			difftest.Check(t, difftest.CheckConfig{Seed: seed, Ops: difftest.Celebrity(seed), Deployments: walDeployments(), CheckEvery: 500})
+		})
+	}
+}
+
 // checkChurned replays the churned fixture as one preset stream over every
 // deployment, diffing every op result and observation against Ref: a
 // target loses every edge (it must report 0 followers, not its synthetic
