@@ -97,5 +97,13 @@ func IsDormant(v twitter.ProfileView, now time.Time) bool {
 	if v.HasNeverTweeted() {
 		return true
 	}
-	return now.Sub(v.LastTweet()) > 90*24*time.Hour
+	if v.LastTweetAt == 0 {
+		// Statuses but no last-tweet instant: the zero time, as LastTweet
+		// reads it, is centuries before any observation.
+		return now.Sub(v.LastTweet()) > dormantAfter
+	}
+	return twitter.Since(now, v.LastTweetAt) > dormantAfter
 }
+
+// dormantAfter is the 90-day silence after which an account is inactive.
+const dormantAfter = 90 * 24 * time.Hour

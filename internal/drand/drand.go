@@ -207,7 +207,9 @@ func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
 // in sorted order. It panics if k > n or k < 0.
 //
 // For small k relative to n it uses Floyd's algorithm (O(k) memory,
-// no O(n) allocation); otherwise it partially shuffles an index slice.
+// no O(n) allocation) and sorts the k draws; otherwise it partially
+// shuffles an index slice and reads the chosen values back in ascending
+// order from a mark per value, O(n) with no sort.
 func (s *Source) SampleInts(n, k int) []int {
 	if k < 0 || k > n {
 		panic("drand: SampleInts with k out of range")
@@ -239,8 +241,16 @@ func (s *Source) SampleInts(n, k int) []int {
 		j := i + s.r.Intn(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
-	out := idx[:k]
-	sort.Ints(out)
+	chosen := make([]bool, n)
+	for _, v := range idx[:k] {
+		chosen[v] = true
+	}
+	out := idx[:0]
+	for v, ok := range chosen {
+		if ok {
+			out = append(out, v)
+		}
+	}
 	return out
 }
 

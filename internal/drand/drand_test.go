@@ -3,6 +3,8 @@ package drand
 import (
 	"hash/fnv"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -238,6 +240,63 @@ func TestSampleIntsUniformity(t *testing.T) {
 		got := float64(c) / trials
 		if math.Abs(got-0.25) > 0.02 {
 			t.Fatalf("element %d inclusion freq %.3f, want ≈0.25", i, got)
+		}
+	}
+}
+
+// sortedSampleInts is SampleInts as it was before the Fisher–Yates branch
+// read its draws back by marking: the same draws, sorted.
+func sortedSampleInts(s *Source, n, k int) []int {
+	if k == 0 {
+		return nil
+	}
+	if k*4 < n {
+		chosen := make(map[int]struct{}, k)
+		out := make([]int, 0, k)
+		for j := n - k; j < n; j++ {
+			t := s.Intn(j + 1)
+			if _, dup := chosen[t]; dup {
+				t = j
+			}
+			chosen[t] = struct{}{}
+			out = append(out, t)
+		}
+		sort.Ints(out)
+		return out
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 0; i < k; i++ {
+		j := i + s.Intn(n-i)
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	out := idx[:k]
+	sort.Ints(out)
+	return out
+}
+
+// TestSampleIntsMatchesSortedReference: SampleInts returns exactly the
+// sorted draws of the reference, and leaves the stream where the reference
+// leaves it, on both sides of the Floyd / Fisher–Yates switch at k = n/4
+// and at its ends — the audit's 9,604 of 20,000 included.
+func TestSampleIntsMatchesSortedReference(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 7, 8, 100, 101, 20000} {
+		for _, k := range []int{0, 1, n/4 - 1, n / 4, n/4 + 1, n - 1, n, 9604} {
+			if k < 0 || k > n {
+				continue
+			}
+			for seed := uint64(1); seed <= 3; seed++ {
+				got, want := New(seed), New(seed)
+				g, w := got.SampleInts(n, k), sortedSampleInts(want, n, k)
+				if !slices.Equal(g, w) {
+					t.Fatalf("SampleInts(%d, %d) seed %d = %v, want %v", n, k, seed, g, w)
+				}
+				if a, b := got.Intn(1<<30), want.Intn(1<<30); a != b {
+					t.Fatalf("SampleInts(%d, %d) seed %d left the stream at %d, want %d", n, k, seed, a, b)
+				}
+			}
 		}
 	}
 }

@@ -129,13 +129,17 @@ func boolF(b bool) float64 {
 	return 0
 }
 
-// AgeDays returns the account age in days at observation time.
+// zeroUnix is the zero time.Time in unix seconds: the CreatedAt of a view
+// reduced from a profile that never had its creation time set.
+var zeroUnix = time.Time{}.Unix()
+
+// AgeDays returns the account age in days at observation time; 0 for an
+// account with no creation time.
 func AgeDays(ctx *Context) float64 {
-	created := ctx.Profile.Created()
-	if created.IsZero() {
+	if ctx.Profile.CreatedAt == zeroUnix {
 		return 0
 	}
-	return ctx.Now.Sub(created).Hours() / 24
+	return twitter.Since(ctx.Now, ctx.Profile.CreatedAt).Hours() / 24
 }
 
 // LastTweetAgeDays returns days since the last tweet; never-tweeted accounts
@@ -144,7 +148,7 @@ func LastTweetAgeDays(ctx *Context) float64 {
 	if ctx.Profile.LastTweetAt == 0 {
 		return 3650
 	}
-	age := ctx.Now.Sub(ctx.Profile.LastTweet()).Hours() / 24
+	age := twitter.Since(ctx.Now, ctx.Profile.LastTweetAt).Hours() / 24
 	if age < 0 {
 		return 0
 	}

@@ -26,3 +26,27 @@ func (f *RandomForest) Splits() (feature []int, threshold []float64) {
 	}
 	return feature, threshold
 }
+
+// Stump is one single-split tree of a StumpForest: x goes to the Left leaf
+// when x[Feature] <= Threshold and to the Right leaf otherwise.
+type Stump struct {
+	Feature     int
+	Threshold   float64
+	Left, Right float64
+}
+
+// StumpForest builds a forest of stumps, in order, through the same
+// flattening training uses. Its leaves are arbitrary, so a test can put the
+// vote's running sum wherever it wants, n/2 and a few ulps either side of
+// it included.
+func StumpForest(stumps ...Stump) *RandomForest {
+	f := &RandomForest{}
+	for _, s := range stumps {
+		root := &treeNode{feature: s.Feature, threshold: s.Threshold,
+			left: &treeNode{leaf: true, prob: s.Left}, right: &treeNode{leaf: true, prob: s.Right}}
+		f.trees = append(f.trees, &DecisionTree{root: root, nNodes: 3})
+		f.roots = append(f.roots, int32(len(f.nodes)))
+		f.nodes = flatten(f.nodes, root)
+	}
+	return f
+}

@@ -40,7 +40,10 @@ func (c ForestConfig) withDefaults(nFeatures int) ForestConfig {
 // separately allocated nodes is most of that cost; the flat form keeps every
 // node of every tree in one slice, a tree's nodes in preorder, so a walk
 // stays inside a few cache lines. Same comparisons, same tree order, same
-// sum: the votes are bit-identical to the pointer trees'.
+// sum: the votes are bit-identical to the pointer trees'. Predict walks
+// only as many trees as it takes to settle the 0.5 threshold — most
+// accounts are decided well before the last tree — and returns the label
+// PredictProba(x) >= 0.5 would.
 type RandomForest struct {
 	trees []*DecisionTree
 	nodes []flatNode
@@ -104,31 +107,59 @@ func (f *RandomForest) Name() string { return "random-forest" }
 // Size reports the number of member trees.
 func (f *RandomForest) Size() int { return len(f.trees) }
 
+// leaf walks tree t's flat nodes for x and returns the leaf probability.
+func (f *RandomForest) leaf(t int, x []float64) float64 {
+	i := f.roots[t]
+	n := f.nodes[i]
+	for n.feature >= 0 {
+		if x[n.feature] <= n.value {
+			i++
+		} else {
+			i = n.right
+		}
+		n = f.nodes[i]
+	}
+	return n.value
+}
+
 // PredictProba implements Classifier.
 func (f *RandomForest) PredictProba(x []float64) float64 {
 	if len(f.trees) == 0 {
 		return 0
 	}
 	s := 0.0
-	for _, i := range f.roots {
-		n := f.nodes[i]
-		for n.feature >= 0 {
-			if x[n.feature] <= n.value {
-				i++
-			} else {
-				i = n.right
-			}
-			n = f.nodes[i]
-		}
-		s += n.value
+	for t := range f.roots {
+		s += f.leaf(t, x)
 	}
 	return s / float64(len(f.trees))
 }
 
-// Predict implements Classifier.
+// voteMargin is how far below n/2 the partial sum plus one per unwalked
+// tree must stay for Predict to call a human early. Adding a 1 for each
+// tree left in one step rounds differently from adding the leaves one by
+// one; the two differ by at most about n² · 2⁻⁵³ (1e-10 at 1,000 trees),
+// and without a margin that difference can flip a sum that lands on n/2.
+const voteMargin = 1e-9
+
+// Predict implements Classifier. It is PredictProba(x) >= 0.5, decided as
+// soon as the trees walked so far fix it. Over n trees the mean is >= 0.5
+// exactly when the left-to-right sum s is >= n/2 (n/2 is exact, and a sum
+// below it divides to below 0.5), and leaves lie in [0,1], so the partial
+// sum never falls: once it reaches n/2 the account is fake, and once even
+// a leaf of 1 from every tree left cannot lift it to n/2 (by voteMargin)
+// it is human. Same walks, same order of additions, same verdict.
 func (f *RandomForest) Predict(x []float64) int {
-	if f.PredictProba(x) >= 0.5 {
-		return LabelFake
+	n := len(f.roots)
+	half := float64(n) / 2
+	s := 0.0
+	for t := range f.roots {
+		s += f.leaf(t, x)
+		if s >= half {
+			return LabelFake
+		}
+		if s+float64(n-1-t) < half-voteMargin {
+			return LabelHuman
+		}
 	}
 	return LabelHuman
 }

@@ -81,7 +81,7 @@ func IsInactive(v twitter.ProfileView, now time.Time) bool {
 	if v.StatusesCount < 3 {
 		return true
 	}
-	return v.LastTweetAt != 0 && now.Sub(v.LastTweet()) > 90*24*time.Hour
+	return v.LastTweetAt != 0 && twitter.Since(now, v.LastTweetAt) > 90*24*time.Hour
 }
 
 // Classify applies the criteria points and inactivity rules to the account

@@ -92,7 +92,7 @@ func Score(p twitter.ProfileView, now time.Time) float64 {
 	// ii) date of the last tweet: up to 2 points, decaying with dormancy.
 	var recency float64
 	if p.LastTweetAt != 0 {
-		ageDays := now.Sub(p.LastTweet()).Hours() / 24
+		ageDays := twitter.Since(now, p.LastTweetAt).Hours() / 24
 		switch {
 		case ageDays <= 30:
 			recency = 2

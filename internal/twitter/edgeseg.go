@@ -260,19 +260,23 @@ func (b *edgeBlock) decodeInto(dst *[edgeBlockLen]segEdge) {
 //
 // A sealed block chains its deltas from the block's oldest edge, so it can
 // only be decoded forwards; the walk decodes it once, back to front into
-// ids and seqs, and serves the newest-first runs as subslices. Of the three
-// varints of an edge only the follower and the seq are decoded (the seq
-// finds the anchor edge in the first block and names the next page's anchor
-// in the last); the timestamp is stepped over.
+// ids, and serves the newest-first runs as subslices. Of the three varints
+// of an edge only the follower is decoded for the blocks a page passes
+// through; the timestamp and the seq are stepped over. Seqs are decoded
+// only for the block where the page's anchor edge lies (locate) and the
+// block holding the next page's anchor (NextSeq), each once: they are held
+// apart from the ids, and the block the page ends in is decoded with its
+// seqs when Next first reaches it.
 type FollowerWalk struct {
 	// Total is the live follower count of the view the page is cut from.
 	Total int
 
-	v     *edgeView
-	at    int // live index of the next edge to yield
-	left  int // edges the page may still yield
-	block int // sealed block held in ids/seqs, -1 for none
-	// Edge k of the held block sits at position edgeBlockLen-1-k.
+	v        *edgeView
+	at       int // live index of the next edge to yield
+	left     int // edges the page may still yield
+	block    int // sealed block held in ids, -1 for none
+	seqBlock int // sealed block held in seqs, -1 for none
+	// Edge k of a held block sits at position edgeBlockLen-1-k.
 	ids  [edgeBlockLen]UserID
 	seqs [edgeBlockLen]uint64
 }
@@ -293,7 +297,7 @@ func (s *Store) WalkFollowers(w *FollowerWalk, target UserID, fromSeq uint64, li
 }
 
 func (w *FollowerWalk) start(v *edgeView, fromSeq uint64, limit int) {
-	w.Total, w.v, w.at, w.left, w.block = v.total, v, -1, 0, -1
+	w.Total, w.v, w.at, w.left, w.block, w.seqBlock = v.total, v, -1, 0, -1, -1
 	if limit <= 0 {
 		return
 	}
@@ -322,14 +326,16 @@ func (w *FollowerWalk) locate(fromSeq uint64) int {
 	if fromSeq >= v.blocks[bi].lastSeq {
 		return bi*edgeBlockLen + edgeBlockLen - 1
 	}
-	w.load(bi)
+	w.load(bi, true)
 	newer := sort.Search(edgeBlockLen, func(k int) bool { return w.seqs[k] <= fromSeq })
 	return bi*edgeBlockLen + edgeBlockLen - 1 - newer
 }
 
-// load decodes sealed block bi into ids and seqs, newest edge first. As in
-// decodeInto, malformed bytes mean memory corruption and panic.
-func (w *FollowerWalk) load(bi int) {
+// load decodes the follower ids of sealed block bi into ids, newest edge
+// first, stepping over each edge's timestamp; with seqs it decodes the seqs
+// into seqs too, and otherwise steps over them. As in decodeInto,
+// malformed bytes mean memory corruption and panic.
+func (w *FollowerWalk) load(bi int, seqs bool) {
 	data := w.v.blocks[bi].data
 	var follower, seq int64
 	for k := edgeBlockLen - 1; k >= 0; k-- {
@@ -337,27 +343,45 @@ func (w *FollowerWalk) load(bi int) {
 		if n <= 0 {
 			panic("twitter: corrupt edge segment block")
 		}
-		for n < len(data) && data[n] >= 0x80 { // the timestamp delta
-			n++
+		n = skipVarint(data, n) // the timestamp delta
+		if seqs {
+			if n >= len(data) {
+				panic("twitter: corrupt edge segment block")
+			}
+			ds, m := uvarint(data[n:])
+			if m <= 0 {
+				panic("twitter: corrupt edge segment block")
+			}
+			n += m
+			seq += unzigzag(ds)
+			w.seqs[k] = uint64(seq)
+		} else {
+			n = skipVarint(data, n) // the seq delta
 		}
-		n++
-		if n >= len(data) {
+		if n > len(data) {
 			panic("twitter: corrupt edge segment block")
 		}
-		ds, m := uvarint(data[n:])
-		if m <= 0 {
-			panic("twitter: corrupt edge segment block")
-		}
-		data = data[n+m:]
+		data = data[n:]
 		follower += unzigzag(df)
-		seq += unzigzag(ds)
 		w.ids[k] = UserID(follower)
-		w.seqs[k] = uint64(seq)
 	}
 	if len(data) != 0 {
 		panic("twitter: trailing bytes in edge segment block")
 	}
 	w.block = bi
+	if seqs {
+		w.seqBlock = bi
+	}
+}
+
+// skipVarint returns the offset just past the varint starting at data[n:].
+// It may point past the end of data when that varint is cut short; callers
+// check.
+func skipVarint(data []byte, n int) int {
+	for n < len(data) && data[n] >= 0x80 {
+		n++
+	}
+	return n + 1
 }
 
 // uvarint is binary.Uvarint with the one-byte case — nearly every seq delta
@@ -387,7 +411,9 @@ func (w *FollowerWalk) Next() []UserID {
 		w.block = -1
 	} else {
 		if bi := w.at / edgeBlockLen; bi != w.block {
-			w.load(bi)
+			// A page ending inside this block anchors the next one here:
+			// decode the seqs now rather than the block again in NextSeq.
+			w.load(bi, w.at-w.left >= bi*edgeBlockLen)
 		}
 		newest := edgeBlockLen - 1 - w.at%edgeBlockLen
 		run = w.ids[newest : newest+min(w.left, edgeBlockLen-newest)]
@@ -412,8 +438,8 @@ func (w *FollowerWalk) NextSeq() uint64 {
 	case rest%edgeBlockLen == edgeBlockLen-1:
 		return v.blocks[rest/edgeBlockLen].lastSeq
 	}
-	if bi := rest / edgeBlockLen; bi != w.block {
-		w.load(bi)
+	if bi := rest / edgeBlockLen; bi != w.seqBlock {
+		w.load(bi, true)
 	}
 	return w.seqs[edgeBlockLen-1-rest%edgeBlockLen]
 }

@@ -221,7 +221,8 @@ func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID)
 			// A range export carries every target's counts in its record, as
 			// ReadSnapshotRange folds them: the stream holds only the kept
 			// targets, so the reader cannot fold the others.
-			v := viewOf(sh, id, r)
+			var v ProfileView
+			viewOf(&v, sh, id, r)
 			folded := *r
 			folded.followers, folded.friends = int32(v.FollowersCount), int32(v.FriendsCount)
 			r = &folded
@@ -385,6 +386,7 @@ func readSnapshot(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opt
 			return nil, fmt.Errorf("%w: duplicate name %q", ErrBadSnapshot, pn.Name)
 		}
 		sh.names[id] = pn.Name
+		sh.recs[store.slotFor(id)].named = true
 		stripe.byName[pn.Name] = id
 	}
 

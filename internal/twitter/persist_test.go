@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fakeproject/internal/simclock"
 )
@@ -710,4 +711,59 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestNamedBitFollowsTheNameList: record.named, which spares the name
+// lookup of an account without an explicit name its map probe, sits in the
+// record's padding (the record stays 40 bytes) and is never persisted; on a
+// created store and after every kind of snapshot load — whole, into another
+// shard count, as a range — it is set exactly for the accounts the name
+// list names, and every screen name reads as before.
+func TestNamedBitFollowsTheNameList(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size != 40 {
+		t.Fatalf("record is %d bytes, want 40", size)
+	}
+	src, _ := buildRichStoreSharded(t, 16)
+	var buf bytes.Buffer
+	if err := src.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stores := map[string]*Store{"created": src}
+	for name, load := range map[string]func() (*Store, error){
+		"whole": func() (*Store, error) {
+			return ReadSnapshot(bytes.NewReader(buf.Bytes()), simclock.NewVirtualAtEpoch())
+		},
+		"3 shards": func() (*Store, error) {
+			return ReadSnapshot(bytes.NewReader(buf.Bytes()), simclock.NewVirtualAtEpoch(), WithShards(3))
+		},
+		"range": func() (*Store, error) {
+			return ReadSnapshotRange(bytes.NewReader(buf.Bytes()), simclock.NewVirtualAtEpoch(), func(id UserID) bool { return id%2 == 0 })
+		},
+	} {
+		store, err := load()
+		if err != nil {
+			t.Fatalf("%s load: %v", name, err)
+		}
+		stores[name] = store
+	}
+	for name, store := range stores {
+		named := 0
+		for id := UserID(1); int(id) <= src.UserCount(); id++ {
+			sh := store.shardOf(id)
+			_, explicit := sh.names[id]
+			if sh.recs[store.slotFor(id)].named != explicit {
+				t.Fatalf("%s: account %d has named=%v, an explicit name: %v", name, id, !explicit, explicit)
+			}
+			if explicit {
+				named++
+			}
+			want, _ := src.ScreenName(id)
+			if got, err := store.ScreenName(id); err != nil || got != want {
+				t.Fatalf("%s: account %d is named %q (%v), want %q", name, id, got, err, want)
+			}
+		}
+		if named == 0 {
+			t.Fatalf("%s: no account has an explicit name: not the store this test is about", name)
+		}
+	}
 }

@@ -54,11 +54,14 @@ import (
 
 // DefaultShards is the shard count NewStore uses unless WithShards overrides
 // it. Sixteen shards keep all-shard operations (snapshots, batch regrouping)
-// cheap and spread concurrent callers over separate locks: in
-// BenchmarkParallelMixed (go1.24, 2 vCPU, -cpu 2, 8 goroutines, 3 runs) a
-// read-only 100-id ScanProfiles batch takes 14.3–14.9 µs/op on 1 shard and
-// 4.5 on 16 (4.2 for both at 1 goroutine), the 20 %-write mix 1.62–1.63
-// against 1.35–1.38. The end-to-end proof waits for a saturating benchmark.
+// cheap and spread concurrent callers over separate locks, but on reads
+// they no longer show: in BenchmarkParallelMixed (go1.24, 2 vCPU, -cpu 2,
+// 8 goroutines, 3 runs of 20000 ops) a read-only 100-id ScanProfiles batch,
+// which read-locks each shard once per 128-id chunk, takes 1.8–3.0 µs/op on
+// 1 shard and 2.3–2.9 on 16 (3.2–4.1 and 3.3–4.1 at 1 goroutine); with a
+// read lock per id it took 19–23 against 4.7–5.2. The 20 %-write mix read
+// 1.62–1.63 against 1.35–1.38 (measured with the per-id scan). The
+// end-to-end proof waits for a saturating benchmark.
 const DefaultShards = 16
 
 // Option configures a Store at construction time.

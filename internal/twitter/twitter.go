@@ -179,6 +179,12 @@ type record struct {
 	linkPct     uint8
 	spamPct     uint8
 	dupPct      uint8
+	// named reports that the account has an explicit screen name in its
+	// shard's names map, so the common synthetic-name account costs no map
+	// probe. It lives in the struct's padding (the record stays 40 bytes)
+	// and is never persisted: creation sets it, and a snapshot load sets it
+	// from the name list it installs.
+	named bool
 }
 
 func (r *record) has(flag uint8) bool { return r.flags&flag != 0 }
@@ -321,6 +327,7 @@ func (s *Store) createUser(p UserParams) (UserID, uint64, error) {
 		linkPct:     pct(p.Behavior.LinkRatio),
 		spamPct:     pct(p.Behavior.SpamRatio),
 		dupPct:      pct(p.Behavior.DuplicateRatio),
+		named:       p.ScreenName != "",
 	}
 	// Log before the account is published: the log's create order equals ID
 	// order, and CreatedAt is logged resolved so replay never re-reads the
@@ -398,8 +405,8 @@ func (s *Store) screenNameIn(sh *shard, id UserID) (string, error) {
 // nameOf returns the explicit screen name of id, or the one synthesised
 // from its record's seed. Caller must hold sh.mu.
 func (sh *shard) nameOf(id UserID, rec *record) string {
-	if name, ok := sh.names[id]; ok {
-		return name
+	if rec.named {
+		return sh.names[id]
 	}
 	return synthScreenName(uint64(rec.seed))
 }
@@ -448,7 +455,8 @@ func (s *Store) profileIn(sh *shard, id UserID) (Profile, error) {
 		return Profile{}, err
 	}
 	name := sh.nameOf(id, rec)
-	v := viewOf(sh, id, rec)
+	var v ProfileView
+	viewOf(&v, sh, id, rec)
 	p := Profile{
 		User: User{
 			ID:                  v.ID,

@@ -2,7 +2,10 @@
 
 package twitter
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // ProfileView is the attribute half of a users/lookup profile: counters,
 // second-granular unix times, behaviour ratios and flags, with every string
@@ -48,6 +51,21 @@ func (v ProfileView) LastTweet() time.Time {
 	return unixUTC(v.LastTweetAt)
 }
 
+// Since returns now.Sub(time.Unix(sec, 0)): how long before now the unix
+// second sec lies, the arithmetic every inactivity and age rule does on a
+// view's times. Within ±292 years (no overflow) it is two integer
+// operations on now's own second and nanosecond, with no time.Time built
+// per account; beyond that it is Time.Sub itself, with its saturation.
+func Since(now time.Time, sec int64) time.Duration {
+	// maxSpan keeps d*Second plus the nanoseconds inside an int64, and a
+	// sec inside ±2⁶² keeps now.Unix() - sec from wrapping into that span.
+	const maxSpan = math.MaxInt64/int64(time.Second) - 1
+	if d := now.Unix() - sec; d > -maxSpan && d < maxSpan && sec > -1<<62 && sec < 1<<62 {
+		return time.Duration(d)*time.Second + time.Duration(now.Nanosecond())
+	}
+	return now.Sub(time.Unix(sec, 0))
+}
+
 // HasNeverTweeted reports whether the account has no statuses at all.
 func (v ProfileView) HasNeverTweeted() bool { return v.StatusesCount == 0 }
 
@@ -87,11 +105,12 @@ func (p Profile) View() ProfileView {
 	return v
 }
 
-// viewOf derives id's attribute view from its record. sh must be id's
-// owning shard and the caller must hold its lock: statuses and lastTweetAt
-// move under it.
-func viewOf(sh *shard, id UserID, rec *record) ProfileView {
-	v := ProfileView{
+// viewOf derives id's attribute view from its record into v. sh must be
+// id's owning shard and the caller must hold its lock: statuses and
+// lastTweetAt move under it. It fills v in place so a scan writes each
+// view once, where it is kept.
+func viewOf(v *ProfileView, sh *shard, id UserID, rec *record) {
+	*v = ProfileView{
 		ID:             id,
 		CreatedAt:      rec.createdAt,
 		LastTweetAt:    rec.lastTweetAt,
@@ -125,30 +144,85 @@ func viewOf(sh *shard, id UserID, rec *record) ProfileView {
 			v.FriendsCount = len(*fl)
 		}
 	}
-	return v
 }
+
+// scanChunk is how many ids ScanProfiles views per round of shard locks:
+// enough that each of the default 16 shards is locked about once per round
+// instead of once per id, and few enough that the round's views sit in an
+// ~11 KB array on the caller's stack.
+const scanChunk = 128
+
+// scanLists is how many lists ScanProfiles sorts a chunk's ids into, by
+// owning shard index modulo scanLists: one shard per list up to that many
+// shards, and a list walked once per shard in it beyond.
+const scanLists = 64
 
 // ScanProfiles calls fn with the attribute view of each account in ids, in
 // input order, skipping unknown ids as Profiles does. It allocates nothing:
 // no string is synthesised and no profile is materialised, so a 9,604-account
-// audit sample costs 9,604 record reads. Each view is derived under its
-// shard's read lock and handed to fn after the lock is released.
+// audit sample costs 9,604 record reads. The ids are taken scanChunk at a
+// time and grouped by owning shard; each shard a chunk touches is
+// read-locked once while its ids' views are derived into an array on the
+// stack, and fn runs for the chunk, in input order, once every lock is
+// released. Each view is one committed state of its account, as with a
+// lock per id; the views of different accounts may come from different
+// instants, as they always could.
 func (s *Store) ScanProfiles(ids []UserID, fn func(ProfileView)) {
 	// One existence cutoff for the whole batch, as in groupByShard.
 	limit := s.users.Load()
-	for _, id := range ids {
-		if id < 1 || int64(id) > limit {
-			continue
+	nshards := uint64(len(s.shards))
+	var (
+		views [scanChunk]ProfileView
+		shard [scanChunk]int32 // owning shard index of each position
+		slot  [scanChunk]int   // record index within that shard
+		next  [scanChunk]int16 // next position in the same list, -1 at its end
+	)
+	for len(ids) > 0 {
+		chunk := ids[:min(scanChunk, len(ids))]
+		ids = ids[len(chunk):]
+		var head [scanLists]int16 // first position of each list, -1 if empty
+		for l := range head {
+			head[l] = -1
 		}
-		sh := s.shardFor(id)
-		slot := s.slotFor(id)
-		sh.mu.RLock()
-		if slot >= len(sh.recs) { // as recordIn: never yield an uncommitted slot
-			sh.mu.RUnlock()
-			continue
+		for i, id := range chunk {
+			views[i].ID = 0 // no view; IDs start at 1
+			if id < 1 || int64(id) > limit {
+				continue
+			}
+			q := uint64(id-1) / nshards
+			shard[i], slot[i] = int32(uint64(id-1)-q*nshards), int(q)
+			l := shard[i] % scanLists
+			next[i], head[l] = head[l], int16(i)
 		}
-		v := viewOf(sh, id, &sh.recs[slot])
-		sh.mu.RUnlock()
-		fn(v)
+		for l := range head {
+			for head[l] >= 0 { // one round per shard left in list l
+				si := shard[head[l]]
+				sh := &s.shards[si]
+				visits := 0
+				sh.mu.RLock()
+				for p, prev := head[l], int16(-1); p >= 0; p = next[p] {
+					if shard[p] != si {
+						prev = p
+						continue
+					}
+					if prev < 0 { // unlink p: it is read in this round
+						head[l] = next[p]
+					} else {
+						next[prev] = next[p]
+					}
+					visits++
+					if slot[p] < len(sh.recs) { // as recordIn: never yield an uncommitted slot
+						viewOf(&views[p], sh, chunk[p], &sh.recs[slot[p]])
+					}
+				}
+				sh.mu.RUnlock()
+				sh.ops.Add(uint64(visits))
+			}
+		}
+		for i := range chunk {
+			if views[i].ID != 0 {
+				fn(views[i])
+			}
+		}
 	}
 }
