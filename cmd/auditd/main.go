@@ -102,9 +102,6 @@ func run() error {
 	// Even a bare audit service carries the observability surfaces next to
 	// /v1/: the root mux is platform's.
 	p.Mux.Handle("/", auditd.NewHandlerObserved(svc, p.Reg))
-	if p.Reg != nil && plat.store != nil {
-		twitterapi.ObserveStore(p.Reg, plat.store)
-	}
 
 	monitorCtx, stopMonitor := context.WithCancel(context.Background())
 	defer stopMonitor()

@@ -98,7 +98,6 @@ func TestMetricsSmoke(t *testing.T) {
 		"http_request_duration_seconds",
 		"http_requests_in_flight",
 		"ratelimit_throttled_total",
-		"store_shard_ops_total",
 		"wal_records_total",
 		"wal_bytes_total",
 		"wal_fsync_seconds",

@@ -133,9 +133,7 @@ func TestAtomicField(t *testing.T) {
 
 func TestLockhold(t *testing.T) {
 	runCase(t, []string{"./lockhold"}, []*Analyzer{NewLockhold(LockholdConfig{
-		LockPackages:   []string{testModule + "/lockhold"},
-		AcquireHelpers: []string{"(*" + testModule + "/lockhold.store).lockAll"},
-		ReleaseHelpers: []string{"(*" + testModule + "/lockhold.store).unlockAll"},
+		LockPackages: []string{testModule + "/lockhold"},
 	})}, 1)
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // lockhold: no file I/O, fsync, network call or channel send while a store
-// or shard mutex is held (PR 4's striping argument collapses if one writer
-// parks a shard lock on a disk flush — every reader of that shard stalls
-// for the device's latency, not the critical section's). The analyzer is
+// mutex is held (if one writer parks the store lock on a disk flush, every
+// reader and writer stalls for the device's latency, not the critical
+// section's). The analyzer is
 // intra-procedural over critical sections and inter-procedural over what
 // blocks: a module function containing a blocking operation marks every
 // static caller transitively, so hiding an fsync behind a helper does not
@@ -22,22 +22,17 @@ import (
 //
 // Critical sections are tracked syntactically in statement order: from a
 // .Lock()/.RLock() on a monitored mutex (a sync.Mutex/RWMutex field of a
-// struct declared in a configured package, or a configured acquire helper
-// like (*Store).rlockAll) to the matching release, or to function end when
-// the release is deferred. The one audited exception in the tree is the
-// snapshot cut: WriteSnapshotWith serialises under every shard lock because
-// consistency demands it, and says so in its //fp:allow reason.
+// struct declared in a configured package) to the matching release, or to
+// function end when the release is deferred. The one audited exception in
+// the tree is the snapshot cut: WriteSnapshotWith serialises under the
+// store lock because consistency demands it, and says so in its //fp:allow
+// reason.
 
 // LockholdConfig parameterises the lockhold analyzer.
 type LockholdConfig struct {
 	// LockPackages are import paths whose struct mutex fields define
 	// monitored critical sections.
 	LockPackages []string
-	// AcquireHelpers / ReleaseHelpers are full function names (as printed
-	// by types.Func.FullName, e.g. "(*path/to/pkg.Store).rlockAll") that
-	// acquire/release monitored locks on behalf of callers.
-	AcquireHelpers []string
-	ReleaseHelpers []string
 }
 
 // blockReason describes why a function or call site is considered blocking.
@@ -48,11 +43,9 @@ type blockReason struct {
 // NewLockhold builds the lockhold analyzer.
 func NewLockhold(cfg LockholdConfig) *Analyzer {
 	lockPkgs := toSet(cfg.LockPackages)
-	acquire := toSet(cfg.AcquireHelpers)
-	release := toSet(cfg.ReleaseHelpers)
 	a := &Analyzer{
 		Name: "lockhold",
-		Doc:  "no file I/O, fsync, network call or channel send while a store/shard mutex is held",
+		Doc:  "no file I/O, fsync, network call or channel send while a store mutex is held",
 	}
 	a.Run = func(pass *Pass) {
 		// Pass 1 over every module function: direct blocking ops and static
@@ -109,7 +102,7 @@ func NewLockhold(cfg LockholdConfig) *Analyzer {
 		// monitored-lock intervals.
 		for fn, ff := range facts {
 			dc := decls[fn]
-			intervals := lockIntervals(dc.pkg.Info, dc.decl.Body, lockPkgs, acquire, release)
+			intervals := lockIntervals(dc.pkg.Info, dc.decl.Body, lockPkgs)
 			if len(intervals) == 0 {
 				continue
 			}
@@ -196,7 +189,7 @@ type interval struct {
 // lockIntervals computes the source spans of a body during which a
 // monitored mutex is held, in statement order. Deferred releases extend the
 // section to the end of the function, matching their runtime behaviour.
-func lockIntervals(info *types.Info, body *ast.BlockStmt, lockPkgs, acquire, release map[string]bool) []interval {
+func lockIntervals(info *types.Info, body *ast.BlockStmt, lockPkgs map[string]bool) []interval {
 	type event struct {
 		pos   token.Pos
 		delta int
@@ -213,7 +206,7 @@ func lockIntervals(info *types.Info, body *ast.BlockStmt, lockPkgs, acquire, rel
 			case *ast.FuncLit:
 				return false // separate analysis scope
 			case *ast.CallExpr:
-				what, delta := classifyLockCall(info, m, lockPkgs, acquire, release)
+				what, delta := classifyLockCall(info, m, lockPkgs)
 				if delta == 0 {
 					return true
 				}
@@ -258,17 +251,10 @@ func lockIntervals(info *types.Info, body *ast.BlockStmt, lockPkgs, acquire, rel
 
 // classifyLockCall decides whether call acquires (+1) or releases (-1) a
 // monitored mutex, returning a human name for it.
-func classifyLockCall(info *types.Info, call *ast.CallExpr, lockPkgs, acquire, release map[string]bool) (string, int) {
+func classifyLockCall(info *types.Info, call *ast.CallExpr, lockPkgs map[string]bool) (string, int) {
 	fn := calleeOf(info, call)
 	if fn == nil {
 		return "", 0
-	}
-	full := fn.FullName()
-	if acquire[full] {
-		return full, 1
-	}
-	if release[full] {
-		return full, -1
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -287,7 +273,7 @@ func classifyLockCall(info *types.Info, call *ast.CallExpr, lockPkgs, acquire, r
 		return "", 0
 	}
 	// The mutex itself must be a struct field declared in a monitored
-	// package: s.createMu.Lock(), sh.mu.RLock(), ...
+	// package: s.mu.Lock(), s.mu.RLock(), ...
 	inner, ok := sel.X.(*ast.SelectorExpr)
 	if !ok {
 		return "", 0

@@ -86,18 +86,11 @@ func DefaultSuite() []*Analyzer {
 		}),
 		NewAtomicField(),
 		NewLockhold(LockholdConfig{
-			// The store's shard and name-stripe mutexes plus createMu: no
-			// blocking syscall is reachable while one is held (PR 4's
-			// lock-striping contract). The WAL's writer mutex is exempt by
-			// scope: its group-commit design syncs under w.mu on rotation
-			// deliberately.
+			// The store's one mutex (Store.mu): no blocking syscall is
+			// reachable while it is held. The WAL's writer mutex is exempt
+			// by scope: its group-commit design syncs under w.mu on
+			// rotation deliberately.
 			LockPackages: []string{ModulePath + "/internal/twitter"},
-			AcquireHelpers: []string{
-				"(*" + ModulePath + "/internal/twitter.Store).rlockAll",
-			},
-			ReleaseHelpers: []string{
-				"(*" + ModulePath + "/internal/twitter.Store).runlockAll",
-			},
 		}),
 		NewHotpathAlloc(),
 		NewMetricnames(MetricnamesConfig{

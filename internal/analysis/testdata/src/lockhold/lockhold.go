@@ -1,6 +1,6 @@
 // Package lockhold exercises the lockhold analyzer: blocking I/O and channel
 // sends inside monitored critical sections, directly, through deferred
-// releases, through helper acquires and transitively through module calls.
+// releases and transitively through module calls.
 package lockhold
 
 import (
@@ -32,15 +32,6 @@ func (s *store) transitive() {
 }
 
 func (s *store) flush() { _ = s.f.Sync() }
-
-func (s *store) lockAll()   { s.mu.Lock() }
-func (s *store) unlockAll() { s.mu.Unlock() }
-
-func (s *store) viaHelper() {
-	s.lockAll()
-	_ = s.f.Sync() // want "calls ..os.File..Sync while a .*lockAll lock is held"
-	s.unlockAll()
-}
 
 // clean moves the I/O outside the critical section; nothing is flagged.
 func (s *store) clean() {

@@ -27,8 +27,7 @@ import (
 //   - churn-storm: readers paging and resolving the hottest target — the
 //     churn-proof-cursor contract, under fire when that target is churning.
 //   - celebrity-hotspot: every request aimed at the single hottest account
-//     (profile, pages, timeline), concentrating all load on one store
-//     shard — the worst case for lock striping.
+//     (profile, pages, timeline), concentrating all load on one account.
 //   - multinode: crawl-shaped traffic plus users/lookup batches spanning
 //     ring ranges, spread profiles and routed timelines — the shape that
 //     exercises a router's spread and failover paths in front of a ring.
@@ -269,10 +268,9 @@ func (m *stormMix) Next(i int) Op {
 
 // --- celebrity-hotspot ---
 
-// hotspotMix aims every request at the single hottest account. Account
-// state is sharded by ID, so profile reads, follower pages and timeline
-// pages here all serialise on one shard's lock — the adversarial case for
-// the striped store that uniform load never exhibits.
+// hotspotMix aims every request at the single hottest account: profile
+// reads, follower pages and timeline pages of one account, the skew that
+// uniform load never exhibits.
 type hotspotMix struct {
 	h       *Harness
 	crawl   *crawlMix

@@ -1,8 +1,8 @@
 // Package opsui serves the embedded live operations dashboard: a static
 // single-page app (no build step, no external assets) that polls the
 // metrics registry's JSON exposition and renders per-endpoint latency
-// quantiles, request rates, auditd queue depth, store shard heat and —
-// when a monitord API is mounted on the same server — a live alert feed.
+// quantiles, request rates, auditd queue depth and — when a monitord API
+// is mounted on the same server — a live alert feed.
 //
 // The assets ship inside the daemon binaries via embed.FS, so `go build`
 // fails if a referenced file goes missing and a deployed daemon has no

@@ -1,5 +1,5 @@
 /* ops dashboard: polls /metrics.json (and /v1/alerts when present) and
-   renders tiles, latency quantiles, shard heat and the alert feed.
+   renders tiles, latency quantiles and the alert feed.
    Counters are turned into rates by differencing consecutive polls. */
 "use strict";
 
@@ -238,30 +238,6 @@ function renderLatency(flat, dt) {
     `<tr><td colspan="8" class="empty">no latency series yet</td></tr>`;
 }
 
-function renderShards(flat, dt) {
-  const shards = [];
-  for (const [key, s] of flat) {
-    if (s.name !== "store_shard_ops_total") continue;
-    shards.push({ idx: Number(s.labels.shard || 0), total: s.value, rate: rateOf(flat, key, dt) });
-  }
-  const panel = $("#shard-panel");
-  if (!shards.length) { panel.hidden = true; return; }
-  panel.hidden = false;
-  shards.sort((a, b) => a.idx - b.idx);
-  const useRate = shards.some(s => s.rate != null && s.rate > 0);
-  const metric = (s) => useRate ? (s.rate || 0) : (s.total || 0);
-  const peak = Math.max(...shards.map(metric), 1);
-  $("#shards").innerHTML = shards.map(s => {
-    const v = metric(s);
-    const hot = v > 0.5 * peak && v > 0;
-    return `<div class="bar-row ${hot ? "hot" : ""}">
-      <span class="name">shard ${s.idx}</span>
-      <span class="track"><span class="fill" style="width:${(100 * v / peak).toFixed(1)}%"></span></span>
-      <span class="val">${useRate ? fmtRate(v) : fmtCount(v)}</span>
-    </div>`;
-  }).join("");
-}
-
 async function renderAlerts() {
   if (!alertsAvailable) return;
   try {
@@ -296,7 +272,6 @@ async function poll() {
     renderTiles(flat, dt);
     renderSpark();
     renderLatency(flat, dt);
-    renderShards(flat, dt);
     renderAlerts();
 
     prevFlat = flat;

@@ -226,9 +226,6 @@ func (p *Process) ServeAPI(store *twitter.Store, clock simclock.Clock) *twittera
 		limits = nil
 	}
 	p.Mux.Handle("/", twitterapi.NewServerObserved(svc, clock, limits, p.Reg))
-	if p.Reg != nil {
-		twitterapi.ObserveStore(p.Reg, store)
-	}
 	p.Healthz()
 	p.Mux.HandleFunc("GET /admin/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		p.handleSnapshotExport(w, r, store)

@@ -1,8 +1,8 @@
 package router
 
 // The ring maps account IDs to backends in two steps: an ID hashes to one
-// of a fixed number of slots ((id-1) mod Slots — the same round-robin the
-// store's own shards use, so dense IDs spread uniformly), and the slots are
+// of a fixed number of slots ((id-1) mod Slots — a round-robin, so dense
+// IDs spread uniformly), and the slots are
 // partitioned into contiguous ranges, one per backend. Node i owns slots
 // [i*Slots/N, (i+1)*Slots/N) and additionally replicates its successor's
 // range, so every slot has a primary and (for N > 1) a distinct secondary

@@ -87,9 +87,9 @@ func BenchmarkFollowersPage(b *testing.B) {
 
 // BenchmarkFollowersPageParallel measures the same 5K page with all
 // goroutines hammering one target — the celebrity-read case. Pages are
-// served off the RCU-published segment view with no shard lock, so
+// served off the RCU-published segment view with no store lock, so
 // throughput should scale with reader parallelism instead of serialising on
-// the target's shard.
+// the lock.
 func BenchmarkFollowersPageParallel(b *testing.B) {
 	store, target := benchStore(b, 50000)
 	b.ReportAllocs()
@@ -120,7 +120,7 @@ func BenchmarkSynthTimeline(b *testing.B) {
 }
 
 // BenchmarkCreateUserPostGrow is the Grow contract as a benchmark: with
-// capacity split across shards up front, the population build hot path must
+// capacity reserved up front, the population build hot path must
 // run allocation-free (b.ReportAllocs makes the 0 allocs/op visible).
 func BenchmarkCreateUserPostGrow(b *testing.B) {
 	store := NewStore(simclock.NewVirtualAtEpoch(), 1)
@@ -136,9 +136,9 @@ func BenchmarkCreateUserPostGrow(b *testing.B) {
 // buildMixedStore assembles the parallel-mixed fixture: `targets` accounts
 // with materialised follower lists (seeded with initial edges) plus a pool
 // of plain accounts serving as followers and profile-read subjects.
-func buildMixedStore(tb testing.TB, shards, targets, accounts, seedEdges int) *Store {
+func buildMixedStore(tb testing.TB, targets, accounts, seedEdges int) *Store {
 	tb.Helper()
-	store := NewStore(simclock.NewVirtualAtEpoch(), 1, WithShards(shards))
+	store := NewStore(simclock.NewVirtualAtEpoch(), 1)
 	store.Grow(accounts)
 	params := UserParams{
 		CreatedAt: simclock.Epoch.AddDate(-2, 0, 0),
@@ -166,18 +166,15 @@ func buildMixedStore(tb testing.TB, shards, targets, accounts, seedEdges int) *S
 // benchmarkParallelMixed measures mixed read/write throughput under
 // contention: `workers` goroutines split b.N ops — 50% follower pages, 20%
 // profile lookups, 10% timeline synthesis, 20% follower appends — across 64
-// targets. Uniform skew spreads ops over all targets (every shard active);
-// hot skew sends 90% of ops to one target, the celebrity-audit worst case
-// where striping can only help the bystanders. The shards=1 variants ARE
-// the pre-striping store (one RWMutex for everything) and serve as the
-// baseline the striped variants are compared against.
-func benchmarkParallelMixed(b *testing.B, shards, workers int, leg string) {
+// targets. Uniform skew spreads ops over all targets; hot skew sends 90% of
+// ops to one target, the celebrity-audit case.
+func benchmarkParallelMixed(b *testing.B, workers int, leg string) {
 	const (
 		targets   = 64
 		accounts  = 8192
 		seedEdges = 300
 	)
-	store := buildMixedStore(b, shards, targets, accounts, seedEdges)
+	store := buildMixedStore(b, targets, accounts, seedEdges)
 	at := store.Now()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -236,20 +233,17 @@ func benchmarkParallelMixed(b *testing.B, shards, workers int, leg string) {
 	wg.Wait()
 }
 
-// BenchmarkParallelMixed is the striping contention suite. Compare
-// shards=1 (the pre-shard global-lock store) against shards=16 at the same
-// goroutine count, on the 20 %-write mix (uniform or hot-target skew) and
-// on read-only 100-id ScanProfiles batches:
+// BenchmarkParallelMixed is the store-lock contention suite: the 20 %-write
+// mix (uniform or hot-target skew) and read-only 100-id ScanProfiles
+// batches, at 1, 4 and 8 goroutines:
 //
-//	go test ./internal/twitter -bench ParallelMixed -cpu 8
+//	go test ./internal/twitter -run '^$' -bench ParallelMixed -cpu 2 -benchtime 20000x
 func BenchmarkParallelMixed(b *testing.B) {
-	for _, shards := range []int{1, DefaultShards} {
-		for _, leg := range []string{"skew=uniform", "skew=hot", "scan=100"} {
-			for _, workers := range []int{1, 4, 8} {
-				b.Run(fmt.Sprintf("shards=%d/%s/goroutines=%d", shards, leg, workers), func(b *testing.B) {
-					benchmarkParallelMixed(b, shards, workers, leg)
-				})
-			}
+	for _, leg := range []string{"skew=uniform", "skew=hot", "scan=100"} {
+		for _, workers := range []int{1, 4, 8} {
+			b.Run(fmt.Sprintf("%s/goroutines=%d", leg, workers), func(b *testing.B) {
+				benchmarkParallelMixed(b, workers, leg)
+			})
 		}
 	}
 }

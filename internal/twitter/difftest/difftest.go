@@ -142,23 +142,17 @@ type Applier interface {
 }
 
 // StoreApplier wraps *twitter.Store as an Applier; Roundtrip swaps the
-// store for one reloaded from its own snapshot, preserving the configured
-// shard count.
+// store for one reloaded from its own snapshot.
 type StoreApplier struct {
 	System
 	clock *simclock.Virtual
-	opts  []twitter.Option
 	buf   bytes.Buffer // reused across round trips
 }
 
 // NewStoreApplier builds a fresh store on a virtual clock at the epoch.
-func NewStoreApplier(seed uint64, opts ...twitter.Option) *StoreApplier {
+func NewStoreApplier(seed uint64) *StoreApplier {
 	clock := simclock.NewVirtualAtEpoch()
-	return &StoreApplier{
-		System: twitter.NewStore(clock, seed, opts...),
-		clock:  clock,
-		opts:   opts,
-	}
+	return &StoreApplier{System: twitter.NewStore(clock, seed), clock: clock}
 }
 
 // Store returns the current underlying store (it changes across Roundtrip).
@@ -173,7 +167,7 @@ func (a *StoreApplier) Roundtrip() error {
 	if err := a.Store().WriteSnapshot(&a.buf); err != nil {
 		return err
 	}
-	loaded, err := twitter.ReadSnapshot(bytes.NewReader(a.buf.Bytes()), a.clock, a.opts...)
+	loaded, err := twitter.ReadSnapshot(bytes.NewReader(a.buf.Bytes()), a.clock)
 	if err != nil {
 		return err
 	}
@@ -769,8 +763,8 @@ func Observe(sys System, cfg ObserveConfig) (Observation, error) {
 		}
 		obs.Lookups[name] = int64(id)
 	}
-	// Batch paths: a probe list spanning every shard of any layout, plus
-	// unknown IDs that must be silently skipped.
+	// Batch paths: a probe list spanning the ID space, plus unknown IDs
+	// that must be silently skipped.
 	probe := []twitter.UserID{0, -5, twitter.UserID(n + 3)}
 	step := max(1, n/64)
 	for id := 1; id <= n; id += step {
@@ -929,11 +923,13 @@ type Live struct {
 	Config ObserveConfig
 }
 
-// InMemory returns the in-memory deployments: the store at 1, 2, 7 and 16
-// shards, each coming back through a snapshot write and read, and the range
-// observer over the first of them.
+// InMemory returns the in-memory deployments: the store, coming back
+// through a snapshot write and read, and the range observer over it.
 func InMemory() []Deployment {
-	return append(Shards(1, 2, 7, 16), Deployment{Name: "range", Observe: observeRange})
+	return []Deployment{
+		{Name: "store", New: func(TB) Applier { return NewStoreApplier(StoreSeed) }, Full: true},
+		{Name: "range", Observe: observeRange},
+	}
 }
 
 // observeRange range-loads every member of 1-, 2- and 4-node rings from the
@@ -958,18 +954,6 @@ func observeRange(_ TB, live Live) error {
 		}
 	}
 	return nil
-}
-
-// Shards returns one Full store deployment per shard count.
-func Shards(counts ...int) (deps []Deployment) {
-	for _, shards := range counts {
-		deps = append(deps, Deployment{
-			Name: fmt.Sprintf("store/shards=%d", shards),
-			New:  func(TB) Applier { return NewStoreApplier(StoreSeed, twitter.WithShards(shards)) },
-			Full: true,
-		})
-	}
-	return deps
 }
 
 // TB is the subset of *testing.T the oracle reports through.

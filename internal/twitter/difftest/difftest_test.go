@@ -18,12 +18,12 @@ import (
 )
 
 // TestShardedStoreMatchesReference is the core differential proof: every
-// in-memory deployment — the store at 1, 2, 7 and 16 shards, and the ring
-// members range-loaded from it — replays randomized op streams in lockstep
-// with the reference model, and the shard counts agree with each other on
-// full observations, snapshot bytes included. Short mode (the CI race job)
-// shortens the streams, not the deployment list, and runs the seeds one at
-// a time so the timing-sensitive tests of packages beside it keep a CPU.
+// in-memory deployment — the store, round-tripped through its snapshot, and
+// the ring members range-loaded from it — replays randomized op streams in
+// lockstep with the reference model, over five seeds. (The name predates
+// the store's single lock.) Short mode (the CI race job) shortens the
+// streams, not the seed list, and runs the seeds one at a time so the
+// timing-sensitive tests of packages beside it keep a CPU.
 func TestShardedStoreMatchesReference(t *testing.T) {
 	n := 10_000
 	if testing.Short() {
@@ -50,13 +50,6 @@ func TestCelebrityRemovalsMatchReference(t *testing.T) {
 			Check(t, CheckConfig{Seed: seed, Ops: Celebrity(seed), Deployments: InMemory(), CheckEvery: 500})
 		})
 	}
-}
-
-// TestShardCountTransparency covers the shard counts InMemory leaves out:
-// stores at 3, 5 and 8 shards must agree with Ref and with each other on
-// full observations (names, bios, synthetic timelines, snapshot bytes).
-func TestShardCountTransparency(t *testing.T) {
-	Check(t, CheckConfig{Seed: 11, N: 3_000, Deployments: Shards(3, 5, 8)})
 }
 
 // buggyPager corrupts pagination anchors — an injected bug the harness must
@@ -118,7 +111,7 @@ func TestHarnessCatchesInjectedBug(t *testing.T) {
 		n   int
 	}{
 		{Deployment{Name: "store/buggy-pager", New: func(TB) Applier {
-			return buggyPager{NewStoreApplier(StoreSeed, twitter.WithShards(8))}
+			return buggyPager{NewStoreApplier(StoreSeed)}
 		}}, 4000},
 		{Deployment{Name: "wal/drops-newest", New: func(tb TB) Applier {
 			w := &droppingWAL{cfg: wal.Config{Dir: tb.TempDir(), Policy: wal.PolicyOff, Clock: simclock.NewVirtualAtEpoch(), Seed: StoreSeed}}
@@ -177,24 +170,22 @@ func genTargetStream(seed int64, target twitter.UserID, users, n int) []Op {
 	return ops
 }
 
-// TestConcurrentPerShardWriters is the -race leg of the differential proof:
-// 8 goroutines drive disjoint target sets on ONE sharded store (targets
-// spread across all shards, followers read cross-shard) while a chaos
-// reader hammers batch profiles and snapshots. Per-target streams commute,
-// so every op result and the final observable state must match a sequential
-// replay into the reference model.
-func TestConcurrentPerShardWriters(t *testing.T) {
+// TestConcurrentWriters is the -race leg of the differential proof: 8
+// goroutines drive disjoint target sets on ONE store, all through its one
+// lock, while a chaos reader hammers batch profiles and snapshots.
+// Per-target streams commute, so every op result and the final observable
+// state must match a sequential replay into the reference model.
+func TestConcurrentWriters(t *testing.T) {
 	const (
 		users      = 160
 		numTargets = 16
-		shards     = 8
 		workers    = 8
 	)
 	perTarget := 400
 	if testing.Short() {
 		perTarget = 150
 	}
-	store := NewStoreApplier(21, twitter.WithShards(shards))
+	store := NewStoreApplier(21)
 	ref := NewRef(simclock.NewVirtualAtEpoch())
 	for i := 0; i < users; i++ {
 		p := twitter.UserParams{
@@ -230,7 +221,7 @@ func TestConcurrentPerShardWriters(t *testing.T) {
 			}
 		}(w)
 	}
-	// Chaos reader: cross-shard batch reads and full-store snapshots racing
+	// Chaos reader: batch reads and full-store snapshots racing
 	// the writers. Results are not compared (they depend on interleaving);
 	// the point is that they are race-free and never error.
 	done := make(chan struct{})

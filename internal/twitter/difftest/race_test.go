@@ -13,7 +13,7 @@ import (
 
 // TestLockFreeReadersRaceWriters pins the RCU read path under the race
 // detector: writer goroutines (each owning one target, so per-target op
-// order is deterministic) churn edges and friend lists through the shard
+// order is deterministic) churn edges and friend lists through the store
 // mutex while reader goroutines hammer the lock-free surface — pages,
 // counts, edge dumps, profiles — with no synchronisation against the
 // writers at all. Afterwards the store must match a reference model that
@@ -27,7 +27,7 @@ func TestLockFreeReadersRaceWriters(t *testing.T) {
 	}
 
 	clock := simclock.NewVirtualAtEpoch()
-	store := twitter.NewStore(clock, 1, twitter.WithShards(4))
+	store := twitter.NewStore(clock, 1)
 	ref := difftest.NewRef(simclock.NewVirtualAtEpoch())
 	created := simclock.Epoch.AddDate(-1, 0, 0)
 	total := nTargets + nTargets*followersPer

@@ -10,9 +10,9 @@ import (
 	"fakeproject/internal/twitter"
 )
 
-// Ref is the trivially-correct reference model the sharded store is diffed
-// against: one mutex, plain slices, linear scans, no sharding, no binary
-// search, no compact records. It re-implements the observable semantics of
+// Ref is the trivially-correct reference model the store is diffed
+// against: one mutex, plain slices, linear scans, no binary search, no
+// compact records, no lock-free views. It re-implements the observable semantics of
 // twitter.Store from the documentation — including the deliberate quirks
 // (a failed non-monotonic follow still materialises the target, a failed
 // duplicate-name create burns no ID, RemoveFollowers drops at most one

@@ -22,8 +22,8 @@ import (
 //     tiny: ~4-6 bytes per edge against ~40 for the struct form);
 //   - a small mutable tail of decoded edges awaiting their block's seal.
 //
-// Reads never take the shard lock. The whole list is published RCU-style
-// through one atomic.Pointer[edgeView]: writers (serialised by the shard
+// Reads never take the store lock. The whole list is published RCU-style
+// through one atomic.Pointer[edgeView]: writers (serialised by the store
 // mutex) build a new view and Store it; readers Load a frozen view and
 // navigate it without coordination. Appends reuse the previous view's
 // blocks slice and tail backing (the appended slot was never visible to any
@@ -36,7 +36,7 @@ import (
 // offset i%edgeBlockLen, and a removal re-cuts the survivors at the same
 // multiples — which is why the blocks before its first removed edge come
 // out unchanged. Navigation needs no per-block counts and snapshot bytes
-// stay shard-count independent.
+// depend on the live edges alone.
 //
 // This file is fpvet //fp:hotpath territory: no fmt, no reflection, and no
 // construction of ID slices — a page is walked a block at a time
@@ -98,8 +98,8 @@ func (l *edgeList) view() *edgeView {
 	return &emptyEdgeView
 }
 
-// append publishes old state + one edge. Caller must hold the owning
-// shard's write lock (the single-writer guarantee the reuse below relies
+// append publishes old state + one edge. Caller must hold the store's
+// write lock (the single-writer guarantee the reuse below relies
 // on). The new tail may share backing with the previous view's tail: the
 // appended slot sits past every published length, so no reader of an older
 // view can reach it, and Go's append either writes that invisible slot or
@@ -251,7 +251,7 @@ func (b *edgeBlock) decodeInto(dst *[edgeBlockLen]segEdge) {
 }
 
 // FollowerWalk reads one page of a follower list newest-first, a run of IDs
-// at a time, straight off a frozen edge view: no shard lock, no page-sized
+// at a time, straight off a frozen edge view: no store lock, no page-sized
 // copy, nothing on the heap (the walk is a value on its caller's stack).
 // Store.WalkFollowers starts one; Next yields the runs; NextSeq, once Next
 // has returned nil, is the anchor of the following page. It is the one
@@ -289,7 +289,7 @@ func (s *Store) WalkFollowers(w *FollowerWalk, target UserID, fromSeq uint64, li
 		return err
 	}
 	v := &emptyEdgeView
-	if td := s.shardFor(target).targetOf(target); td != nil {
+	if td := s.targetOf(target); td != nil {
 		v = td.edges.view()
 	}
 	w.start(v, fromSeq, limit)

@@ -9,12 +9,12 @@ import (
 )
 
 // TestLockFreeReadsUnderWriteLock is the direct form of the lock-free
-// contract: with every shard's write lock held, the segment read paths must
+// contract: with the store's write lock held, the segment read paths must
 // still complete. Any accidental RLock on these paths deadlocks the probe
 // goroutine and fails the watchdog.
 func TestLockFreeReadsUnderWriteLock(t *testing.T) {
 	clock := simclock.NewVirtualAtEpoch()
-	store := NewStore(clock, 1, WithShards(4))
+	store := NewStore(clock, 1)
 	target := store.MustCreateUser(UserParams{Followers: 77})
 	quiet := store.MustCreateUser(UserParams{Followers: 12345, Friends: 9})
 	at := simclock.Epoch
@@ -29,14 +29,8 @@ func TestLockFreeReadsUnderWriteLock(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for i := range store.shards {
-		store.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range store.shards {
-			store.shards[i].mu.Unlock()
-		}
-	}()
+	store.mu.Lock()
+	defer store.mu.Unlock()
 
 	done := make(chan error, 1)
 	go func() {
@@ -73,50 +67,7 @@ func TestLockFreeReadsUnderWriteLock(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("segment read path blocked on a held shard write lock")
-	}
-}
-
-// TestShardOpsInvariantUnderSnapshot is the shard-heat bugfix regression:
-// persistence is internal bookkeeping, so writing a snapshot must leave the
-// per-shard ops counters exactly where platform traffic put them, and a
-// store booted from a snapshot starts with zero heat.
-func TestShardOpsInvariantUnderSnapshot(t *testing.T) {
-	clock := simclock.NewVirtualAtEpoch()
-	store := NewStore(clock, 9, WithShards(4))
-	target := store.MustCreateUser(UserParams{ScreenName: "hot"})
-	at := simclock.Epoch
-	for i := 0; i < 300; i++ {
-		id := store.MustCreateUser(UserParams{})
-		at = at.Add(time.Second)
-		if err := store.AddFollower(target, id, at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := store.RemoveFollowers(target, []UserID{5, 9}, at.Add(time.Second)); err != nil {
-		t.Fatal(err)
-	}
-
-	before := store.ShardOps()
-	var buf bytes.Buffer
-	if err := store.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	after := store.ShardOps()
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("shard %d heat moved across WriteSnapshot: %d -> %d", i, before[i], after[i])
-		}
-	}
-
-	loaded, err := ReadSnapshot(&buf, simclock.NewVirtualAtEpoch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ops := range loaded.ShardOps() {
-		if ops != 0 {
-			t.Fatalf("shard %d of a freshly loaded store has %d fake ops", i, ops)
-		}
+		t.Fatal("segment read path blocked on the held store write lock")
 	}
 }
 

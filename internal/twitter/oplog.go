@@ -11,15 +11,13 @@ import "time"
 //
 // Two ordering guarantees matter for replay determinism:
 //
-//   - Creates are logged under createMu before the account is published, so
-//     the log's create order equals ID order, and any logged op referencing
-//     an ID appears after that ID's create record.
-//   - Per-target ops (follow/unfollow/purge/tweet/set-friends) are logged
-//     under the target's shard lock, so per-target order in the log equals
-//     the order the store applied them in. Cross-target interleaving in the
-//     log may differ from wall-clock order, but no store observation can
-//     tell: targets share no mutable state except the global counters, and
-//     those are logged by value (tweet IDs) or reconstructed (edge seqs).
+//   - Creates are logged under the store's write lock before the account
+//     is published, so the log's create order equals ID order, and any
+//     logged op referencing an ID appears after that ID's create record.
+//   - Every other op (follow/unfollow/purge/tweet/set-friends) is logged
+//     under the same write lock, so the log's order is the order the store
+//     applied them in. Tweet IDs are logged by value and edge seqs are
+//     reconstructed, so replay never re-allocates either.
 
 // OpLog receives every store mutation for durable logging. Each LogX call
 // returns the op's log sequence number; Sync blocks until that LSN is

@@ -31,11 +31,10 @@ func unixUTC(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 // load by copy-and-validate: gob only frames the values, no record field is
 // decoded by reflection and no edge block is re-encoded. Writer and reader
 // hold one chunk/target in memory at a time, so a 10M-account snapshot
-// costs bounded memory beyond the store itself. Nothing is emitted in shard or map order and the chunk
-// cuts are fixed, so two stores holding the same logical state produce
-// byte-identical snapshots regardless of their shard counts — the property
-// the differential harness asserts — and any snapshot loads into a store
-// with any shard count.
+// costs bounded memory beyond the store itself. Nothing is emitted in map
+// order and the chunk cuts are fixed, so two stores holding the same
+// logical state produce byte-identical snapshots — the property the
+// differential harness asserts and testdata/snapshot_digest.golden pins.
 //
 // A header carrying any other version — older or newer — is rejected as
 // ErrBadSnapshot: populations are regenerated bit for bit by genpop -seed,
@@ -130,28 +129,24 @@ type snapshot struct {
 	TargetN int64
 }
 
-// WriteSnapshot serialises the full store state. Creation is quiesced and
-// every shard is read-locked (in index order) for the duration, so the
-// snapshot is a consistent cut. The encoding is canonical: records, names
-// and targets are emitted in ascending ID order, never in shard or map
-// order, with fixed chunk cuts, so equal logical state yields equal bytes
-// for any shard count.
+// WriteSnapshot serialises the full store state. The store is read-locked
+// for the duration, so the snapshot is a consistent cut. The encoding is
+// canonical: records, names and targets are emitted in ascending ID order,
+// never in map order, with fixed chunk cuts, so equal logical state yields
+// equal bytes.
 func (s *Store) WriteSnapshot(w io.Writer) error {
 	return s.WriteSnapshotWith(w, nil)
 }
 
-// WriteSnapshotWith is WriteSnapshot with a cut hook: atCut runs once
-// creation is quiesced and every shard is locked — the exact logical
+// WriteSnapshotWith is WriteSnapshot with a cut hook: atCut runs once the
+// store is read-locked — the exact logical
 // instant the snapshot captures — before any state is serialised. WAL
 // compaction rotates its log segment there, so the snapshot and the
 // post-cut segments partition the op history with no overlap and no gap.
 // An atCut error aborts the snapshot before anything is written.
 //
 // The write streams: header, then records in fixed chunks, then one value
-// per target, holding one chunk/target in encoded form at a time. All
-// routing uses the non-counting shard accessor, so a snapshot leaves the
-// operator-facing shard-heat counters exactly where platform traffic put
-// them.
+// per target, holding one chunk/target in encoded form at a time.
 func (s *Store) WriteSnapshotWith(w io.Writer, atCut func() error) error {
 	return s.writeSnapshot(w, atCut, nil)
 }
@@ -161,23 +156,18 @@ func (s *Store) WriteSnapshotWith(w io.Writer, atCut func() error) error {
 // state is emitted (records and names always cover the full account space,
 // so the stream stays a loadable snapshot).
 func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID) bool) error {
-	s.createMu.Lock()
-	defer s.createMu.Unlock()
-	s.rlockAll()
-	defer s.runlockAll()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if atCut != nil {
 		if err := atCut(); err != nil {
 			return fmt.Errorf("snapshot cut: %w", err)
 		}
 	}
 
-	n := int(s.users.Load())
+	n := len(s.recs)
 	var targetIDs []int64
-	for si := range s.shards {
-		for id := range *s.shards[si].targets.Load() {
-			if keep != nil && !keep(id) {
-				continue
-			}
+	for id := range *s.targets.Load() {
+		if keep == nil || keep(id) {
 			targetIDs = append(targetIDs, int64(id))
 		}
 	}
@@ -190,16 +180,14 @@ func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID)
 		RecordN:   int64(n),
 		TargetN:   int64(len(targetIDs)),
 	}
-	for si := range s.shards {
-		for id, name := range s.shards[si].names {
-			hdr.NameList = append(hdr.NameList, persistName{ID: int64(id), Name: name})
-		}
+	for id, name := range s.names {
+		hdr.NameList = append(hdr.NameList, persistName{ID: int64(id), Name: name})
 	}
 	sort.Slice(hdr.NameList, func(i, j int) bool { return hdr.NameList[i].ID < hdr.NameList[j].ID })
 
 	bw := bufio.NewWriter(w)
 	enc := gob.NewEncoder(bw)
-	//fp:allow lockhold the snapshot must serialise a consistent cut, so encoding runs under the store locks by design (audited: readers stay live, writers stall for the dump)
+	//fp:allow lockhold the snapshot must serialise a consistent cut, so encoding runs under the store lock by design (audited: readers stay live, writers stall for the dump)
 	if err := enc.Encode(hdr); err != nil {
 		return fmt.Errorf("encoding snapshot header: %w", err)
 	}
@@ -208,21 +196,19 @@ func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID)
 		if len(chunk) == 0 {
 			return nil
 		}
-		//fp:allow lockhold record chunks stream out under the same consistent-cut locks as the header
+		//fp:allow lockhold record chunks stream out under the same consistent-cut lock as the header
 		err := enc.Encode(chunk)
 		chunk = chunk[:0]
 		return err
 	}
-	for i := 0; i < n; i++ {
-		id := UserID(i + 1)
-		sh := s.shardOf(id)
-		r := &sh.recs[s.slotFor(id)]
+	for i := range s.recs {
+		r := &s.recs[i]
 		if keep != nil {
 			// A range export carries every target's counts in its record, as
 			// ReadSnapshotRange folds them: the stream holds only the kept
 			// targets, so the reader cannot fold the others.
 			var v ProfileView
-			viewOf(&v, sh, id, r)
+			s.viewOf(&v, UserID(i+1), r)
 			folded := *r
 			folded.followers, folded.friends = int32(v.FollowersCount), int32(v.FriendsCount)
 			r = &folded
@@ -239,7 +225,7 @@ func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID)
 	}
 	for _, tid := range targetIDs {
 		id := UserID(tid)
-		td := s.shardOf(id).targetOf(id)
+		td := s.targetOf(id)
 		v := td.edges.view()
 		pt := persistTarget{ID: tid, SeqCounter: td.seq, EdgeN: int64(v.total), Ever: v.ever, RemovedAt: td.removedAt}
 		if v.total > 0 {
@@ -266,12 +252,12 @@ func (s *Store) writeSnapshot(w io.Writer, atCut func() error, keep func(UserID)
 				pt.Friends[i] = int64(f)
 			}
 		}
-		//fp:allow lockhold per-target values stream out under the same consistent-cut locks as the header
+		//fp:allow lockhold per-target values stream out under the same consistent-cut lock as the header
 		if err := enc.Encode(pt); err != nil {
 			return fmt.Errorf("encoding snapshot target %d: %w", tid, err)
 		}
 	}
-	//fp:allow lockhold flush completes the consistent-cut write begun under the same locks
+	//fp:allow lockhold flush completes the consistent-cut write begun under the same lock
 	return bw.Flush()
 }
 
@@ -304,21 +290,15 @@ func loadSnapshotFile(path string, clock simclock.Clock, keep func(UserID) bool)
 // clock. A virtual clock lagging behind the snapshot's recorded position
 // is advanced to it, so an evolved population resumes where it left off
 // instead of rejecting further growth/churn as non-monotonic.
-//
-// Options configure the reconstructed store exactly as for NewStore; the
-// snapshot itself is shard-layout free, so a population written by a store
-// with one shard count loads into a store with any other. The load routes
-// through the non-counting shard accessor, so a boot-from-snapshot starts
-// with all shard-heat counters at zero.
-func ReadSnapshot(r io.Reader, clock simclock.Clock, opts ...Option) (*Store, error) {
-	return readSnapshot(r, clock, nil, opts...)
+func ReadSnapshot(r io.Reader, clock simclock.Clock) (*Store, error) {
+	return readSnapshot(r, clock, nil)
 }
 
 // readSnapshot is the shared reader behind ReadSnapshot and
 // ReadSnapshotRange: keep, when non-nil, selects which targets' heavy state
 // is installed, with every target's observable override counts folded into
 // its record first (see persist_range.go).
-func readSnapshot(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opts ...Option) (*Store, error) {
+func readSnapshot(r io.Reader, clock simclock.Clock, keep func(UserID) bool) (*Store, error) {
 	bound := streamBound(r) // before the buffered reader takes any of r
 	dec := gob.NewDecoder(bufio.NewReader(r))
 	var snap snapshot
@@ -336,13 +316,13 @@ func readSnapshot(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opt
 			}
 		}
 	}
-	store := NewStore(clock, snap.NameSeed, opts...)
+	store := NewStore(clock, snap.NameSeed)
 	store.tweetSeq.Store(snap.TweetSeq)
 
 	if snap.RecordN < 0 {
 		return nil, fmt.Errorf("%w: negative record count", ErrBadSnapshot)
 	}
-	// The shards are sized from RecordN before any record is read, so a
+	// The records are sized from RecordN before any record is read, so a
 	// count the stream cannot hold is refused before it allocates.
 	if bound >= 0 && snap.RecordN > bound/recordSize {
 		return nil, fmt.Errorf("%w: %d records in a %d-byte stream", ErrBadSnapshot, snap.RecordN, bound)
@@ -359,17 +339,13 @@ func readSnapshot(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opt
 			return nil, fmt.Errorf("%w: record chunk framing", ErrBadSnapshot)
 		}
 		for i := 0; i < k; i++ {
-			installRecord(store, UserID(got+i+1), chunk[i*recordSize:(i+1)*recordSize])
+			installRecord(store, chunk[i*recordSize:(i+1)*recordSize])
 		}
 		got += k
 	}
-	// Publish each shard's backing and only then commit the count, the same
-	// order creation uses.
-	for si := range store.shards {
-		if store.shards[si].recs != nil {
-			store.shards[si].publishRecs()
-		}
-	}
+	// Publish the backing and only then commit the count, the same order
+	// creation uses.
+	store.publishRecs()
 	store.users.Store(int64(n))
 
 	for _, pn := range snap.NameList {
@@ -377,17 +353,15 @@ func readSnapshot(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opt
 		if pn.ID < 1 || int(pn.ID) > n {
 			return nil, fmt.Errorf("%w: name %q for unknown user %d", ErrBadSnapshot, pn.Name, pn.ID)
 		}
-		sh := store.shardOf(id)
-		if _, dup := sh.names[id]; dup {
+		if _, dup := store.names[id]; dup {
 			return nil, fmt.Errorf("%w: user %d named twice", ErrBadSnapshot, pn.ID)
 		}
-		stripe := store.stripeFor(pn.Name)
-		if _, dup := stripe.byName[pn.Name]; dup {
+		if _, dup := store.byName[pn.Name]; dup {
 			return nil, fmt.Errorf("%w: duplicate name %q", ErrBadSnapshot, pn.Name)
 		}
-		sh.names[id] = pn.Name
-		sh.recs[store.slotFor(id)].named = true
-		stripe.byName[pn.Name] = id
+		store.names[id] = pn.Name
+		store.byName[pn.Name] = id
+		store.recs[id-1].named = true
 	}
 
 	if snap.TargetN < 0 {
@@ -427,13 +401,11 @@ func streamBound(r io.Reader) int64 {
 	return -1
 }
 
-// installRecord appends the recordSize bytes b as id's record into its
-// owning shard. IDs ascend across calls, so each shard's segment is filled
-// in slot order by plain appends.
-func installRecord(store *Store, id UserID, b []byte) {
+// installRecord appends the recordSize bytes b as the next record. IDs
+// ascend across calls, so the records fill in ID order by plain appends.
+func installRecord(store *Store, b []byte) {
 	le := binary.LittleEndian
-	sh := store.shardOf(id)
-	sh.recs = append(sh.recs, record{
+	store.recs = append(store.recs, record{
 		createdAt:   int64(le.Uint64(b[0:])),
 		lastTweetAt: int64(le.Uint64(b[8:])),
 		statuses:    int32(le.Uint32(b[16:])),
@@ -501,7 +473,7 @@ func installTarget(store *Store, pt *persistTarget, n int) error {
 	}
 	// The store is unpublished while it loads, so the target map fills in
 	// place: a copy-on-write insert per target would make loading quadratic.
-	targets := *store.shardOf(UserID(pt.ID)).targets.Load()
+	targets := *store.targets.Load()
 	if targets[UserID(pt.ID)] != nil {
 		return fmt.Errorf("%w: target %d appears twice", ErrBadSnapshot, pt.ID)
 	}

@@ -42,8 +42,8 @@ func (s *Store) WriteSnapshotRange(w io.Writer, keep func(UserID) bool) error {
 // its record (see the package comment above), and only targets selected by
 // keep get their heavy state installed. A nil keep folds every target and
 // installs them all.
-func ReadSnapshotRange(r io.Reader, clock simclock.Clock, keep func(UserID) bool, opts ...Option) (*Store, error) {
-	return readSnapshot(r, clock, rangeKeep(keep), opts...)
+func ReadSnapshotRange(r io.Reader, clock simclock.Clock, keep func(UserID) bool) (*Store, error) {
+	return readSnapshot(r, clock, rangeKeep(keep))
 }
 
 // rangeKeep resolves a range reader's nil keep to "every target": the nil
@@ -71,8 +71,7 @@ func foldTargetCounts(store *Store, pt *persistTarget, n int) error {
 	if pt.ID < 1 || int(pt.ID) > n {
 		return fmt.Errorf("%w: target %d out of range", ErrBadSnapshot, pt.ID)
 	}
-	id := UserID(pt.ID)
-	rec := &store.shardOf(id).recs[store.slotFor(id)]
+	rec := &store.recs[pt.ID-1]
 	if pt.Ever {
 		rec.followers = int32(pt.EdgeN)
 	}

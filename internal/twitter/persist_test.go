@@ -347,121 +347,6 @@ func TestSnapshotEmptyStore(t *testing.T) {
 	}
 }
 
-// buildRichStoreSharded is buildRichStore with an explicit shard count,
-// including churn so removal state is covered.
-func buildRichStoreSharded(t *testing.T, shards int) (*Store, UserID) {
-	t.Helper()
-	clock := simclock.NewVirtualAtEpoch()
-	store := NewStore(clock, 99, WithShards(shards))
-	target := store.MustCreateUser(UserParams{
-		ScreenName: "target",
-		CreatedAt:  simclock.Epoch.AddDate(-2, 0, 0),
-	})
-	at := simclock.Epoch.AddDate(-1, 0, 0)
-	for i := 0; i < 200; i++ {
-		params := UserParams{
-			CreatedAt: simclock.Epoch.AddDate(-3, 0, 0),
-			LastTweet: simclock.Epoch.AddDate(0, 0, -10),
-			Statuses:  50, Friends: 20, Followers: 30,
-			Bio:      i%2 == 0,
-			Class:    ClassFake,
-			Behavior: Behavior{RetweetRatio: 0.3},
-		}
-		if i%10 == 0 {
-			params.ScreenName = "member" + string(rune('a'+i/10))
-		}
-		id := store.MustCreateUser(params)
-		if err := store.AddFollower(target, id, at); err != nil {
-			t.Fatal(err)
-		}
-		at = at.Add(time.Minute)
-	}
-	if _, err := store.AppendTweet(target, Tweet{CreatedAt: simclock.Epoch, Text: "t", Source: "web"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.RemoveFollowers(target, []UserID{5, 9, 33}, store.Now()); err != nil {
-		t.Fatal(err)
-	}
-	return store, target
-}
-
-// TestSnapshotBytesShardCountIndependent is the canonical-encoding
-// guarantee: the same logical state serialises to the same bytes no matter
-// how many shards the store uses, and repeated writes are byte-stable (no
-// map-iteration-order leakage).
-func TestSnapshotBytesShardCountIndependent(t *testing.T) {
-	var golden []byte
-	for _, shards := range []int{1, 3, 16} {
-		store, _ := buildRichStoreSharded(t, shards)
-		var first, second bytes.Buffer
-		if err := store.WriteSnapshot(&first); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.WriteSnapshot(&second); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("shards=%d: two writes of the same store differ", shards)
-		}
-		if golden == nil {
-			golden = first.Bytes()
-		} else if !bytes.Equal(golden, first.Bytes()) {
-			t.Fatalf("shards=%d: snapshot bytes differ from shards=1 encoding", shards)
-		}
-	}
-}
-
-// TestSnapshotLoadsAcrossShardCounts proves the format is shard-layout
-// free: a snapshot written by a 16-shard store loads into 1- and 5-shard
-// stores with identical observables, and reserialises to identical bytes.
-func TestSnapshotLoadsAcrossShardCounts(t *testing.T) {
-	store, target := buildRichStoreSharded(t, 16)
-	var buf bytes.Buffer
-	if err := store.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	for _, shards := range []int{1, 5} {
-		loaded, err := ReadSnapshot(bytes.NewReader(raw), simclock.NewVirtualAtEpoch(), WithShards(shards))
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if loaded.Shards() != shards {
-			t.Fatalf("Shards() = %d, want %d", loaded.Shards(), shards)
-		}
-		if loaded.UserCount() != store.UserCount() {
-			t.Fatalf("shards=%d: user count %d vs %d", shards, loaded.UserCount(), store.UserCount())
-		}
-		for id := UserID(1); int(id) <= store.UserCount(); id++ {
-			pa, err1 := store.Profile(id)
-			pb, err2 := loaded.Profile(id)
-			if err1 != nil || err2 != nil || pa != pb {
-				t.Fatalf("shards=%d: profile %d differs (%v, %v)", shards, id, err1, err2)
-			}
-		}
-		if id, err := loaded.LookupName("membera"); err != nil || id != 2 {
-			t.Fatalf("shards=%d: LookupName = %d, %v", shards, id, err)
-		}
-		ea, _ := store.FollowEdges(target)
-		eb, _ := loaded.FollowEdges(target)
-		if len(ea) != len(eb) {
-			t.Fatalf("shards=%d: edge counts differ", shards)
-		}
-		for i := range ea {
-			if ea[i] != eb[i] {
-				t.Fatalf("shards=%d: edge %d differs", shards, i)
-			}
-		}
-		var again bytes.Buffer
-		if err := loaded.WriteSnapshot(&again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw, again.Bytes()) {
-			t.Fatalf("shards=%d: reserialised snapshot differs from original bytes", shards)
-		}
-	}
-}
-
 // TestSnapshotRejectsDuplicateNameListIDs covers a corruption class the
 // name list makes possible: one user carrying two explicit names must fail
 // loading, not silently overwrite.
@@ -510,10 +395,7 @@ func TestSnapshotV7Layout(t *testing.T) {
 		{createdAt: 1, lastTweetAt: 2, statuses: 3, friends: 4, followers: 5, seed: 6,
 			flags: 7, class: 8, retweetPct: 9, linkPct: 10, spamPct: 11, dupPct: 12},
 	}
-	for i, r := range recs {
-		id := UserID(i + 1)
-		store.shardOf(id).recs[store.slotFor(id)] = r
-	}
+	copy(store.recs, recs)
 	wantChunk := []byte{
 		0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0x80,
 		0, 0, 0, 0x80, 0, 0, 0, 0x80, 0, 0, 0, 0x80, 0, 0, 0, 0,
@@ -552,7 +434,7 @@ func TestSnapshotV7Layout(t *testing.T) {
 	if !bytes.Equal(chunk[:len(wantChunk)], wantChunk) {
 		t.Fatalf("record chunk\n got %x\nwant %x", chunk[:len(wantChunk)], wantChunk)
 	}
-	v := store.shardOf(target).targetOf(target).edges.view()
+	v := store.targetOf(target).edges.view()
 	var wantStream []byte
 	for _, b := range v.blocks {
 		wantStream = append(wantStream, b.data...)
@@ -566,17 +448,16 @@ func TestSnapshotV7Layout(t *testing.T) {
 		t.Fatalf("target %d: %d edges in %d bytes, want %d edges as 2 blocks + 7", pt.ID, pt.EdgeN, len(pt.EdgeStream), 2*edgeBlockLen+7)
 	}
 
-	loaded, err := ReadSnapshot(bytes.NewReader(raw), simclock.NewVirtualAtEpoch(), WithShards(2))
+	loaded, err := ReadSnapshot(bytes.NewReader(raw), simclock.NewVirtualAtEpoch())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range recs {
-		id := UserID(i + 1)
-		if got := loaded.shardOf(id).recs[loaded.slotFor(id)]; got != want {
-			t.Errorf("record %d = %+v, want %+v", id, got, want)
+		if got := loaded.recs[i]; got != want {
+			t.Errorf("record %d = %+v, want %+v", i+1, got, want)
 		}
 	}
-	lv := loaded.shardOf(target).targetOf(target).edges.view()
+	lv := loaded.targetOf(target).edges.view()
 	if !reflect.DeepEqual(lv, v) {
 		t.Fatal("loaded edge view differs from the written one")
 	}
@@ -716,14 +597,14 @@ func FuzzReadSnapshot(f *testing.F) {
 // TestNamedBitFollowsTheNameList: record.named, which spares the name
 // lookup of an account without an explicit name its map probe, sits in the
 // record's padding (the record stays 40 bytes) and is never persisted; on a
-// created store and after every kind of snapshot load — whole, into another
-// shard count, as a range — it is set exactly for the accounts the name
-// list names, and every screen name reads as before.
+// created store and after every kind of snapshot load — whole or as a
+// range — it is set exactly for the accounts the name list names, and every
+// screen name reads as before.
 func TestNamedBitFollowsTheNameList(t *testing.T) {
 	if size := unsafe.Sizeof(record{}); size != 40 {
 		t.Fatalf("record is %d bytes, want 40", size)
 	}
-	src, _ := buildRichStoreSharded(t, 16)
+	src := buildGoldenStore(t)
 	var buf bytes.Buffer
 	if err := src.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -732,9 +613,6 @@ func TestNamedBitFollowsTheNameList(t *testing.T) {
 	for name, load := range map[string]func() (*Store, error){
 		"whole": func() (*Store, error) {
 			return ReadSnapshot(bytes.NewReader(buf.Bytes()), simclock.NewVirtualAtEpoch())
-		},
-		"3 shards": func() (*Store, error) {
-			return ReadSnapshot(bytes.NewReader(buf.Bytes()), simclock.NewVirtualAtEpoch(), WithShards(3))
 		},
 		"range": func() (*Store, error) {
 			return ReadSnapshotRange(bytes.NewReader(buf.Bytes()), simclock.NewVirtualAtEpoch(), func(id UserID) bool { return id%2 == 0 })
@@ -749,9 +627,8 @@ func TestNamedBitFollowsTheNameList(t *testing.T) {
 	for name, store := range stores {
 		named := 0
 		for id := UserID(1); int(id) <= src.UserCount(); id++ {
-			sh := store.shardOf(id)
-			_, explicit := sh.names[id]
-			if sh.recs[store.slotFor(id)].named != explicit {
+			_, explicit := store.names[id]
+			if store.recs[id-1].named != explicit {
 				t.Fatalf("%s: account %d has named=%v, an explicit name: %v", name, id, !explicit, explicit)
 			}
 			if explicit {

@@ -11,14 +11,14 @@ import (
 
 // TestSimclockSleepersRaceShardWriters pits virtual-clock sleepers (the
 // pacing loops of monitord/auditd all sleep on the shared clock) against
-// shard writers that stamp edges with clock.Now() while creates, per-shard
-// follower appends and an all-shard snapshot run concurrently. Run under
+// writers that stamp edges with clock.Now() while creates, per-target
+// follower appends and snapshots run concurrently on one store lock. Run under
 // -race in CI. The virtual clock only moves forward, so per-target edge
 // times stay monotonic no matter how the sleepers interleave with the
 // writers — every AddFollower must succeed.
 func TestSimclockSleepersRaceShardWriters(t *testing.T) {
 	clock := simclock.NewVirtualAtEpoch()
-	store := NewStore(clock, 11, WithShards(8))
+	store := NewStore(clock, 11)
 
 	const (
 		writers     = 8
@@ -59,7 +59,7 @@ func TestSimclockSleepersRaceShardWriters(t *testing.T) {
 	// Writers: one target each (per-target monotonicity is the writer's own
 	// responsibility; the clock's forward-only guarantee must be enough).
 	// Half the appended followers are fresh creates, so the allocator plane
-	// races the sleepers too, and periodic snapshots take every shard lock
+	// races the sleepers too, and periodic snapshots take the store lock
 	// mid-storm.
 	var writerWG sync.WaitGroup
 	for w := 0; w < writers; w++ {

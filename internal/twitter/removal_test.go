@@ -185,7 +185,7 @@ func TestHeldViewSurvivesSharedPrefixRemoval(t *testing.T) {
 			for range n {
 				follow()
 			}
-			edges := &store.shardFor(target).targetOf(target).edges
+			edges := &store.targetOf(target).edges
 			held := edges.view()
 			if cap(held.blocks) == len(held.blocks) {
 				t.Fatal("the blocks slice has no spare capacity; the hazard cannot arise")

@@ -158,14 +158,13 @@ func TestTimelinePagesConcatenate(t *testing.T) {
 		}
 	}
 
-	sh := s.shardFor(synth)
-	rec, err := s.recordIn(sh, synth)
+	rec, err := s.recordIn(synth)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[UserID][]Tweet{synth: synthTimelineOracle(synth, rec, depth)}
 	want[stored] = make([]Tweet, depth)
-	td := s.shardFor(stored).targetOf(stored)
+	td := s.targetOf(stored)
 	for i := range want[stored] {
 		want[stored][i] = td.tweets[len(td.tweets)-1-i]
 	}
@@ -210,13 +209,13 @@ func TestTimelinePagesConcatenate(t *testing.T) {
 	}
 }
 
-// TestTimelineVisitHoldsNoShardLock: the visitor copies what it needs under
-// the shard's read lock and synthesises, and calls back, outside it, so a
-// writer on the same shard — the same account, even — gets through while a
-// visit is parked in its callback. (Timeline used to build up to 3,200
-// tweets with the lock held.)
-func TestTimelineVisitHoldsNoShardLock(t *testing.T) {
-	s := NewStore(simclock.NewVirtualAtEpoch(), 42, WithShards(1))
+// TestTimelineVisitHoldsNoStoreLock: the visitor copies what it needs under
+// the store's read lock and synthesises, and calls back, outside it, so a
+// writer — on the same account, even — gets through while a visit is
+// parked in its callback. (Timeline used to build up to 3,200 tweets with
+// the lock held.)
+func TestTimelineVisitHoldsNoStoreLock(t *testing.T) {
+	s := NewStore(simclock.NewVirtualAtEpoch(), 42)
 	synth := mkUser(t, s, UserParams{
 		CreatedAt: simclock.Epoch.AddDate(-1, 0, 0), LastTweet: simclock.Epoch.AddDate(0, 0, -1), Statuses: 50,
 	})

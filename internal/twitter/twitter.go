@@ -15,13 +15,11 @@
 //     instead of a 40-byte struct, so follower lists scale to the ROADMAP's
 //     10M-account populations.
 //  3. Everything is reproducible from a single root seed and a virtual clock.
-//  4. The store is lock-striped (see shard.go): state is sharded by account
-//     ID so concurrent audits of different targets never serialise on a
-//     global lock. Operations on a single account take one shard lock;
-//     batch paths regroup their inputs per shard; snapshots lock all shards
-//     in index order. The crawl-dominant reads — follower pages, follower
-//     counts, the materialised friends list — are lock-free on top: edges
-//     and friends are published RCU-style and read from frozen views.
+//  4. One store lock (see store.go) guards records and names and
+//     serialises writers; batch reads take it once per chunk. The
+//     crawl-dominant reads — follower pages, follower counts, the
+//     materialised friends list — take no lock: edges and friends are
+//     published RCU-style and read from frozen views.
 //
 // The ground-truth archetype of every account (genuine / inactive / fake) is
 // retained in the store but deliberately NOT exposed through the API layer:
@@ -179,8 +177,8 @@ type record struct {
 	linkPct     uint8
 	spamPct     uint8
 	dupPct      uint8
-	// named reports that the account has an explicit screen name in its
-	// shard's names map, so the common synthetic-name account costs no map
+	// named reports that the account has an explicit screen name in the
+	// store's names map, so the common synthetic-name account costs no map
 	// probe. It lives in the struct's padding (the record stays 40 bytes)
 	// and is never persisted: creation sets it, and a snapshot load sets it
 	// from the name list it installs.
@@ -194,7 +192,7 @@ func (r *record) has(flag uint8) bool { return r.flags&flag != 0 }
 type targetData struct {
 	// edges is the live follower list in compact segment form (edgeseg.go):
 	// chronological, strictly increasing Seq, published RCU-style so pages
-	// and counts read it with no shard lock. Edge times are stored at unix-
+	// and counts read it with no store lock. Edge times are stored at unix-
 	// second resolution (the resolution snapshots always had), so the
 	// follow-side monotonicity contract is per-second.
 	edges  edgeList
@@ -301,19 +299,14 @@ func (s *Store) createUser(p UserParams) (UserID, uint64, error) {
 		created = s.clock.Now()
 	}
 
-	s.createMu.Lock()
-	defer s.createMu.Unlock()
-	var stripe *nameStripe
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if p.ScreenName != "" {
-		stripe = s.stripeFor(p.ScreenName)
-		stripe.mu.RLock()
-		_, dup := stripe.byName[p.ScreenName]
-		stripe.mu.RUnlock()
-		if dup {
+		if _, dup := s.byName[p.ScreenName]; dup {
 			return 0, 0, fmt.Errorf("%w: %q", ErrDuplicateName, p.ScreenName)
 		}
 	}
-	id := UserID(s.users.Load() + 1)
+	id := UserID(len(s.recs) + 1)
 	rec := record{
 		createdAt:   created.Unix(),
 		lastTweetAt: lastTweet,
@@ -341,30 +334,20 @@ func (s *Store) createUser(p UserParams) (UserID, uint64, error) {
 			return 0, 0, fmt.Errorf("twitter: logging create: %w", err)
 		}
 	}
-	// Creation is serialised and IDs are dense, so the owning shard's next
-	// free slot is exactly this ID's slot: a plain append commits it. If the
-	// append moves the backing array, the new backing is republished for
-	// lock-free readers before the users counter commits the ID.
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	oldCap := cap(sh.recs)
-	sh.recs = append(sh.recs, rec)
-	if cap(sh.recs) != oldCap {
-		sh.publishRecs()
+	// Creation holds the write lock and IDs are dense, so the next free
+	// index is exactly this ID's: a plain append commits it. If the append
+	// moves the backing array, the new backing is republished for lock-free
+	// readers before the users counter commits the ID.
+	oldCap := cap(s.recs)
+	s.recs = append(s.recs, rec)
+	if cap(s.recs) != oldCap {
+		s.publishRecs()
 	}
 	if p.ScreenName != "" {
-		sh.names[id] = p.ScreenName
+		s.names[id] = p.ScreenName
+		s.byName[p.ScreenName] = id
 	}
-	sh.mu.Unlock()
-	// Publish existence only after the record is committed, and the name
-	// only after that: LookupName never yields an ID whose profile is not
-	// yet readable.
 	s.users.Add(1)
-	if stripe != nil {
-		stripe.mu.Lock()
-		stripe.byName[p.ScreenName] = id
-		stripe.mu.Unlock()
-	}
 	return id, lsn, nil
 }
 
@@ -386,27 +369,20 @@ func (s *Store) UserCount() int {
 // ScreenName returns the screen name of id, synthesising one if the account
 // was created without an explicit name.
 func (s *Store) ScreenName(id UserID) (string, error) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return s.screenNameIn(sh, id)
-}
-
-// screenNameIn resolves id's screen name within its owning shard; the
-// caller must hold sh's lock.
-func (s *Store) screenNameIn(sh *shard, id UserID) (string, error) {
-	rec, err := s.recordIn(sh, id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rec, err := s.recordIn(id)
 	if err != nil {
 		return "", err
 	}
-	return sh.nameOf(id, rec), nil
+	return s.nameOf(id, rec), nil
 }
 
 // nameOf returns the explicit screen name of id, or the one synthesised
-// from its record's seed. Caller must hold sh.mu.
-func (sh *shard) nameOf(id UserID, rec *record) string {
+// from its record's seed. Caller must hold s.mu.
+func (s *Store) nameOf(id UserID, rec *record) string {
 	if rec.named {
-		return sh.names[id]
+		return s.names[id]
 	}
 	return synthScreenName(uint64(rec.seed))
 }
@@ -414,10 +390,9 @@ func (sh *shard) nameOf(id UserID, rec *record) string {
 // LookupName resolves an explicit screen name to a user ID.
 // Synthetic (auto-generated) names are not indexed.
 func (s *Store) LookupName(name string) (UserID, error) {
-	stripe := s.stripeFor(name)
-	stripe.mu.RLock()
-	id, ok := stripe.byName[name]
-	stripe.mu.RUnlock()
+	s.mu.RLock()
+	id, ok := s.byName[name]
+	s.mu.RUnlock()
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownName, name)
 	}
@@ -426,10 +401,9 @@ func (s *Store) LookupName(name string) (UserID, error) {
 
 // TrueClass returns the ground-truth archetype of id (evaluation only).
 func (s *Store) TrueClass(id UserID) (Class, error) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	rec, err := s.recordIn(sh, id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rec, err := s.recordIn(id)
 	if err != nil {
 		return 0, err
 	}
@@ -438,25 +412,22 @@ func (s *Store) TrueClass(id UserID) (Class, error) {
 
 // Profile materialises the full lookup view of an account.
 func (s *Store) Profile(id UserID) (Profile, error) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return s.profileIn(sh, id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.profileIn(id)
 }
 
-// profileIn materialises id's profile within its owning shard; the caller
-// must hold sh's lock. A profile is its attribute view (viewOf) plus the
-// strings the view only records the presence of; everything either needs —
-// record, explicit name, materialised follower count — lives in the same
-// shard, so a profile is a single-shard read.
-func (s *Store) profileIn(sh *shard, id UserID) (Profile, error) {
-	rec, err := s.recordIn(sh, id)
+// profileIn materialises id's profile; the caller must hold s.mu. A profile
+// is its attribute view (viewOf) plus the strings the view only records the
+// presence of.
+func (s *Store) profileIn(id UserID) (Profile, error) {
+	rec, err := s.recordIn(id)
 	if err != nil {
 		return Profile{}, err
 	}
-	name := sh.nameOf(id, rec)
+	name := s.nameOf(id, rec)
 	var v ProfileView
-	viewOf(&v, sh, id, rec)
+	s.viewOf(&v, id, rec)
 	p := Profile{
 		User: User{
 			ID:                  v.ID,
@@ -487,29 +458,15 @@ func (s *Store) profileIn(sh *shard, id UserID) (Profile, error) {
 
 // Profiles materialises several accounts at once (the users/lookup shape).
 // Unknown IDs are skipped, mirroring the real API's behaviour of silently
-// dropping unknown users from the response. The batch is regrouped per
-// shard so each shard lock is taken once, however the input interleaves
-// across shards; output order follows input order regardless.
+// dropping unknown users from the response. The batch is read under one
+// read lock; output order follows input order.
 func (s *Store) Profiles(ids []UserID) []Profile {
-	profiles := make([]Profile, len(ids))
-	for si, group := range s.groupByShard(ids) {
-		if len(group) == 0 {
-			continue
-		}
-		sh := &s.shards[si]
-		sh.mu.RLock()
-		for _, i := range group {
-			if p, err := s.profileIn(sh, ids[i]); err == nil {
-				profiles[i] = p
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	// IDs start at 1, so a zero ID marks a slot no profile was written to.
-	out := profiles[:0]
-	for i := range profiles {
-		if profiles[i].ID != 0 {
-			out = append(out, profiles[i])
+	out := make([]Profile, 0, len(ids))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, id := range ids {
+		if p, err := s.profileIn(id); err == nil {
+			out = append(out, p)
 		}
 	}
 	return out
@@ -519,10 +476,8 @@ func (s *Store) Profiles(ids []UserID) []Profile {
 // Edges must arrive in non-decreasing time order; this is the invariant the
 // Section IV-B experiment verifies from the outside.
 //
-// This is the one mutation that touches two accounts; only the target's
-// shard is locked. The follower's existence check is lock-free (accounts
-// are never deleted), so followers landing on different targets in
-// different shards proceed fully in parallel.
+// This is the one mutation that touches two accounts; the follower's
+// existence check is lock-free (accounts are never deleted).
 func (s *Store) AddFollower(target, follower UserID, at time.Time) error {
 	lsn, err := s.addFollower(target, follower, at)
 	if err != nil {
@@ -538,10 +493,9 @@ func (s *Store) addFollower(target, follower UserID, at time.Time) (uint64, erro
 	if err := s.checkExists(follower); err != nil {
 		return 0, err
 	}
-	sh := s.shardFor(target)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	td := sh.target(target)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	td := s.target(target)
 	// Segments store unix seconds, so the monotonicity contract is per-
 	// second: an edge may not be older than the newest edge's second.
 	atUnix := at.Unix()
@@ -568,18 +522,17 @@ func (s *Store) FollowerCount(id UserID) (int, error) {
 	if err := s.checkExists(id); err != nil {
 		return 0, err
 	}
-	sh := s.shardFor(id)
-	if td := sh.targetOf(id); td != nil {
+	if td := s.targetOf(id); td != nil {
 		if v := td.edges.view(); v.ever {
 			return v.total, nil
 		}
 	}
-	if rec := s.recordRO(sh, id); rec != nil {
+	if rec := s.recordRO(id); rec != nil {
 		return int(rec.followers), nil
 	}
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	rec, err := s.recordIn(sh, id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rec, err := s.recordIn(id)
 	if err != nil {
 		return 0, err
 	}
@@ -593,7 +546,7 @@ func (s *Store) FollowersChronological(target UserID) ([]UserID, error) {
 	if err := s.checkExists(target); err != nil {
 		return nil, err
 	}
-	td := s.shardFor(target).targetOf(target)
+	td := s.targetOf(target)
 	if td == nil {
 		return nil, nil
 	}
@@ -643,9 +596,9 @@ type FollowerPage struct {
 // fromSeq below every surviving edge (all older edges purged, or the list
 // exhausted) yields an empty page with NextSeq 0, never an error.
 //
-// The page is served from a frozen edge view with no shard lock (the
+// The page is served from a frozen edge view with no lock (the
 // celebrity-crawl hot path: a hot target's pages proceed while its writer
-// holds the shard mutex). It is a FollowerWalk copied out: O(log blocks +
+// holds the store mutex). It is a FollowerWalk copied out: O(log blocks +
 // limit), one block decode per 512 edges served. limit <= 0 yields an empty
 // page.
 func (s *Store) FollowersPage(target UserID, fromSeq uint64, limit int) (FollowerPage, error) {
@@ -685,10 +638,9 @@ func (s *Store) removeFollowers(target UserID, followers []UserID, at time.Time,
 	if err := s.checkExists(target); err != nil {
 		return 0, 0, err
 	}
-	sh := s.shardFor(target)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	td := sh.targetOf(target)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	td := s.targetOf(target)
 	if td == nil || len(followers) == 0 {
 		return 0, 0, nil
 	}
@@ -745,7 +697,7 @@ func (s *Store) FollowEdges(target UserID) ([]Follow, error) {
 	if err := s.checkExists(target); err != nil {
 		return nil, err
 	}
-	td := s.shardFor(target).targetOf(target)
+	td := s.targetOf(target)
 	if td == nil {
 		return nil, nil
 	}
@@ -763,14 +715,14 @@ func (s *Store) FollowEdges(target UserID) ([]Follow, error) {
 
 // IsTarget reports whether id has materialised state (lock-free).
 func (s *Store) IsTarget(id UserID) bool {
-	return s.shardFor(id).targetOf(id) != nil
+	return s.targetOf(id) != nil
 }
 
 // EdgeMemoryStats reports target's live edge count and the bytes its
 // in-memory segment storage occupies (sealed payload + block headers +
 // decoded tail). The bytes-per-edge benchmark row divides the two.
 func (s *Store) EdgeMemoryStats(target UserID) (edges, bytes int) {
-	td := s.shardOf(target).targetOf(target)
+	td := s.targetOf(target)
 	if td == nil {
 		return 0, 0
 	}
@@ -807,14 +759,13 @@ func (s *Store) RestoreTweet(tw Tweet) error {
 // appendTweet commits tw for author. forceID 0 assigns the next global
 // tweet ID; a nonzero forceID reinstates a logged ID (RestoreTweet).
 func (s *Store) appendTweet(author UserID, tw Tweet, forceID TweetID) (Tweet, uint64, error) {
-	sh := s.shardFor(author)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	rec, err := s.recordIn(sh, author)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec, err := s.recordIn(author)
 	if err != nil {
 		return Tweet{}, 0, err
 	}
-	td := sh.target(author)
+	td := s.target(author)
 	if n := len(td.tweets); n > 0 && tw.CreatedAt.Unix() < td.tweets[n-1].CreatedAt.Unix() {
 		return Tweet{}, 0, fmt.Errorf("%w: tweet at %v before %v", ErrNotMonotonic, tw.CreatedAt, td.tweets[n-1].CreatedAt)
 	}
@@ -874,28 +825,26 @@ func (s *Store) Timeline(id UserID, max int) ([]Tweet, error) {
 // found by binary search, and synthetic tweets above the page only advance
 // the draw stream — no string of theirs is built.
 //
-// The shard lock is held only to copy the record and the stored tweets'
+// The store lock is held only to copy the record and the stored tweets'
 // slice header (appends never rewrite a published element); synthesis and
-// fn run after it is released, so a slow consumer never stalls the shard's
-// writers.
+// fn run after it is released, so a slow consumer never stalls writers.
 func (s *Store) VisitTimeline(id UserID, maxID TweetID, count, depth int, fn func(Tweet)) error {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	recp, err := s.recordIn(sh, id)
+	s.mu.RLock()
+	recp, err := s.recordIn(id)
 	if err != nil {
-		sh.mu.RUnlock()
+		s.mu.RUnlock()
 		return err
 	}
 	rec := *recp
 	var stored []Tweet
-	if td := sh.targetOf(id); td != nil {
+	if td := s.targetOf(id); td != nil {
 		stored = td.tweets
 	}
-	sh.mu.RUnlock()
+	s.mu.RUnlock()
 
 	if n := len(stored); n > 0 {
 		// Stored IDs rise with position: they are handed out, and replayed,
-		// in append order under the author's shard lock.
+		// in append order under the store lock.
 		first := 0 // rank (0 = newest) of the first tweet at or below maxID
 		if maxID != 0 {
 			first = n - sort.Search(n, func(i int) bool { return stored[i].ID > maxID })
@@ -923,10 +872,9 @@ func (s *Store) SetFriends(id UserID, friends []UserID) error {
 }
 
 func (s *Store) setFriends(id UserID, friends []UserID) (uint64, error) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, err := s.recordIn(sh, id); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := s.recordIn(id); err != nil {
 		return 0, err
 	}
 	var lsn uint64
@@ -939,7 +887,7 @@ func (s *Store) setFriends(id UserID, friends []UserID) (uint64, error) {
 	// Publish a frozen copy; the record's synthetic friends counter stays
 	// commit-immutable (readers derive the count from the list instead), so
 	// the lock-free count path never races a counter write.
-	td := sh.target(id)
+	td := s.target(id)
 	fl := append([]UserID(nil), friends...)
 	td.friends.Store(&fl)
 	return lsn, nil
@@ -948,7 +896,7 @@ func (s *Store) setFriends(id UserID, friends []UserID) (uint64, error) {
 // Friends returns the materialised friend list of id (newest first) and
 // whether one exists. Lock-free: the list is published as a frozen slice.
 func (s *Store) Friends(id UserID) ([]UserID, bool) {
-	td := s.shardFor(id).targetOf(id)
+	td := s.targetOf(id)
 	if td == nil {
 		return nil, false
 	}
@@ -962,23 +910,22 @@ func (s *Store) Friends(id UserID) ([]UserID, bool) {
 // FriendsCount returns the friends (following) count of id: the length of
 // the materialised list if SetFriends ever ran, the synthetic counter
 // otherwise. Lock-free (the Feistel friends path sizes its permutation
-// from this without touching the shard mutex).
+// from this without touching the store mutex).
 func (s *Store) FriendsCount(id UserID) (int, error) {
 	if err := s.checkExists(id); err != nil {
 		return 0, err
 	}
-	sh := s.shardFor(id)
-	if td := sh.targetOf(id); td != nil {
+	if td := s.targetOf(id); td != nil {
 		if fl := td.friends.Load(); fl != nil {
 			return len(*fl), nil
 		}
 	}
-	if rec := s.recordRO(sh, id); rec != nil {
+	if rec := s.recordRO(id); rec != nil {
 		return int(rec.friends), nil
 	}
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	rec, err := s.recordIn(sh, id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rec, err := s.recordIn(id)
 	if err != nil {
 		return 0, err
 	}
@@ -992,24 +939,16 @@ func (s *Store) Now() time.Time { return s.clock.Now() }
 func (s *Store) Clock() simclock.Clock { return s.clock }
 
 // ClassCounts tallies the ground-truth classes of the given accounts,
-// used by evaluation and the genpop CLI. Like Profiles, the batch is
-// regrouped so each shard lock is taken once.
+// used by evaluation and the genpop CLI. Like Profiles, the batch is read
+// under one read lock.
 func (s *Store) ClassCounts(ids []UserID) map[Class]int {
 	out := make(map[Class]int, 4)
-	for si, group := range s.groupByShard(ids) {
-		if len(group) == 0 {
-			continue
-		}
-		sh := &s.shards[si]
-		sh.mu.RLock()
-		for _, i := range group {
-			rec, err := s.recordIn(sh, ids[i])
-			if err != nil {
-				continue
-			}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, id := range ids {
+		if rec, err := s.recordIn(id); err == nil {
 			out[Class(rec.class)]++
 		}
-		sh.mu.RUnlock()
 	}
 	return out
 }

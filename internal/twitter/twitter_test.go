@@ -455,14 +455,33 @@ func TestFollowersNewestFirstProperty(t *testing.T) {
 	}
 }
 
+// TestGrowPreallocates is Grow's contract: Grow(n) reserves exactly n more
+// records, no slack, and the n creations after it allocate nothing.
 func TestGrowPreallocates(t *testing.T) {
 	s, _ := newTestStore()
-	s.Grow(1000)
-	for i := 0; i < 1000; i++ {
-		mkUser(t, s, UserParams{})
+	mkUser(t, s, UserParams{})
+	const n = 1000
+	s.Grow(n)
+	if got := cap(s.recs); got != n+1 {
+		t.Fatalf("Grow(%d) after one account reserved %d records, want %d", n, got, n+1)
 	}
-	if s.UserCount() != 1000 {
-		t.Fatalf("UserCount = %d", s.UserCount())
+	params := UserParams{CreatedAt: s.Now(), LastTweet: s.Now(), Statuses: 10, Bio: true, Behavior: Behavior{RetweetRatio: 0.25}}
+	if avg := testing.AllocsPerRun(n-1, func() { s.MustCreateUser(params) }); avg != 0 {
+		t.Fatalf("CreateUser after Grow allocates %.2f times per call, want 0", avg)
+	}
+	if s.UserCount() != n+1 || cap(s.recs) != n+1 {
+		t.Fatalf("UserCount = %d, capacity %d", s.UserCount(), cap(s.recs))
+	}
+}
+
+// TestGrowNonPositive ensures Grow tolerates the degenerate sizes callers
+// produce (empty populations, already-counted remainders).
+func TestGrowNonPositive(t *testing.T) {
+	store := NewStore(simclock.NewVirtualAtEpoch(), 1)
+	store.Grow(0)
+	store.Grow(-5)
+	if id := store.MustCreateUser(UserParams{}); id != 1 {
+		t.Fatalf("id = %d", id)
 	}
 }
 

@@ -105,11 +105,10 @@ func (p Profile) View() ProfileView {
 	return v
 }
 
-// viewOf derives id's attribute view from its record into v. sh must be
-// id's owning shard and the caller must hold its lock: statuses and
-// lastTweetAt move under it. It fills v in place so a scan writes each
-// view once, where it is kept.
-func viewOf(v *ProfileView, sh *shard, id UserID, rec *record) {
+// viewOf derives id's attribute view from its record into v. The caller
+// must hold s.mu: statuses and lastTweetAt move under it. It fills v in
+// place so a scan writes each view once, where it is kept.
+func (s *Store) viewOf(v *ProfileView, id UserID, rec *record) {
 	*v = ProfileView{
 		ID:             id,
 		CreatedAt:      rec.createdAt,
@@ -131,7 +130,7 @@ func viewOf(v *ProfileView, sh *shard, id UserID, rec *record) {
 		Protected:           rec.has(flagProtected),
 		Verified:            rec.has(flagVerified),
 	}
-	if td := sh.targetOf(id); td != nil {
+	if td := s.targetOf(id); td != nil {
 		// Only a follower list that was ever materialised overrides the
 		// synthetic counter. Targets promoted by SetFriends/AppendTweet
 		// alone keep their synthetic count — promotion must not zero a
@@ -146,79 +145,35 @@ func viewOf(v *ProfileView, sh *shard, id UserID, rec *record) {
 	}
 }
 
-// scanChunk is how many ids ScanProfiles views per round of shard locks:
-// enough that each of the default 16 shards is locked about once per round
-// instead of once per id, and few enough that the round's views sit in an
-// ~11 KB array on the caller's stack.
+// scanChunk is how many ids ScanProfiles views per read lock: enough that
+// the lock is taken once per 128 ids instead of once per id, and few enough
+// that the chunk's views sit in an ~11 KB array on the caller's stack and a
+// writer waits for at most one chunk.
 const scanChunk = 128
-
-// scanLists is how many lists ScanProfiles sorts a chunk's ids into, by
-// owning shard index modulo scanLists: one shard per list up to that many
-// shards, and a list walked once per shard in it beyond.
-const scanLists = 64
 
 // ScanProfiles calls fn with the attribute view of each account in ids, in
 // input order, skipping unknown ids as Profiles does. It allocates nothing:
 // no string is synthesised and no profile is materialised, so a 9,604-account
 // audit sample costs 9,604 record reads. The ids are taken scanChunk at a
-// time and grouped by owning shard; each shard a chunk touches is
-// read-locked once while its ids' views are derived into an array on the
-// stack, and fn runs for the chunk, in input order, once every lock is
-// released. Each view is one committed state of its account, as with a
-// lock per id; the views of different accounts may come from different
-// instants, as they always could.
+// time; the store is read-locked once per chunk while its views are derived
+// into an array on the stack, and fn runs for the chunk once the lock is
+// released. Each view is one committed state of its account; the views of
+// different accounts may come from different instants, as they always could.
 func (s *Store) ScanProfiles(ids []UserID, fn func(ProfileView)) {
-	// One existence cutoff for the whole batch, as in groupByShard.
+	// One existence cutoff for the whole batch.
 	limit := s.users.Load()
-	nshards := uint64(len(s.shards))
-	var (
-		views [scanChunk]ProfileView
-		shard [scanChunk]int32 // owning shard index of each position
-		slot  [scanChunk]int   // record index within that shard
-		next  [scanChunk]int16 // next position in the same list, -1 at its end
-	)
+	var views [scanChunk]ProfileView
 	for len(ids) > 0 {
 		chunk := ids[:min(scanChunk, len(ids))]
 		ids = ids[len(chunk):]
-		var head [scanLists]int16 // first position of each list, -1 if empty
-		for l := range head {
-			head[l] = -1
-		}
+		s.mu.RLock()
 		for i, id := range chunk {
 			views[i].ID = 0 // no view; IDs start at 1
-			if id < 1 || int64(id) > limit {
-				continue
-			}
-			q := uint64(id-1) / nshards
-			shard[i], slot[i] = int32(uint64(id-1)-q*nshards), int(q)
-			l := shard[i] % scanLists
-			next[i], head[l] = head[l], int16(i)
-		}
-		for l := range head {
-			for head[l] >= 0 { // one round per shard left in list l
-				si := shard[head[l]]
-				sh := &s.shards[si]
-				visits := 0
-				sh.mu.RLock()
-				for p, prev := head[l], int16(-1); p >= 0; p = next[p] {
-					if shard[p] != si {
-						prev = p
-						continue
-					}
-					if prev < 0 { // unlink p: it is read in this round
-						head[l] = next[p]
-					} else {
-						next[prev] = next[p]
-					}
-					visits++
-					if slot[p] < len(sh.recs) { // as recordIn: never yield an uncommitted slot
-						viewOf(&views[p], sh, chunk[p], &sh.recs[slot[p]])
-					}
-				}
-				sh.mu.RUnlock()
-				sh.ops.Add(uint64(visits))
+			if id >= 1 && int64(id) <= limit {
+				s.viewOf(&views[i], id, &s.recs[id-1])
 			}
 		}
+		s.mu.RUnlock()
 		for i := range chunk {
 			if views[i].ID != 0 {
 				fn(views[i])

@@ -156,87 +156,70 @@ func TestSynthStringsAreStable(t *testing.T) {
 }
 
 // scanPerID is ScanProfiles as it read before ids were taken a chunk at a
-// time: one read lock, one heat bump and one view per id. It is the
-// reference the chunked scan is differenced against.
+// time: one read lock and one view per id. It is the reference the chunked
+// scan is differenced against.
 func scanPerID(s *Store, ids []UserID, fn func(ProfileView)) {
-	limit := s.users.Load()
 	for _, id := range ids {
-		if id < 1 || int64(id) > limit {
-			continue
-		}
-		sh := s.shardFor(id)
-		slot := s.slotFor(id)
-		sh.mu.RLock()
-		if slot >= len(sh.recs) {
-			sh.mu.RUnlock()
-			continue
-		}
+		s.mu.RLock()
+		rec, err := s.recordIn(id)
 		var v ProfileView
-		viewOf(&v, sh, id, &sh.recs[slot])
-		sh.mu.RUnlock()
-		fn(v)
+		if err == nil {
+			s.viewOf(&v, id, rec)
+		}
+		s.mu.RUnlock()
+		if err == nil {
+			fn(v)
+		}
 	}
 }
 
-// TestScanProfilesChunkBoundaries: on stores of 1, 16, 17 and 100 shards
-// (one list per shard, one shared list, lists of two shards), batches one
-// short of a chunk, exactly a chunk, one past it and two chunks and a bit
-// yield the per-id reference's views in input order — repeated ids,
-// targets, and unknown ids at the first and last position of a chunk and
-// across its boundary included — bump the same shard-heat counters, and
-// allocate nothing.
+// TestScanProfilesChunkBoundaries: batches one short of a chunk, exactly a
+// chunk, one past it and two chunks and a bit yield the per-id reference's
+// views in input order — repeated ids, targets, and unknown ids at the
+// first and last position of a chunk and across its boundary included —
+// and allocate nothing.
 func TestScanProfilesChunkBoundaries(t *testing.T) {
-	for _, shards := range []int{1, 16, 17, 100} {
-		clock := simclock.NewVirtualAtEpoch()
-		s := NewStore(clock, 7, WithShards(shards))
-		const accounts = 300
-		for i := 0; i < accounts; i++ {
-			p := UserParams{CreatedAt: simclock.Epoch.AddDate(0, 0, -i-1), Statuses: i % 7, Friends: i, Followers: i * 3, Bio: i%2 == 0}
-			if i%50 == 0 {
-				p.ScreenName = fmt.Sprintf("named%d", i)
-			}
-			mkUser(t, s, p)
+	clock := simclock.NewVirtualAtEpoch()
+	s := NewStore(clock, 7)
+	const accounts = 300
+	for i := 0; i < accounts; i++ {
+		p := UserParams{CreatedAt: simclock.Epoch.AddDate(0, 0, -i-1), Statuses: i % 7, Friends: i, Followers: i * 3, Bio: i%2 == 0}
+		if i%50 == 0 {
+			p.ScreenName = fmt.Sprintf("named%d", i)
 		}
-		for f := UserID(2); f < 40; f++ { // a materialised list overrides account 1's counter
-			if err := s.AddFollower(1, f, clock.Now()); err != nil {
-				t.Fatal(err)
+		mkUser(t, s, p)
+	}
+	for f := UserID(2); f < 40; f++ { // a materialised list overrides account 1's counter
+		if err := s.AddFollower(1, f, clock.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []int{scanChunk - 1, scanChunk, scanChunk + 1, 2*scanChunk + 3} {
+		ids := make([]UserID, n)
+		for i := range ids {
+			ids[i] = UserID(1 + (i*7919)%accounts)
+		}
+		ids[n/2] = ids[n/3] // a repeat
+		unknown := map[int]bool{}
+		for k, i := range []int{0, scanChunk - 1, scanChunk, n - 1} {
+			if i < n {
+				ids[i] = []UserID{0, -5, accounts + 1, 1 << 40}[k]
+				unknown[i] = true
 			}
 		}
-		for _, n := range []int{scanChunk - 1, scanChunk, scanChunk + 1, 2*scanChunk + 3} {
-			ids := make([]UserID, n)
-			for i := range ids {
-				ids[i] = UserID(1 + (i*7919+shards)%accounts)
-			}
-			ids[n/2] = ids[n/3] // a repeat
-			unknown := map[int]bool{}
-			for k, i := range []int{0, scanChunk - 1, scanChunk, n - 1} {
-				if i < n {
-					ids[i] = []UserID{0, -5, accounts + 1, 1 << 40}[k]
-					unknown[i] = true
-				}
-			}
-			var got, want []ProfileView
-			before := s.ShardOps()
-			s.ScanProfiles(ids, func(v ProfileView) { got = append(got, v) })
-			mid := s.ShardOps()
-			scanPerID(s, ids, func(v ProfileView) { want = append(want, v) })
-			after := s.ShardOps()
-			if !slices.Equal(got, want) {
-				t.Fatalf("shards=%d, %d ids: scan differs from the per-id reference\n got %+v\nwant %+v", shards, n, got, want)
-			}
-			if len(got) != n-len(unknown) {
-				t.Fatalf("shards=%d, %d ids: %d views; the unknown ids were not all skipped", shards, n, len(got))
-			}
-			for si := range before {
-				if mid[si]-before[si] != after[si]-mid[si] {
-					t.Fatalf("shards=%d, %d ids: shard %d heat +%d, reference +%d", shards, n, si, mid[si]-before[si], after[si]-mid[si])
-				}
-			}
-			sum := 0
-			visit := func(v ProfileView) { sum += v.FollowersCount }
-			if allocs := testing.AllocsPerRun(20, func() { s.ScanProfiles(ids, visit) }); allocs != 0 {
-				t.Fatalf("shards=%d: ScanProfiles of %d ids allocates %.0f times, want 0", shards, n, allocs)
-			}
+		var got, want []ProfileView
+		s.ScanProfiles(ids, func(v ProfileView) { got = append(got, v) })
+		scanPerID(s, ids, func(v ProfileView) { want = append(want, v) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d ids: scan differs from the per-id reference\n got %+v\nwant %+v", n, got, want)
+		}
+		if len(got) != n-len(unknown) {
+			t.Fatalf("%d ids: %d views; the unknown ids were not all skipped", n, len(got))
+		}
+		sum := 0
+		visit := func(v ProfileView) { sum += v.FollowersCount }
+		if allocs := testing.AllocsPerRun(20, func() { s.ScanProfiles(ids, visit) }); allocs != 0 {
+			t.Fatalf("ScanProfiles of %d ids allocates %.0f times, want 0", n, allocs)
 		}
 	}
 }
@@ -245,7 +228,7 @@ func TestScanProfilesChunkBoundaries(t *testing.T) {
 // the scanned accounts, every view is one committed state of its account —
 // its status count and last-tweet instant from the same append, never one
 // from each — and under -race the scan's reads are ordered after the
-// writer's by the shard locks.
+// writer's by the store lock.
 func TestScanProfilesSeesCommittedStates(t *testing.T) {
 	s, _ := newTestStore()
 	const accounts, tweets = 40, 200

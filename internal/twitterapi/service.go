@@ -68,8 +68,8 @@ type IDPage struct {
 // ErrBadCursor is reserved for tokens this target never minted. Pages are
 // read through Store.FollowersPage: O(log n + page) per call, copying only
 // the page, served off the RCU-published edge-segment view without taking
-// any shard lock — concurrent crawlers of one celebrity target scale with
-// reader parallelism instead of serialising on its shard.
+// the store lock — concurrent crawlers of one celebrity target scale with
+// reader parallelism instead of serialising on it.
 func (s *Service) FollowerIDs(target twitter.UserID, cursor int64) (IDPage, error) {
 	fromSeq, err := followerAnchor(target, cursor)
 	if err != nil {

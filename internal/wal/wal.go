@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"fakeproject/internal/metrics"
@@ -143,6 +144,10 @@ func Open(cfg Config) (*twitter.Store, *Log, RecoveryStats, error) {
 		if err := importSeedSnapshot(cfg, clock); err != nil {
 			return nil, nil, RecoveryStats{}, err
 		}
+		// The imported store is garbage now, and recovery is about to load
+		// a store of the same size whose records are one allocation: collect
+		// the first before the second asks for fresh memory beside it.
+		runtime.GC()
 	}
 	store, stats, err := recoverDir(cfg.Dir, clock, cfg.Seed)
 	if err != nil {

@@ -69,7 +69,7 @@ func syncDir(dir string) error {
 // job, off the append path, so a slow fsync stalls only the ops waiting on
 // it (group commit) and never blocks the buffer from accepting more.
 //
-// Lock order: store locks (createMu, shard mutexes) are always taken before
+// Lock order: the store lock (Store.mu) is always taken before
 // writer.mu — appends arrive from inside store critical sections — and
 // nothing under writer.mu ever calls into the store, so the order is
 // acyclic. sync() is called only after store locks are released.
