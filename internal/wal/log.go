@@ -112,32 +112,16 @@ func (l *Log) Compact() error {
 }
 
 func (l *Log) compact() error {
-	tmp := filepath.Join(l.dir, "snap.tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("wal: compacting: %w", err)
-	}
 	var cut uint64
-	err = l.st.WriteSnapshotWith(f, func() error {
-		var rerr error
-		cut, rerr = l.w.rotate()
-		return rerr
+	err := publish(l.dir, func(f *os.File) (string, error) {
+		err := l.st.WriteSnapshotWith(f, func() error {
+			var rerr error
+			cut, rerr = l.w.rotate()
+			return rerr
+		})
+		return snapshotName(cut), err
 	})
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: compacting: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, snapshotName(cut))); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: compacting: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
 		return fmt.Errorf("wal: compacting: %w", err)
 	}
 	l.lastCompactLSN.Store(cut)

@@ -97,27 +97,27 @@ type segFile struct {
 	path  string
 }
 
-// recoverDir rebuilds the store from dir: newest loadable snapshot, then
+// recoverDir rebuilds the store from cfg.Dir: newest loadable snapshot, then
 // every segment past it in LSN order. Segments must chain — each one's
 // start LSN is the previous one's end plus one — except that a segment
 // ending in a torn tail may be followed by a segment resuming exactly
 // after its last *valid* record (the sequel of a crash-then-restart whose
 // tear was abandoned by the restarted writer). A gap or overlap in the
 // chain is corruption and fails recovery.
-func recoverDir(dir string, clock simclock.Clock, seed uint64) (*twitter.Store, RecoveryStats, error) {
+func recoverDir(cfg Config, clock simclock.Clock) (*twitter.Store, RecoveryStats, error) {
 	begin := time.Now()
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(cfg.Dir)
 	if err != nil {
-		return nil, RecoveryStats{}, fmt.Errorf("wal: reading %s: %w", dir, err)
+		return nil, RecoveryStats{}, fmt.Errorf("wal: reading %s: %w", cfg.Dir, err)
 	}
 	var snaps []segFile
 	var segs []segFile
 	for _, e := range entries {
 		if lsn, ok := parseSnapshotName(e.Name()); ok {
-			snaps = append(snaps, segFile{lsn, filepath.Join(dir, e.Name())})
+			snaps = append(snaps, segFile{lsn, filepath.Join(cfg.Dir, e.Name())})
 		}
 		if start, ok := parseSegmentName(e.Name()); ok {
-			segs = append(segs, segFile{start, filepath.Join(dir, e.Name())})
+			segs = append(segs, segFile{start, filepath.Join(cfg.Dir, e.Name())})
 		}
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].start > snaps[j].start }) // newest first
@@ -142,9 +142,9 @@ func recoverDir(dir string, clock simclock.Clock, seed uint64) (*twitter.Store, 
 		// No loadable snapshot: only a log that reaches back to LSN 1 can
 		// rebuild from scratch.
 		if len(snaps) > 0 && (len(segs) == 0 || segs[0].start > 1) {
-			return nil, RecoveryStats{}, fmt.Errorf("wal: no loadable snapshot in %s and the log does not reach back to record 1: %v", dir, loadErrs)
+			return nil, RecoveryStats{}, fmt.Errorf("wal: no loadable snapshot in %s and the log does not reach back to record 1: %v", cfg.Dir, loadErrs)
 		}
-		store = twitter.NewStore(clock, seed)
+		store = twitter.NewStore(clock, cfg.Seed)
 	}
 
 	lsn := stats.SnapshotLSN

@@ -11,8 +11,8 @@
 //	                     records
 //	snap-<LSN>.gob       store snapshots; <LSN> is the last record the
 //	                     snapshot has folded in
-//	snap.tmp             an in-flight compaction output (ignored, and
-//	                     replaced, on the next compaction)
+//	snap.tmp             an in-flight compaction or seed import output
+//	                     (ignored, and replaced, by the next of either)
 //
 // Each record frame is: uint32 LE payload length, uint32 LE CRC-32C of the
 // payload, payload. A record carries exactly one mutation — create, follow,
@@ -37,9 +37,9 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"fakeproject/internal/metrics"
@@ -105,9 +105,10 @@ type Config struct {
 	// automatic compaction; Compact can still be called explicitly.
 	CompactEvery uint64
 	// SeedSnapshot, when set, imports an external snapshot file (a genpop
-	// -out artifact) into Dir before recovery. Dir must hold no prior WAL
-	// state: the import is for bootstrapping a durable deployment from a
-	// prebuilt population, not for merging histories.
+	// -out artifact) as Dir's base snapshot snap-0: a byte copy, validated
+	// by the one load; a seed that does not load leaves Dir as it was. Dir
+	// must hold no prior WAL state: the import bootstraps a durable
+	// deployment from a prebuilt population, it does not merge histories.
 	SeedSnapshot string
 	// Clock/Seed configure the store exactly as for twitter.NewStore when
 	// the directory starts empty; Clock (zero: simclock.Real) also binds
@@ -140,16 +141,11 @@ func Open(cfg Config) (*twitter.Store, *Log, RecoveryStats, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, nil, RecoveryStats{}, fmt.Errorf("wal: creating %s: %w", cfg.Dir, err)
 	}
+	open := recoverDir
 	if cfg.SeedSnapshot != "" {
-		if err := importSeedSnapshot(cfg, clock); err != nil {
-			return nil, nil, RecoveryStats{}, err
-		}
-		// The imported store is garbage now, and recovery is about to load
-		// a store of the same size whose records are one allocation: collect
-		// the first before the second asks for fresh memory beside it.
-		runtime.GC()
+		open = importSeedSnapshot
 	}
-	store, stats, err := recoverDir(cfg.Dir, clock, cfg.Seed)
+	store, stats, err := open(cfg, clock)
 	if err != nil {
 		return nil, nil, RecoveryStats{}, err
 	}
@@ -185,53 +181,47 @@ func Open(cfg Config) (*twitter.Store, *Log, RecoveryStats, error) {
 	return store, l, stats, nil
 }
 
-// importSeedSnapshot copies an external snapshot into an empty log dir as
-// the LSN-0 base snapshot (re-encoded canonically, fsynced, atomically
-// renamed) so the imported population is durable in-dir from the first
-// boot, not only after the first compaction.
-func importSeedSnapshot(cfg Config, clock simclock.Clock) error {
-	entries, err := os.ReadDir(cfg.Dir)
+// importSeedSnapshot adopts an external snapshot as the LSN-0 base snapshot
+// of an empty log dir: a byte copy, validated by the one load. The copy in
+// snap.tmp is loaded before publish fsyncs it and renames it to snap-0, so
+// a seed that does not load never gets a name recovery reads and the
+// directory is left as it was found. With no segments to replay, the
+// loaded store already is the recovered state.
+func importSeedSnapshot(cfg Config, clock simclock.Clock) (*twitter.Store, RecoveryStats, error) {
+	begin := time.Now()
+	dir, seed := cfg.Dir, cfg.SeedSnapshot
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return fmt.Errorf("wal: reading %s: %w", cfg.Dir, err)
+		return nil, RecoveryStats{}, fmt.Errorf("wal: reading %s: %w", dir, err)
 	}
 	for _, e := range entries {
-		if isWALFile(e.Name()) {
-			return fmt.Errorf("wal: %s already holds WAL state (%s); refusing to import seed snapshot %s over it",
-				cfg.Dir, e.Name(), cfg.SeedSnapshot)
+		_, seg := parseSegmentName(e.Name())
+		if _, snap := parseSnapshotName(e.Name()); seg || snap {
+			return nil, RecoveryStats{}, fmt.Errorf("wal: %s already holds WAL state (%s); refusing to import seed snapshot %s over it",
+				dir, e.Name(), seed)
 		}
 	}
-	st, err := twitter.LoadSnapshotFile(cfg.SeedSnapshot, clock)
+	tmp := filepath.Join(dir, "snap.tmp")
+	if si, err := os.Stat(seed); err == nil {
+		if ti, err := os.Stat(tmp); err == nil && os.SameFile(si, ti) {
+			// Creating the copy would truncate the seed before reading it.
+			return nil, RecoveryStats{}, fmt.Errorf("wal: seed snapshot %s is %s, the import's own scratch file", seed, tmp)
+		}
+	}
+	var store *twitter.Store
+	err = publish(dir, func(f *os.File) (string, error) {
+		src, err := os.Open(seed)
+		if err != nil {
+			return "", err
+		}
+		defer src.Close()
+		if _, err = io.Copy(f, src); err == nil { // file to file: copy_file_range
+			store, err = twitter.LoadSnapshotFile(tmp, clock)
+		}
+		return snapshotName(0), err
+	})
 	if err != nil {
-		return err
+		return nil, RecoveryStats{}, fmt.Errorf("wal: importing seed snapshot %s: %w", seed, err)
 	}
-	tmp := filepath.Join(cfg.Dir, "snap.tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("wal: importing seed snapshot: %w", err)
-	}
-	err = st.WriteSnapshot(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(cfg.Dir, snapshotName(0)))
-	}
-	if err == nil {
-		err = syncDir(cfg.Dir)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: importing seed snapshot: %w", err)
-	}
-	return nil
-}
-
-// isWALFile reports whether name is a file recovery would consider.
-func isWALFile(name string) bool {
-	_, okSeg := parseSegmentName(name)
-	_, okSnap := parseSnapshotName(name)
-	return okSeg || okSnap
+	return store, RecoveryStats{SnapshotPath: filepath.Join(dir, snapshotName(0)), Users: store.UserCount(), Elapsed: time.Since(begin)}, nil
 }

@@ -64,6 +64,32 @@ func syncDir(dir string) error {
 	return err
 }
 
+// publish writes a file into dir atomically: write fills dir/snap.tmp and
+// returns the file's final name, then publish fsyncs it, renames it to that
+// name and fsyncs dir. On a failure before the rename snap.tmp is removed.
+func publish(dir string, write func(f *os.File) (name string, err error)) error {
+	tmp := filepath.Join(dir, "snap.tmp")
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	name, err := write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(dir)
+}
+
 // writer is the append side of the log: appends go into a buffered writer
 // under a short mutex; making them durable is the committer goroutine's
 // job, off the append path, so a slow fsync stalls only the ops waiting on

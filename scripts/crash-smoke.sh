@@ -15,6 +15,11 @@
 # 5. The second daemon is stopped the polite way: SIGTERM must drain, seal
 #    the WAL segment and exit 0 within 5 s; a third boot must report no torn
 #    tail and serve the same bytes again.
+# 6. The import path: genpop -out writes a population file, twitterd
+#    imports it into a fresh WAL directory (-wal-dir + -load) and must serve
+#    what a plain -load serves; after a SIGKILL it re-boots without -load
+#    and serves the same bytes; a -load boot on the now-used directory must
+#    exit non-zero with the refusal.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -106,9 +111,11 @@ with open(out, "w") as f:
 EOF
 }
 
-boot_and_capture() { # $1 = capture file, $2 = boot log
-  "$work/twitterd" -addr "$addr" -wal-dir "$waldir" -metrics=false \
-    >"$work/$2" 2>&1 &
+boot_and_capture() { # $1 = capture file, $2 = boot log, then twitterd's store flags (default: -wal-dir "$waldir")
+  local out=$1 log=$2
+  shift 2
+  [ $# -gt 0 ] || set -- -wal-dir "$waldir"
+  "$work/twitterd" -addr "$addr" "$@" -metrics=false >"$work/$log" 2>&1 &
   daemon_pid=$!
   up=""
   for _ in $(seq 1 150); do
@@ -116,11 +123,11 @@ boot_and_capture() { # $1 = capture file, $2 = boot log
         "http://$addr/1.1/users/show.json?screen_name=genpop_target" >/dev/null 2>&1; then
       up=1; break
     fi
-    kill -0 "$daemon_pid" 2>/dev/null || { cat "$work/$2"; echo "twitterd died during boot"; exit 1; }
+    kill -0 "$daemon_pid" 2>/dev/null || { cat "$work/$log"; echo "twitterd died during boot"; exit 1; }
     sleep 0.2
   done
-  [ -n "$up" ] || { cat "$work/$2"; echo "twitterd never became ready"; exit 1; }
-  capture "$1"
+  [ -n "$up" ] || { cat "$work/$log"; echo "twitterd never became ready"; exit 1; }
+  capture "$out"
 }
 
 hard_kill() { # SIGKILL the daemon and wait until it is gone
@@ -166,4 +173,28 @@ if grep -m1 '^wal:' "$work/boot3.log" | grep -q 'torn tail'; then
 fi
 hard_kill
 diff -u "$work/post.json" "$work/term.json"
-echo "crash-smoke OK: genpop_target's users/show and every follower page identical across SIGKILL + recovery and SIGTERM + reboot"
+
+echo "==> import: genpop -out, then twitterd imports the file into a fresh WAL dir"
+"$work/genpop" -followers 2000 -days 14 -burst 5:400 -purge 7:0.25 -out "$work/pop.gob" >"$work/genpop-out.log" 2>&1 ||
+  { cat "$work/genpop-out.log"; echo "genpop -out failed"; exit 1; }
+boot_and_capture plain.json plain.log -load "$work/pop.gob"
+hard_kill
+waldir="$work/wal-import"
+boot_and_capture import.json import1.log -wal-dir "$waldir" -load "$work/pop.gob"
+grep -m1 '^wal:' "$work/import1.log" || true
+diff -u "$work/plain.json" "$work/import.json"
+echo "==> SIGKILLing the importing daemon; re-boot without -load"
+hard_kill
+boot_and_capture reimport.json import2.log
+grep -m1 '^wal:' "$work/import2.log" || true
+hard_kill
+diff -u "$work/import.json" "$work/reimport.json"
+
+echo "==> a -load boot on the used WAL dir must refuse"
+status=0
+timeout 30 "$work/twitterd" -addr "$addr" -wal-dir "$waldir" -load "$work/pop.gob" -metrics=false \
+  >"$work/import3.log" 2>&1 || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ] || ! grep -q 'refusing to import' "$work/import3.log"; then
+  cat "$work/import3.log"; echo "a -load boot over existing WAL state exited $status without the refusal"; exit 1
+fi
+echo "crash-smoke OK: genpop_target's users/show and every follower page identical across SIGKILL + recovery, SIGTERM + reboot, and a seeded import + SIGKILL + reboot"
